@@ -22,7 +22,6 @@ from .evaluation import (
     ConfusionCounts,
     FilterMode,
     ThresholdSweepReport,
-    classify,
     fbeta,
     histogram,
     run_experiment_matrix,
@@ -43,17 +42,15 @@ from .network import (
     train,
 )
 from .saliency import (
+    FramePool,
     FrameScoreTrack,
-    PooledScoreSet,
-    SaliencyMatrix,
     compute_saliency,
     compute_tracks,
     export_heatmap,
     frame_aggregate,
     importance_matrix,
     normalize_pool,
-    pool_and_normalize,
-    window_aggregate,
+    windows_over_pool,
 )
 from .synth import SynthConfig, generate_dataset, generate_trial
 
@@ -66,20 +63,18 @@ __all__ = [
     "DatasetManifest",
     "FeatureTrial",
     "FilterMode",
+    "FramePool",
     "FrameScoreTrack",
     "InputScaler",
     "JointLayout",
     "KeypointTrial",
     "ModelArchitecture",
     "NumericFailure",
-    "PooledScoreSet",
-    "SaliencyMatrix",
     "SynthConfig",
     "ThresholdSweepReport",
     "TrainConfig",
     "TrainedModel",
     "bce_loss",
-    "classify",
     "compute_saliency",
     "compute_tracks",
     "export_heatmap",
@@ -98,7 +93,6 @@ __all__ = [
     "load_model",
     "normalize_pool",
     "pad_trial",
-    "pool_and_normalize",
     "run_experiment_matrix",
     "save_dataset",
     "save_model",
@@ -106,5 +100,5 @@ __all__ = [
     "split_dataset",
     "sweep",
     "train",
-    "window_aggregate",
+    "windows_over_pool",
 ]

@@ -10,9 +10,7 @@ carry the "normal" label.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +19,7 @@ from .errors import DataValidationError
 LABEL_COMPENSATORY = 0
 LABEL_NORMAL = 1
 SIDES = ("affected", "unaffected")
-PROVENANCES = ("synthetic", "ingested")
+PROVENANCES = ("synthetic",)
 
 DEFAULT_T_MAX = 394
 DEFAULT_JOINTS = (
@@ -34,9 +32,6 @@ DEFAULT_JOINTS = (
     "ElbowLeft",
     "WristLeft",
 )
-
-_CACHE_MAGIC = b"FTRCACH1"
-_CACHE_HEADER = struct.Struct("<8sII")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -372,7 +367,20 @@ def load_dataset(path) -> DatasetManifest:
     for key in ("t_max", "joints", "provenance", "seed"):
         if key not in header:
             raise DataValidationError(f"{path}:1: missing field {key!r}")
-    layout = JointLayout(joints=tuple(header["joints"]))
+    joints = header["joints"]
+    if not isinstance(joints, list) or not all(isinstance(j, str) for j in joints):
+        raise DataValidationError(
+            f"{path}:1: field 'joints' must be a list of names, got {joints!r}"
+        )
+    for key in ("t_max", "seed"):
+        try:
+            header[key] = int(header[key])
+        except (TypeError, ValueError) as exc:
+            raise DataValidationError(
+                f"{path}:1: field {key!r} must be an integer, "
+                f"got {header[key]!r}"
+            ) from exc
+    layout = JointLayout(joints=tuple(joints))
 
     trials = []
     for lineno, text in enumerate(lines[1:], start=2):
@@ -400,45 +408,11 @@ def load_dataset(path) -> DatasetManifest:
     try:
         return DatasetManifest(
             trials=tuple(trials),
-            t_max=int(header["t_max"]),
+            t_max=header["t_max"],
             layout=layout,
             provenance=header["provenance"],
-            seed=int(header["seed"]),
+            seed=header["seed"],
         )
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from exc
 
-
-def write_feature_cache(path, trials: Sequence[FeatureTrial], t_max: int) -> None:
-    """Flat binary cache: 16-byte header then row-major float64 matrices."""
-    if not trials:
-        raise DataValidationError("feature cache needs at least one trial")
-    feature_count = trials[0].feature_count
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, t_max, feature_count))
-        for ft in trials:
-            if ft.frame_count != t_max or ft.feature_count != feature_count:
-                raise DataValidationError(
-                    f"trial {ft.trial_id!r}: shape {ft.features.shape} does not "
-                    f"match cache shape ({t_max}, {feature_count})"
-                )
-            fh.write(np.ascontiguousarray(ft.features, dtype="<f8").tobytes())
-
-
-def read_feature_cache(path) -> np.ndarray:
-    """Read a binary feature cache back as an (n, t_max, F) array."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _CACHE_HEADER.size:
-        raise DataValidationError(f"{path}: truncated header")
-    magic, t_max, feature_count = _CACHE_HEADER.unpack_from(blob)
-    if magic != _CACHE_MAGIC:
-        raise DataValidationError(f"{path}: bad magic {magic!r}")
-    body = blob[_CACHE_HEADER.size :]
-    stride = t_max * feature_count * 8
-    if stride == 0 or len(body) % stride != 0:
-        raise DataValidationError(f"{path}: body size {len(body)} not a multiple "
-                                  f"of trial size {stride}")
-    n = len(body) // stride
-    out = np.frombuffer(body, dtype="<f8").reshape(n, t_max, feature_count)
-    return out.astype(np.float64)

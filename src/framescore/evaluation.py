@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,9 +18,8 @@ import numpy as np
 from .data import LABEL_COMPENSATORY, LABEL_NORMAL, FeatureTrial
 from .errors import ContractError
 from .saliency import (
+    FramePool,
     FrameScoreTrack,
-    PooledScoreSet,
-    ScoreEntry,
     normalize_pool,
     windows_over_pool,
 )
@@ -54,49 +52,45 @@ def select_frames(
     ftrials: Sequence[FeatureTrial],
     tracks: Sequence[FrameScoreTrack],
     mode: FilterMode,
-) -> list[ScoreEntry]:
-    """Return the un-normalized frame entries admitted by the mode."""
+) -> FramePool:
+    """Return the un-normalized pool of frames admitted by the mode."""
     if len(ftrials) != len(tracks):
         raise ContractError(
             f"{len(tracks)} tracks do not cover {len(ftrials)} trials"
         )
-    entries: list[ScoreEntry] = []
-    any_comp = False
+    n_frames = ftrials[0].frame_count if ftrials else 0
     for ft, track in zip(ftrials, tracks):
         if ft.trial_id != track.trial_id:
             raise ContractError(
                 f"track {track.trial_id!r} does not match trial {ft.trial_id!r}"
             )
-        if track.frame_count != ft.frame_count:
+        if track.frame_count != ft.frame_count or ft.frame_count != n_frames:
             raise ContractError(
                 f"trial {ft.trial_id!r}: track has {track.frame_count} frames, "
-                f"trial has {ft.frame_count}"
+                f"trial has {ft.frame_count}, pool has {n_frames}"
             )
-        if ft.trial_label == LABEL_COMPENSATORY:
-            any_comp = True
-        elif mode is FilterMode.COMP_NO_PAD:
-            continue
-        limit = ft.frame_count if mode is FilterMode.ALL else ft.original_length
-        for t in range(limit):
-            entries.append(
-                ScoreEntry(
-                    trial_id=ft.trial_id,
-                    frame_index=t,
-                    raw_score=float(track.raw_scores[t]),
-                    frame_label=int(ft.frame_labels[t]),
-                    padded=t >= ft.original_length,
-                )
-            )
-    if mode is FilterMode.COMP_NO_PAD and not any_comp:
+    comp = np.array([ft.trial_label == LABEL_COMPENSATORY for ft in ftrials],
+                    dtype=bool)
+    if mode is FilterMode.COMP_NO_PAD and not comp.any():
         raise ContractError(
             "comp-no-pad selection is empty: no compensatory trials"
         )
-    return entries
-
-
-def classify(score: float, tau: float) -> int:
-    """Compensatory (0) when score exceeds tau, else normal (1)."""
-    return LABEL_COMPENSATORY if score > tau else LABEL_NORMAL
+    lengths = np.array([ft.original_length for ft in ftrials], dtype=np.int64)
+    keep = comp | (mode is not FilterMode.COMP_NO_PAD)
+    limit = np.where(keep, n_frames if mode is FilterMode.ALL else lengths, 0)
+    mask = np.arange(n_frames) < limit[:, None]
+    trial, frame = np.nonzero(mask)
+    shape = (len(ftrials), n_frames)
+    raw = np.array([t.raw_scores for t in tracks], dtype=np.float64).reshape(shape)
+    labels = np.array([ft.frame_labels for ft in ftrials],
+                      dtype=np.int64).reshape(shape)
+    return FramePool(
+        trial_id=np.array([ft.trial_id for ft in ftrials], dtype=str)[trial],
+        frame_index=frame,
+        raw=raw[mask],
+        label=labels[mask],
+        padded=frame >= lengths[trial],
+    )
 
 
 @dataclass(frozen=True)
@@ -271,13 +265,12 @@ class ScoreHistogram:
         return int(np.minimum(self.counts0, self.counts1).sum())
 
 
-def histogram(pool: PooledScoreSet, bins: int = HISTOGRAM_BINS) -> ScoreHistogram:
+def histogram(pool: FramePool, bins: int = HISTOGRAM_BINS) -> ScoreHistogram:
     """Bin normalized scores by their frame label group."""
-    if not pool.entries:
+    if not len(pool):
         raise ContractError("cannot histogram an empty pool")
     edges = np.linspace(0.0, 1.0, bins + 1)
-    scores = pool.scores()
-    labels = pool.labels()
+    scores, labels = pool.normalized, pool.label
     counts0, _ = np.histogram(scores[labels == LABEL_COMPENSATORY], bins=edges)
     counts1, _ = np.histogram(scores[labels == LABEL_NORMAL], bins=edges)
     return ScoreHistogram(edges, counts0, counts1)
@@ -286,7 +279,7 @@ def histogram(pool: PooledScoreSet, bins: int = HISTOGRAM_BINS) -> ScoreHistogra
 @dataclass(frozen=True)
 class ModeResult:
     mode: FilterMode
-    pool: PooledScoreSet
+    pool: FramePool
     histogram: ScoreHistogram
     reports: tuple[ThresholdSweepReport, ...]
 
@@ -325,7 +318,7 @@ def run_experiment_matrix(
         reports = []
         for w in windows:
             if w == 1:
-                scores, labels = pool.scores(), pool.labels()
+                scores, labels = pool.normalized, pool.label
             else:
                 scores, labels = windows_over_pool(pool, w)
             reports.append(
@@ -336,11 +329,6 @@ def run_experiment_matrix(
             ModeResult(mode, pool, histogram(pool), tuple(reports))
         )
     return ExperimentMatrix(tuple(results))
-
-
-def expected_window_count(selected_per_trial: Sequence[int], window_size: int
-                          ) -> int:
-    return sum(math.ceil(n / window_size) for n in selected_per_trial if n)
 
 
 def write_sweep_report(report: ThresholdSweepReport, path) -> None:
@@ -416,7 +404,7 @@ def format_pool_table(matrix: ExperimentMatrix) -> str:
         f"{'total':>8}"
     ]
     for res in matrix.results:
-        labels = res.pool.labels()
+        labels = res.pool.label
         g0 = int(np.sum(labels == LABEL_COMPENSATORY))
         g1 = int(np.sum(labels == LABEL_NORMAL))
         total = g0 + g1

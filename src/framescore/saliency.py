@@ -10,36 +10,15 @@ the experiment admits.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureTrial
+from .data import LABEL_NORMAL, FeatureTrial
 from .errors import ContractError, DataValidationError
 from .network import TrainedModel, input_gradient
-
-SelectionPredicate = Callable[["FrameScoreTrack", int], bool]
-
-
-@dataclass(frozen=True)
-class SaliencyMatrix:
-    """Signed gradient entries for one trial, shape (frames, features)."""
-
-    trial_id: str
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise DataValidationError("saliency values must be 2-D")
-        if not np.isfinite(values).all():
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: non-finite saliency"
-            )
-        values = np.ascontiguousarray(values)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -49,7 +28,6 @@ class FrameScoreTrack:
     trial_id: str
     raw_scores: np.ndarray
     padded_mask: np.ndarray
-    normalized_scores: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.raw_scores, dtype=np.float64)
@@ -67,143 +45,100 @@ class FrameScoreTrack:
 
 
 @dataclass(frozen=True)
-class ScoreEntry:
-    """One pooled frame: identity, scores, label, padding flag."""
+class FramePool:
+    """Selected frames as parallel arrays, in trial order, then frame order.
 
-    trial_id: str
-    frame_index: int
-    raw_score: float
-    frame_label: int
-    padded: bool
-    normalized_score: float | None = None
+    `normalized` is None until `normalize_pool` fills it.
+    """
 
+    trial_id: np.ndarray
+    frame_index: np.ndarray
+    raw: np.ndarray
+    label: np.ndarray
+    padded: np.ndarray
+    normalized: np.ndarray | None = None
 
-@dataclass(frozen=True)
-class PooledScoreSet:
-    """Entries normalized together over one pooled min/max."""
-
-    entries: tuple[ScoreEntry, ...]
-    pool_min: float
-    pool_max: float
-
-    def scores(self) -> np.ndarray:
-        return np.array([e.normalized_score for e in self.entries])
-
-    def labels(self) -> np.ndarray:
-        return np.array([e.frame_label for e in self.entries], dtype=np.int64)
+    def __len__(self) -> int:
+        return len(self.raw)
 
 
-def compute_saliency(model: TrainedModel, ft: FeatureTrial) -> SaliencyMatrix:
-    """Loss gradient at the trial's true label, in frame x feature shape."""
+def compute_saliency(model: TrainedModel, ft: FeatureTrial) -> np.ndarray:
+    """Loss gradient at the trial's true label, read-only, (frames, features)."""
     grad = input_gradient(model, ft.features.ravel(), ft.trial_label)
-    return SaliencyMatrix(ft.trial_id, grad.reshape(ft.features.shape))
+    if not np.isfinite(grad).all():
+        raise DataValidationError(f"trial {ft.trial_id!r}: non-finite saliency")
+    sal = grad.reshape(ft.features.shape)
+    sal.flags.writeable = False
+    return sal
 
 
-def frame_aggregate(sal: SaliencyMatrix, original_length: int) -> FrameScoreTrack:
+def frame_aggregate(trial_id: str, sal: np.ndarray, original_length: int
+                    ) -> FrameScoreTrack:
     """Raw frame score: sum of absolute gradient entries over features."""
-    raw = np.abs(sal.values).sum(axis=1)
+    raw = np.abs(sal).sum(axis=1)
     mask = np.arange(len(raw)) >= original_length
-    return FrameScoreTrack(sal.trial_id, raw, mask)
+    return FrameScoreTrack(trial_id, raw, mask)
 
 
 def compute_tracks(model: TrainedModel, ftrials: Sequence[FeatureTrial]
                    ) -> list[FrameScoreTrack]:
     return [
-        frame_aggregate(compute_saliency(model, ft), ft.original_length)
+        frame_aggregate(ft.trial_id, compute_saliency(model, ft),
+                        ft.original_length)
         for ft in ftrials
     ]
 
 
-def normalize_pool(entries: Sequence[ScoreEntry]) -> PooledScoreSet:
-    """Min-max normalize raw scores over exactly these entries.
+def normalize_pool(entries: FramePool) -> FramePool:
+    """Min-max normalize raw scores over exactly these frames.
 
     A degenerate pool (max == min) normalizes to all zeros, which every
     threshold classifies as normal.
     """
-    if not entries:
+    if not len(entries):
         raise ContractError("cannot normalize an empty pool")
-    raws = np.array([e.raw_score for e in entries])
-    pool_min = float(raws.min())
-    pool_max = float(raws.max())
-    if pool_max > pool_min:
-        normalized = (raws - pool_min) / (pool_max - pool_min)
+    lo, hi = float(entries.raw.min()), float(entries.raw.max())
+    if hi > lo:
+        normalized = (entries.raw - lo) / (hi - lo)
     else:
-        normalized = np.zeros_like(raws)
-    out = tuple(
-        replace(e, normalized_score=float(v)) for e, v in zip(entries, normalized)
-    )
-    return PooledScoreSet(out, pool_min, pool_max)
+        normalized = np.zeros_like(entries.raw)
+    return replace(entries, normalized=normalized)
 
 
-def pool_and_normalize(
-    tracks: Sequence[FrameScoreTrack],
-    selection: SelectionPredicate,
-    frame_labels: Mapping[str, np.ndarray],
-) -> PooledScoreSet:
-    """Collect the frames admitted by the predicate, then normalize them."""
-    entries = []
-    for track in tracks:
-        labels = frame_labels[track.trial_id]
-        for t in range(track.frame_count):
-            if selection(track, t):
-                entries.append(
-                    ScoreEntry(
-                        trial_id=track.trial_id,
-                        frame_index=t,
-                        raw_score=float(track.raw_scores[t]),
-                        frame_label=int(labels[t]),
-                        padded=bool(track.padded_mask[t]),
-                    )
-                )
-    return normalize_pool(entries)
+def windows_over_pool(pool: FramePool, window_size: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Non-overlapping windows over each trial's selected frames.
 
-
-def window_aggregate(
-    scores: np.ndarray, labels: np.ndarray, window_size: int
-) -> list[tuple[float, int]]:
-    """Non-overlapping windows over one trial's selected frames.
-
-    Window score is the mean of member scores; the label is the majority
-    vote with ties going to compensatory (0). The final partial window is
-    kept, so a trial emits ceil(n / window_size) windows.
+    A window's score is the mean of its normalized scores; its label is the
+    majority vote, ties going to compensatory (0). Windows never span
+    trials, and each trial's final partial window is kept, so a trial with n
+    selected frames emits ceil(n / window_size) windows.
     """
     if window_size < 1:
         raise ContractError("window_size must be at least 1")
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if scores.shape != labels.shape:
-        raise ContractError("scores and labels must align")
-    out = []
-    for start in range(0, len(scores), window_size):
-        chunk_scores = scores[start : start + window_size]
-        chunk_labels = labels[start : start + window_size]
-        normal = int((chunk_labels == 1).sum())
-        label = 1 if normal > len(chunk_labels) - normal else 0
-        out.append((float(chunk_scores.mean()), label))
-    return out
+    first = np.flatnonzero(np.r_[True, pool.trial_id[1:] != pool.trial_id[:-1]])
+    end = np.r_[first[1:], len(pool)]
+    counts = -(-(end - first) // window_size)
+    # Window k of a trial starts k * window_size frames into the trial.
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    starts = np.repeat(first, counts) + window_size * k
+    sizes = np.minimum(starts + window_size, np.repeat(end, counts)) - starts
+    scores = np.empty(len(starts))
+    normal = np.empty(len(starts), dtype=np.int64)
+    for size in np.unique(sizes):
+        at = sizes == size
+        members = starts[at, None] + np.arange(size)
+        # Row sums of a (windows, size) block add in the same order as the
+        # mean of each slice; np.add.reduceat does not, and would change the
+        # last bits of some window scores.
+        scores[at] = pool.normalized[members].sum(axis=1) / size
+        normal[at] = (pool.label[members] == LABEL_NORMAL).sum(axis=1)
+    return scores, (2 * normal > sizes).astype(np.int64)
 
 
-def windows_over_pool(pool: PooledScoreSet, window_size: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Window every trial's selected frames; windows never span trials."""
-    by_trial: dict[str, list[ScoreEntry]] = {}
-    for e in pool.entries:
-        by_trial.setdefault(e.trial_id, []).append(e)
-    w_scores: list[float] = []
-    w_labels: list[int] = []
-    for entries in by_trial.values():
-        entries = sorted(entries, key=lambda e: e.frame_index)
-        scores = np.array([e.normalized_score for e in entries])
-        labels = np.array([e.frame_label for e in entries], dtype=np.int64)
-        for s, l in window_aggregate(scores, labels, window_size):
-            w_scores.append(s)
-            w_labels.append(l)
-    return np.array(w_scores), np.array(w_labels, dtype=np.int64)
-
-
-def importance_matrix(sal: SaliencyMatrix) -> np.ndarray:
+def importance_matrix(sal: np.ndarray) -> np.ndarray:
     """Absolute gradients min-max normalized over the whole matrix."""
-    mag = np.abs(sal.values)
+    mag = np.abs(sal)
     lo, hi = float(mag.min()), float(mag.max())
     if hi > lo:
         return (mag - lo) / (hi - lo)
@@ -269,22 +204,21 @@ def write_raw_scores(path, ftrials: Sequence[FeatureTrial],
                 )
 
 
-def write_pooled_scores(path, pool: PooledScoreSet) -> None:
-    """Pooled entries with their normalized scores filled in."""
+def write_pooled_scores(path, pool: FramePool) -> None:
+    """Pooled frames with their normalized scores filled in."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SCORE_COLUMNS)
-        for e in pool.entries:
-            writer.writerow(
-                [
-                    e.trial_id,
-                    e.frame_index,
-                    repr(e.raw_score),
-                    repr(e.normalized_score),
-                    e.frame_label,
-                    int(e.padded),
-                ]
+        writer.writerows(
+            zip(
+                pool.trial_id.tolist(),
+                pool.frame_index.tolist(),
+                map(repr, pool.raw.tolist()),
+                map(repr, pool.normalized.tolist()),
+                pool.label.tolist(),
+                pool.padded.astype(np.int64).tolist(),
             )
+        )
 
 
 def read_raw_scores(path) -> dict[str, dict[str, np.ndarray]]:
@@ -305,11 +239,17 @@ def read_raw_scores(path) -> dict[str, dict[str, np.ndarray]]:
             )
             try:
                 rec["frame_index"].append(int(row[1]))
-                rec["raw"].append(float(row[2]))
+                raw = float(row[2])
                 rec["label"].append(int(row[4]))
                 rec["padded"].append(bool(int(row[5])))
             except ValueError as exc:
                 raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
+            if not 0.0 <= raw < math.inf:
+                raise DataValidationError(
+                    f"{path}:{lineno}: raw score {row[2]!r} is not a finite, "
+                    f"non-negative number"
+                )
+            rec["raw"].append(raw)
     out: dict[str, dict[str, np.ndarray]] = {}
     for trial_id, rec in per_trial.items():
         order = np.argsort(rec["frame_index"])

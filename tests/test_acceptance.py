@@ -32,7 +32,7 @@ from framescore.network import (
     train,
 )
 from framescore.saliency import (
-    ScoreEntry,
+    FramePool,
     compute_saliency,
     compute_tracks,
     export_heatmap,
@@ -156,8 +156,8 @@ def test_criterion_3_bookkeeping_oracle(pipeline):
     no_pad = select_frames(ftrials, tracks, FilterMode.NO_PAD)
     assert len(no_pad) == sum(ft.original_length for ft in ftrials)
     comp = select_frames(ftrials, tracks, FilterMode.COMP_NO_PAD)
-    comp_keys = {(e.trial_id, e.frame_index) for e in comp}
-    no_pad_keys = {(e.trial_id, e.frame_index) for e in no_pad}
+    comp_keys = set(zip(comp.trial_id.tolist(), comp.frame_index.tolist()))
+    no_pad_keys = set(zip(no_pad.trial_id.tolist(), no_pad.frame_index.tolist()))
     assert comp_keys <= no_pad_keys
     print(f"\nACCEPTANCE PASS [3] bookkeeping: ALL=118200, "
           f"NO_PAD={len(no_pad)}, COMP_NO_PAD={len(comp)} (nested)")
@@ -170,15 +170,17 @@ def test_criterion_4_normalization_properties():
         raws = rng.uniform(0.0, rng.uniform(0.1, 100.0), size=n)
         if raws.max() == raws.min():
             continue
-        entries = [ScoreEntry("t", i, float(r), 1, False)
-                   for i, r in enumerate(raws)]
-        base = normalize_pool(entries).scores()
+        def normalized(r):
+            return normalize_pool(FramePool(
+                trial_id=np.full(n, "t"), frame_index=np.arange(n), raw=r,
+                label=np.ones(n, dtype=np.int64), padded=np.zeros(n, dtype=bool),
+            )).normalized
+
+        base = normalized(raws)
         assert base.min() == 0.0
         assert base.max() == 1.0
         for c in (0.5, 3.0, 1000.0):
-            scaled_entries = [ScoreEntry("t", i, float(c * r), 1, False)
-                              for i, r in enumerate(raws)]
-            scaled = normalize_pool(scaled_entries).scores()
+            scaled = normalized(c * raws)
             assert np.all(np.abs(scaled - base) <= 1e-12)
     print("\nACCEPTANCE PASS [4] normalization: min 0 / max 1, "
           "scale-invariant to 1e-12 under c in {0.5, 3, 1000}")

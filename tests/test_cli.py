@@ -116,6 +116,17 @@ class TestTrainCommand:
         assert run("train", "--data", data, "--out", tmp_path / "m.json",
                    "--split", 1.5) == 2
 
+    @pytest.mark.parametrize("field, value", [("t_max", "abc"), ("joints", 5)])
+    def test_malformed_header_names_line(self, tmp_path, capsys, field, value):
+        data = make_dataset(tmp_path)
+        lines = data.read_text().splitlines()
+        header = json.loads(lines[0])
+        header[field] = value
+        data.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert run("train", "--data", data, "--out", tmp_path / "m.json") == 2
+        err = capsys.readouterr().err
+        assert f"data.jsonl:1: field '{field}'" in err
+
 
 class TestExplainCommand:
     def test_scores_cover_every_frame_slot(self, tmp_path):
@@ -220,6 +231,22 @@ class TestSweepCommand:
         other = make_dataset(tmp_path, "other2.jsonl", seed=99)
         assert run("sweep", "--scores", scores, "--data", other,
                    "--out", tmp_path / "r") == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
+    def test_non_finite_or_negative_score_rejected(self, prepared, tmp_path,
+                                                   capsys, bad):
+        data, scores = prepared
+        lines = scores.read_text().splitlines()
+        row = lines[5].split(",")
+        row[2] = bad
+        lines[5] = ",".join(row)
+        scores.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "r"
+        assert run("sweep", "--scores", scores, "--data", data,
+                   "--out", out) == 2
+        assert f"scores.csv:6: raw score '{bad}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_mode_name(self, prepared, tmp_path):
         data, scores = prepared

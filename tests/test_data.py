@@ -14,10 +14,8 @@ from framescore.data import (
     featurize,
     load_dataset,
     pad_trial,
-    read_feature_cache,
     save_dataset,
     split_dataset,
-    write_feature_cache,
 )
 from framescore.errors import DataValidationError
 from tests.conftest import make_trial
@@ -236,40 +234,6 @@ class TestDatasetIO:
             fh.write("{not json\n")
         with pytest.raises(DataValidationError, match=r":5"):
             load_dataset(path)
-
-
-class TestFeatureCache:
-    def test_round_trip(self, tiny_manifest, tmp_path):
-        path = tmp_path / "cache.bin"
-        ftrials = featurize(tiny_manifest)
-        write_feature_cache(path, ftrials, tiny_manifest.t_max)
-        back = read_feature_cache(path)
-        assert back.shape == (3, 10, 16)
-        for i, ft in enumerate(ftrials):
-            assert np.array_equal(back[i], ft.features)
-
-    def test_header_layout(self, tiny_manifest, tmp_path):
-        path = tmp_path / "cache.bin"
-        write_feature_cache(path, featurize(tiny_manifest), tiny_manifest.t_max)
-        blob = path.read_bytes()
-        assert blob[:8] == b"FTRCACH1"
-        assert int.from_bytes(blob[8:12], "little") == 10
-        assert int.from_bytes(blob[12:16], "little") == 16
-        assert len(blob) == 16 + 3 * 10 * 16 * 8
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "cache.bin"
-        path.write_bytes(b"WRONG!!!" + b"\0" * 8)
-        with pytest.raises(DataValidationError, match="magic"):
-            read_feature_cache(path)
-
-    def test_truncated_body(self, tiny_manifest, tmp_path):
-        path = tmp_path / "cache.bin"
-        write_feature_cache(path, featurize(tiny_manifest), tiny_manifest.t_max)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-7])
-        with pytest.raises(DataValidationError):
-            read_feature_cache(path)
 
 
 class TestInvariants:

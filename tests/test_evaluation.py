@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,7 @@ from framescore.errors import ContractError
 from framescore.evaluation import (
     ConfusionCounts,
     FilterMode,
-    classify,
     confusion_at,
-    expected_window_count,
     fbeta,
     format_pool_table,
     format_summary,
@@ -25,7 +25,7 @@ from framescore.evaluation import (
     write_summary,
     write_sweep_report,
 )
-from framescore.saliency import FrameScoreTrack, ScoreEntry, normalize_pool
+from framescore.saliency import FramePool, FrameScoreTrack, normalize_pool
 
 
 def tracks_for(ftrials, seed=0):
@@ -38,23 +38,32 @@ def tracks_for(ftrials, seed=0):
 
 
 def pool_of(raws, labels):
-    entries = [
-        ScoreEntry("t", i, float(r), int(l), False)
-        for i, (r, l) in enumerate(zip(raws, labels))
-    ]
-    return normalize_pool(entries)
+    n = len(raws)
+    return normalize_pool(FramePool(
+        trial_id=np.full(n, "t"),
+        frame_index=np.arange(n),
+        raw=np.asarray(raws, dtype=np.float64),
+        label=np.asarray(labels, dtype=np.int64),
+        padded=np.zeros(n, dtype=bool),
+    ))
+
+
+def frame_keys(pool):
+    return list(zip(pool.trial_id.tolist(), pool.frame_index.tolist()))
 
 
 class TestClassify:
     def test_boundary_is_normal(self):
-        assert classify(0.36, 0.36) == 1
+        counts = confusion_at(np.array([0.36]), np.array([1]), 0.36)
+        assert (counts.tn, counts.fp) == (1, 0)
 
     def test_above_threshold_is_compensatory(self):
-        assert classify(0.37, 0.36) == 0
+        counts = confusion_at(np.array([0.37]), np.array([0]), 0.36)
+        assert (counts.tp, counts.fn) == (1, 0)
 
     def test_max_threshold_flags_nothing(self):
-        for s in (0.0, 0.5, 1.0):
-            assert classify(s, 1.0) == 1
+        counts = confusion_at(np.array([0.0, 0.5, 1.0]), np.array([0, 1, 0]), 1.0)
+        assert counts.tp + counts.fp == 0
 
 
 class TestFbeta:
@@ -123,8 +132,7 @@ class TestSelectFrames:
         tracks = tracks_for(ftrials)
         sets = {}
         for mode in FilterMode:
-            entries = select_frames(ftrials, tracks, mode)
-            sets[mode] = {(e.trial_id, e.frame_index) for e in entries}
+            sets[mode] = set(frame_keys(select_frames(ftrials, tracks, mode)))
         assert sets[FilterMode.COMP_NO_PAD] <= sets[FilterMode.NO_PAD]
         assert sets[FilterMode.NO_PAD] <= sets[FilterMode.ALL]
 
@@ -137,7 +145,7 @@ class TestSelectFrames:
         ftrials = featurize(small_synth_manifest)
         entries = select_frames(ftrials, tracks_for(ftrials), FilterMode.NO_PAD)
         assert len(entries) == sum(ft.original_length for ft in ftrials)
-        assert not any(e.padded for e in entries)
+        assert not entries.padded.any()
 
     def test_full_length_trial_identical_under_no_pad(self):
         from tests.conftest import make_trial
@@ -149,8 +157,7 @@ class TestSelectFrames:
         tracks = tracks_for(ftrials)
         all_entries = select_frames(ftrials, tracks, FilterMode.ALL)
         nopad_entries = select_frames(ftrials, tracks, FilterMode.NO_PAD)
-        assert [(e.trial_id, e.frame_index) for e in all_entries] == \
-            [(e.trial_id, e.frame_index) for e in nopad_entries]
+        assert frame_keys(all_entries) == frame_keys(nopad_entries)
 
     def test_comp_mode_requires_compensatory_trials(self):
         from tests.conftest import make_trial
@@ -275,9 +282,7 @@ class TestExperimentMatrix:
             ftrials, tracks, modes=(FilterMode.NO_PAD,), windows=(5,)
         )
         report = matrix.reports[0]
-        expected = expected_window_count(
-            [ft.original_length for ft in ftrials], 5
-        )
+        expected = sum(math.ceil(ft.original_length / 5) for ft in ftrials)
         assert report.total == expected
 
     def test_writers_produce_files(self, small_synth_manifest, tmp_path):
@@ -304,7 +309,7 @@ class TestExperimentMatrix:
         scores = rng.uniform(size=200)
         labels = rng.integers(0, 2, size=200)
         counts = confusion_at(scores, labels, 0.4)
-        slow = [classify(s, 0.4) for s in scores]
+        slow = [0 if s > 0.4 else 1 for s in scores]
         assert counts.tp == sum(1 for p, l in zip(slow, labels) if p == 0 and l == 0)
         assert counts.fp == sum(1 for p, l in zip(slow, labels) if p == 0 and l == 1)
         assert counts.tn == sum(1 for p, l in zip(slow, labels) if p == 1 and l == 1)

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framescore.data import JointLayout, featurize
+from framescore.data import FeatureTrial, JointLayout, featurize
 from framescore.errors import ContractError
+from framescore.evaluation import FilterMode, select_frames
 from framescore.network import ModelArchitecture, TrainConfig, train
 from framescore.saliency import (
+    FramePool,
     FrameScoreTrack,
-    SaliencyMatrix,
-    ScoreEntry,
     compute_saliency,
     compute_tracks,
     export_heatmap,
@@ -17,27 +17,41 @@ from framescore.saliency import (
     importance_matrix,
     load_heatmap,
     normalize_pool,
-    pool_and_normalize,
     read_raw_scores,
-    window_aggregate,
     windows_over_pool,
     write_raw_scores,
 )
 
 
-def entries_from(raws, labels=None, trial_id="t0", padded=None):
-    labels = labels if labels is not None else [1] * len(raws)
-    padded = padded if padded is not None else [False] * len(raws)
-    return [
-        ScoreEntry(trial_id, i, float(r), int(l), bool(p))
-        for i, (r, l, p) in enumerate(zip(raws, labels, padded))
-    ]
+def pool_of(raws, labels=None, trial_ids=None, normalized=None):
+    """A pool of hand-made frames; every frame is trial "t0" by default."""
+    raws = np.asarray(raws, dtype=np.float64)
+    n = len(raws)
+    labels = np.ones(n, dtype=np.int64) if labels is None else labels
+    trial_ids = ["t0"] * n if trial_ids is None else trial_ids
+    return FramePool(
+        trial_id=np.array(trial_ids, dtype=str),
+        frame_index=np.arange(n),
+        raw=raws,
+        label=np.asarray(labels, dtype=np.int64),
+        padded=np.zeros(n, dtype=bool),
+        normalized=None if normalized is None else np.asarray(normalized,
+                                                              dtype=np.float64),
+    )
+
+
+def windows_of(scores, labels, window_size):
+    """Windows over one trial whose normalized scores are given."""
+    w_scores, w_labels = windows_over_pool(
+        pool_of(np.zeros(len(scores)), labels, normalized=scores), window_size
+    )
+    return list(zip(w_scores.tolist(), w_labels.tolist()))
 
 
 class TestFrameAggregate:
     def test_sum_of_absolute_values(self):
-        sal = SaliencyMatrix("t", np.array([[0.1, -0.3, 0.2], [0.0, 0.0, 0.0]]))
-        track = frame_aggregate(sal, original_length=1)
+        sal = np.array([[0.1, -0.3, 0.2], [0.0, 0.0, 0.0]])
+        track = frame_aggregate("t", sal, original_length=1)
         assert track.raw_scores[0] == pytest.approx(0.6, abs=1e-12)
         assert track.raw_scores[1] == 0.0
         assert list(track.padded_mask) == [False, True]
@@ -47,8 +61,8 @@ class TestFrameAggregate:
     def test_positive_homogeneity(self, c):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(4, 3))
-        a = frame_aggregate(SaliencyMatrix("t", values), 4).raw_scores
-        b = frame_aggregate(SaliencyMatrix("t", c * values), 4).raw_scores
+        a = frame_aggregate("t", values, 4).raw_scores
+        b = frame_aggregate("t", c * values, 4).raw_scores
         assert np.allclose(b, c * a, rtol=1e-12)
 
     def test_matches_model_gradient_shape(self, small_synth_manifest):
@@ -58,7 +72,8 @@ class TestFrameAggregate:
         model = train(X, y, ModelArchitecture(X.shape[1], (8,)),
                       TrainConfig(epochs=3, batch_size=4, seed=0))
         sal = compute_saliency(model, ftrials[0])
-        assert sal.values.shape == ftrials[0].features.shape
+        assert sal.shape == ftrials[0].features.shape
+        assert not sal.flags.writeable
         tracks = compute_tracks(model, ftrials)
         assert len(tracks) == len(ftrials)
         assert tracks[0].frame_count == small_synth_manifest.t_max
@@ -66,24 +81,23 @@ class TestFrameAggregate:
 
 class TestNormalizePool:
     def test_min_max_arithmetic(self):
-        pool = normalize_pool(entries_from([0.2, 0.5, 0.8]))
-        assert [e.normalized_score for e in pool.entries] == \
+        pool = normalize_pool(pool_of([0.2, 0.5, 0.8]))
+        assert pool.normalized.tolist() == \
             pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
-        assert pool.pool_min == pytest.approx(0.2)
-        assert pool.pool_max == pytest.approx(0.8)
+        assert np.array_equal(pool.raw, [0.2, 0.5, 0.8])
 
     def test_degenerate_pool_all_zero(self):
-        pool = normalize_pool(entries_from([0.7, 0.7, 0.7]))
-        assert all(e.normalized_score == 0.0 for e in pool.entries)
+        pool = normalize_pool(pool_of([0.7, 0.7, 0.7]))
+        assert np.all(pool.normalized == 0.0)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ContractError):
-            normalize_pool([])
+            normalize_pool(pool_of([]))
 
     def test_bounds_and_extremes(self):
         rng = np.random.default_rng(1)
-        pool = normalize_pool(entries_from(rng.uniform(1.0, 9.0, size=50)))
-        scores = pool.scores()
+        pool = normalize_pool(pool_of(rng.uniform(1.0, 9.0, size=50)))
+        scores = pool.normalized
         assert scores.min() == 0.0
         assert scores.max() == 1.0
         assert np.all((scores >= 0.0) & (scores <= 1.0))
@@ -92,34 +106,39 @@ class TestNormalizePool:
     def test_scale_invariance(self, c):
         rng = np.random.default_rng(2)
         raws = rng.uniform(0.0, 5.0, size=40)
-        a = normalize_pool(entries_from(raws)).scores()
-        b = normalize_pool(entries_from(c * raws)).scores()
+        a = normalize_pool(pool_of(raws)).normalized
+        b = normalize_pool(pool_of(c * raws)).normalized
         assert np.all(np.abs(a - b) <= 1e-12)
 
     def test_order_preserved(self):
         rng = np.random.default_rng(3)
         raws = rng.uniform(0.0, 5.0, size=30)
-        scores = normalize_pool(entries_from(raws)).scores()
+        scores = normalize_pool(pool_of(raws)).normalized
         assert np.array_equal(np.argsort(raws, kind="stable"),
                               np.argsort(scores, kind="stable"))
 
     def test_pool_composition_changes_normalization(self):
         """Shared frames renormalize when the padded pool holds the max."""
-        track_a = FrameScoreTrack("a", np.array([1.0, 2.0, 9.0]),
-                                  np.array([False, False, True]))
-        track_b = FrameScoreTrack("b", np.array([0.0, 3.0]),
-                                  np.array([False, False]))
-        labels = {"a": np.ones(3, dtype=int), "b": np.ones(2, dtype=int)}
-        every = pool_and_normalize([track_a, track_b], lambda tr, t: True, labels)
-        unpadded = pool_and_normalize(
-            [track_a, track_b], lambda tr, t: not tr.padded_mask[t], labels
-        )
-        by_key_all = {(e.trial_id, e.frame_index): e.normalized_score
-                      for e in every.entries}
-        by_key_unp = {(e.trial_id, e.frame_index): e.normalized_score
-                      for e in unpadded.entries}
-        assert every.pool_max == 9.0
-        assert unpadded.pool_max == 3.0
+        ftrials = [
+            FeatureTrial(tid, np.zeros((3, 2)), length, np.ones(3, dtype=int), 1)
+            for tid, length in (("a", 2), ("b", 3))
+        ]
+        tracks = [
+            FrameScoreTrack("a", np.array([1.0, 2.0, 9.0]),
+                            np.array([False, False, True])),
+            FrameScoreTrack("b", np.array([0.0, 3.0, 0.5]),
+                            np.array([False, False, False])),
+        ]
+
+        def normalized_by_key(mode):
+            pool = normalize_pool(select_frames(ftrials, tracks, mode))
+            keys = zip(pool.trial_id.tolist(), pool.frame_index.tolist())
+            return pool, dict(zip(keys, pool.normalized.tolist()))
+
+        every, by_key_all = normalized_by_key(FilterMode.ALL)
+        unpadded, by_key_unp = normalized_by_key(FilterMode.NO_PAD)
+        assert every.raw.max() == 9.0
+        assert unpadded.raw.max() == 3.0
         for key, v in by_key_unp.items():
             if key == ("b", 0):  # the shared pool minimum stays 0
                 continue
@@ -128,47 +147,83 @@ class TestNormalizePool:
         assert by_key_all[("b", 1)] == pytest.approx(3.0 / 9.0)
 
 
+def naive_windows(trials, window_size):
+    """Reference: mean of each slice, majority label with ties going to 0."""
+    w_scores, w_labels = [], []
+    for scores, labels in trials:
+        scores = np.asarray(scores, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        for start in range(0, len(scores), window_size):
+            chunk = labels[start:start + window_size]
+            normal = int((chunk == 1).sum())
+            w_scores.append(float(scores[start:start + window_size].mean()))
+            w_labels.append(1 if normal > len(chunk) - normal else 0)
+    return w_scores, w_labels
+
+
+frame_lists = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.integers(0, 1)), max_size=60
+)
+
+
 class TestWindowAggregate:
     def test_single_full_window(self):
-        out = window_aggregate(np.array([0.2, 0.4, 0.6, 0.8, 1.0]),
-                               np.ones(5, dtype=int), 5)
+        out = windows_of(np.array([0.2, 0.4, 0.6, 0.8, 1.0]),
+                         np.ones(5, dtype=int), 5)
         assert out == [(pytest.approx(0.6), 1)]
 
     def test_window_count_ceil(self):
         scores = np.linspace(0, 1, 394)
         labels = np.ones(394, dtype=int)
-        assert len(window_aggregate(scores, labels, 5)) == 79
+        assert len(windows_of(scores, labels, 5)) == 79
 
     def test_tie_goes_to_compensatory(self):
-        out = window_aggregate(np.zeros(4), np.array([0, 0, 1, 1]), 4)
+        out = windows_of(np.zeros(4), np.array([0, 0, 1, 1]), 4)
         assert out[0][1] == 0
 
     def test_majority_normal(self):
-        out = window_aggregate(np.zeros(5), np.array([0, 0, 1, 1, 1]), 5)
+        out = windows_of(np.zeros(5), np.array([0, 0, 1, 1, 1]), 5)
         assert out[0][1] == 1
 
     def test_w1_is_identity(self):
         scores = np.array([0.1, 0.9, 0.4])
         labels = np.array([1, 0, 1])
-        out = window_aggregate(scores, labels, 1)
-        assert out == [(pytest.approx(0.1), 1), (pytest.approx(0.9), 0),
-                       (pytest.approx(0.4), 1)]
+        out = windows_of(scores, labels, 1)
+        assert out == [(0.1, 1), (0.9, 0), (0.4, 1)]
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ContractError):
-            window_aggregate(np.zeros(3), np.zeros(3, dtype=int), 0)
+            windows_of(np.zeros(3), np.zeros(3, dtype=int), 0)
 
     def test_windows_over_pool_counts_and_isolation(self):
         rng = np.random.default_rng(4)
         lengths = {"a": 7, "b": 11, "c": 3}
-        entries = []
-        for tid, n in lengths.items():
-            entries.extend(entries_from(rng.uniform(size=n), trial_id=tid))
-        pool = normalize_pool(entries)
+        ids = [tid for tid, n in lengths.items() for _ in range(n)]
+        pool = normalize_pool(pool_of(rng.uniform(size=len(ids)), trial_ids=ids))
         for w in (1, 2, 5):
             scores, labels = windows_over_pool(pool, w)
             expected = sum(int(np.ceil(n / w)) for n in lengths.values())
             assert len(scores) == expected == len(labels)
+
+    @given(trials=st.lists(frame_lists, min_size=1, max_size=8),
+           window_size=st.integers(1, 25))
+    @example(trials=[[(s, 1) for s in np.linspace(0, 1, 394).tolist()]],
+             window_size=5)
+    @example(trials=[[(0.0, 0), (0.0, 0), (0.0, 1), (0.0, 1)]], window_size=4)
+    @example(trials=[[(0.1, 1), (0.9, 0), (0.4, 1)]], window_size=1)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_per_trial_loop(self, trials, window_size):
+        ids = [f"t{i}" for i, frames in enumerate(trials) for _ in frames]
+        flat = [frame for frames in trials for frame in frames]
+        pool = pool_of(np.zeros(len(flat)), [l for _, l in flat], ids,
+                       normalized=[s for s, _ in flat])
+        scores, labels = windows_over_pool(pool, window_size)
+        want_scores, want_labels = naive_windows(
+            [([s for s, _ in f], [l for _, l in f]) for f in trials],
+            window_size,
+        )
+        assert scores.tolist() == want_scores
+        assert labels.tolist() == want_labels
 
 
 class TestHeatmap:
@@ -188,15 +243,14 @@ class TestHeatmap:
             export_heatmap(np.zeros((4, 3)), tmp_path / "x.csv", ["a", "b"])
 
     def test_importance_matrix_normalized(self):
-        sal = SaliencyMatrix("t", np.array([[1.0, -5.0], [0.5, 2.0]]))
-        imp = importance_matrix(sal)
+        imp = importance_matrix(np.array([[1.0, -5.0], [0.5, 2.0]]))
         assert imp.min() == 0.0
         assert imp.max() == 1.0
         assert imp[0, 1] == 1.0  # largest magnitude
         assert imp[0, 0] == pytest.approx((1.0 - 0.5) / (5.0 - 0.5))
 
     def test_importance_matrix_degenerate(self):
-        imp = importance_matrix(SaliencyMatrix("t", np.full((3, 2), 2.5)))
+        imp = importance_matrix(np.full((3, 2), 2.5))
         assert np.all(imp == 0.0)
 
 
