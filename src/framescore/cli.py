@@ -120,12 +120,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_dataset(path) -> data.DatasetManifest:
-    if not os.path.exists(path):
-        raise DataValidationError(f"dataset file not found: {path}")
-    return data.load_dataset(path)
-
-
 def _cmd_synth(args) -> int:
     config = synth.SynthConfig() if args.config is None else \
         synth.load_synth_config(args.config)
@@ -205,10 +199,17 @@ def _write_grid_report(result: network.GridSearchResult, path) -> None:
             writer.writerow([f"# warning: {note}"])
 
 
+def _layout(manifest: data.DatasetManifest) -> dict:
+    """Dataset layout a checkpoint records at train time and explain checks."""
+    return {
+        "t_max": manifest.t_max,
+        "feature_count": manifest.layout.feature_count,
+        "joints": list(manifest.layout.joints),
+    }
+
+
 def _cmd_train(args) -> int:
-    if not 0.0 < args.split < 1.0:
-        raise DataValidationError(f"--split must be in (0, 1), got {args.split}")
-    manifest = _load_dataset(args.data)
+    manifest = data.load_dataset(args.data)
     train_set, test_set = data.split_dataset(manifest, args.split, args.seed)
     print(f"{len(train_set)} train / {len(test_set)} test trials "
           f"(split {args.split}, seed {args.seed})")
@@ -251,8 +252,7 @@ def _cmd_train(args) -> int:
     model.metadata["train_trials"] = len(train_set)
     model.metadata["test_trials"] = len(test_set)
     model.metadata["split"] = args.split
-    model.metadata["t_max"] = manifest.t_max
-    model.metadata["feature_count"] = manifest.layout.feature_count
+    model.metadata.update(_layout(manifest))
 
     network.save_model(model, args.out)
     grid_report = args.grid_report or f"{args.out}.grid.csv"
@@ -265,16 +265,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    if not os.path.exists(args.model):
-        raise DataValidationError(f"model checkpoint not found: {args.model}")
     model = network.load_model(args.model)
-    manifest = _load_dataset(args.data)
-    input_dim = manifest.t_max * manifest.layout.feature_count
-    if model.architecture.input_dim != input_dim:
-        raise DataValidationError(
-            f"model input_dim {model.architecture.input_dim} does not match "
-            f"dataset t_max x features = {input_dim}"
-        )
+    manifest = data.load_dataset(args.data)
+    for key, value in _layout(manifest).items():
+        got = model.metadata.get(key, "not recorded")
+        if got != value:
+            raise DataValidationError(
+                f"{args.model}: checkpoint {key} {got!r} does not match "
+                f"dataset {key} {value!r}"
+            )
     ftrials = data.featurize(manifest)
     heatmap_ft = None
     if args.heatmap is not None:
@@ -300,44 +299,6 @@ def _cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _rebuild_tracks(manifest, ftrials, scores_by_trial):
-    """Validate a raw score file against the dataset and rebuild tracks."""
-    missing = [ft.trial_id for ft in ftrials if ft.trial_id not in scores_by_trial]
-    if missing:
-        raise DataValidationError(
-            f"score file lacks trials: {missing[:3]}{'...' if len(missing) > 3 else ''}"
-        )
-    extra = set(scores_by_trial) - {ft.trial_id for ft in ftrials}
-    if extra:
-        raise DataValidationError(
-            f"score file has unknown trials: {sorted(extra)[:3]}"
-        )
-    tracks = []
-    for ft in ftrials:
-        rec = scores_by_trial[ft.trial_id]
-        if len(rec["raw"]) != ft.frame_count:
-            raise DataValidationError(
-                f"trial {ft.trial_id!r}: score file has {len(rec['raw'])} frames, "
-                f"dataset has {ft.frame_count}"
-            )
-        if np.any(rec["label"] != ft.frame_labels):
-            raise DataValidationError(
-                f"trial {ft.trial_id!r}: score file labels disagree with dataset"
-            )
-        if np.any(rec["padded"] != ft.padded_mask):
-            raise DataValidationError(
-                f"trial {ft.trial_id!r}: score file padding disagrees with dataset"
-            )
-        tracks.append(
-            saliency.FrameScoreTrack(
-                trial_id=ft.trial_id,
-                raw_scores=rec["raw"],
-                padded_mask=rec["padded"],
-            )
-        )
-    return tracks
-
-
 def _cmd_sweep(args) -> int:
     try:
         modes = [evaluation.FilterMode.parse(m.strip())
@@ -353,13 +314,10 @@ def _cmd_sweep(args) -> int:
         raise DataValidationError("--beta must be positive")
     if not 0.0 < args.step <= 1.0:
         raise DataValidationError("--step must be in (0, 1]")
-    if not os.path.exists(args.scores):
-        raise DataValidationError(f"score file not found: {args.scores}")
 
-    manifest = _load_dataset(args.data)
+    manifest = data.load_dataset(args.data)
     ftrials = data.featurize(manifest)
-    scores_by_trial = saliency.read_raw_scores(args.scores)
-    tracks = _rebuild_tracks(manifest, ftrials, scores_by_trial)
+    tracks = saliency.read_raw_scores(args.scores, ftrials)
 
     usable = []
     for mode in modes:

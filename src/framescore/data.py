@@ -295,11 +295,14 @@ def split_dataset(
             f"train_fraction must be in (0, 1), got {train_fraction}"
         )
     n = len(manifest.trials)
-    if n == 0:
-        raise DataValidationError("cannot split an empty dataset")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_train = int(round(train_fraction * n))
+    if not 0 < n_train < n:
+        raise DataValidationError(
+            f"train fraction {train_fraction} of {n} trials leaves {n_train} "
+            f"train / {n - n_train} test trials; each side needs at least one"
+        )
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
 
@@ -405,6 +408,8 @@ def load_dataset(path) -> DatasetManifest:
             )
         except (DataValidationError, ValueError, TypeError) as exc:
             raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
+    if not trials:
+        raise DataValidationError(f"{path}: no trials")
     try:
         return DatasetManifest(
             trials=tuple(trials),

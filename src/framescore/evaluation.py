@@ -54,42 +54,30 @@ def select_frames(
     mode: FilterMode,
 ) -> FramePool:
     """Return the un-normalized pool of frames admitted by the mode."""
-    if len(ftrials) != len(tracks):
+    raw = np.array([t.raw_scores for t in tracks], dtype=np.float64)
+    labels = np.array([ft.frame_labels for ft in ftrials], dtype=np.int64)
+    if raw.ndim != 2 or raw.shape != labels.shape or \
+            [t.trial_id for t in tracks] != [ft.trial_id for ft in ftrials]:
         raise ContractError(
-            f"{len(tracks)} tracks do not cover {len(ftrials)} trials"
+            f"tracks {raw.shape} do not match trials {labels.shape} "
+            f"one for one, in order"
         )
-    n_frames = ftrials[0].frame_count if ftrials else 0
-    for ft, track in zip(ftrials, tracks):
-        if ft.trial_id != track.trial_id:
+    padded = np.array([ft.padded_mask for ft in ftrials])
+    mask = np.ones_like(padded) if mode is FilterMode.ALL else ~padded
+    if mode is FilterMode.COMP_NO_PAD:
+        comp = (labels == LABEL_COMPENSATORY).any(axis=1)
+        if not comp.any():
             raise ContractError(
-                f"track {track.trial_id!r} does not match trial {ft.trial_id!r}"
+                "comp-no-pad selection is empty: no compensatory trials"
             )
-        if track.frame_count != ft.frame_count or ft.frame_count != n_frames:
-            raise ContractError(
-                f"trial {ft.trial_id!r}: track has {track.frame_count} frames, "
-                f"trial has {ft.frame_count}, pool has {n_frames}"
-            )
-    comp = np.array([ft.trial_label == LABEL_COMPENSATORY for ft in ftrials],
-                    dtype=bool)
-    if mode is FilterMode.COMP_NO_PAD and not comp.any():
-        raise ContractError(
-            "comp-no-pad selection is empty: no compensatory trials"
-        )
-    lengths = np.array([ft.original_length for ft in ftrials], dtype=np.int64)
-    keep = comp | (mode is not FilterMode.COMP_NO_PAD)
-    limit = np.where(keep, n_frames if mode is FilterMode.ALL else lengths, 0)
-    mask = np.arange(n_frames) < limit[:, None]
+        mask &= comp[:, None]
     trial, frame = np.nonzero(mask)
-    shape = (len(ftrials), n_frames)
-    raw = np.array([t.raw_scores for t in tracks], dtype=np.float64).reshape(shape)
-    labels = np.array([ft.frame_labels for ft in ftrials],
-                      dtype=np.int64).reshape(shape)
     return FramePool(
         trial_id=np.array([ft.trial_id for ft in ftrials], dtype=str)[trial],
         frame_index=frame,
         raw=raw[mask],
         label=labels[mask],
-        padded=frame >= lengths[trial],
+        padded=padded[mask],
     )
 
 

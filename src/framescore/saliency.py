@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -27,21 +28,12 @@ class FrameScoreTrack:
 
     trial_id: str
     raw_scores: np.ndarray
-    padded_mask: np.ndarray
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.raw_scores, dtype=np.float64)
-        mask = np.asarray(self.padded_mask, dtype=bool)
-        if raw.ndim != 1 or mask.shape != raw.shape:
-            raise DataValidationError("raw_scores and padded_mask must align")
-        if (raw < 0).any():
-            raise DataValidationError("raw scores must be non-negative")
+        if raw.ndim != 1:
+            raise DataValidationError("raw_scores must be 1-D")
         object.__setattr__(self, "raw_scores", raw)
-        object.__setattr__(self, "padded_mask", mask)
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.raw_scores)
 
 
 @dataclass(frozen=True)
@@ -72,21 +64,15 @@ def compute_saliency(model: TrainedModel, ft: FeatureTrial) -> np.ndarray:
     return sal
 
 
-def frame_aggregate(trial_id: str, sal: np.ndarray, original_length: int
-                    ) -> FrameScoreTrack:
+def frame_aggregate(trial_id: str, sal: np.ndarray) -> FrameScoreTrack:
     """Raw frame score: sum of absolute gradient entries over features."""
-    raw = np.abs(sal).sum(axis=1)
-    mask = np.arange(len(raw)) >= original_length
-    return FrameScoreTrack(trial_id, raw, mask)
+    return FrameScoreTrack(trial_id, np.abs(sal).sum(axis=1))
 
 
 def compute_tracks(model: TrainedModel, ftrials: Sequence[FeatureTrial]
                    ) -> list[FrameScoreTrack]:
-    return [
-        frame_aggregate(ft.trial_id, compute_saliency(model, ft),
-                        ft.original_length)
-        for ft in ftrials
-    ]
+    return [frame_aggregate(ft.trial_id, compute_saliency(model, ft))
+            for ft in ftrials]
 
 
 def normalize_pool(entries: FramePool) -> FramePool:
@@ -191,17 +177,13 @@ def write_raw_scores(path, ftrials: Sequence[FeatureTrial],
         writer = csv.writer(fh)
         writer.writerow(_SCORE_COLUMNS)
         for ft, track in zip(ftrials, tracks):
-            for t in range(track.frame_count):
-                writer.writerow(
-                    [
-                        ft.trial_id,
-                        t,
-                        repr(float(track.raw_scores[t])),
-                        "",
-                        int(ft.frame_labels[t]),
-                        int(track.padded_mask[t]),
-                    ]
-                )
+            n = len(track.raw_scores)
+            writer.writerows(
+                zip([ft.trial_id] * n, range(n),
+                    map(repr, track.raw_scores.tolist()), [""] * n,
+                    ft.frame_labels.tolist(),
+                    ft.padded_mask.astype(np.int64).tolist())
+            )
 
 
 def write_pooled_scores(path, pool: FramePool) -> None:
@@ -221,9 +203,19 @@ def write_pooled_scores(path, pool: FramePool) -> None:
         )
 
 
-def read_raw_scores(path) -> dict[str, dict[str, np.ndarray]]:
-    """Read a raw score file into per-trial arrays, preserving trial order."""
-    per_trial: dict[str, dict[str, list]] = {}
+def read_raw_scores(path, ftrials: Sequence[FeatureTrial]
+                    ) -> list[FrameScoreTrack]:
+    """Read a raw score file written for these trials, in any row order.
+
+    Every (trial, frame) slot of the trials must appear exactly once, with
+    the trial's frame label and padding flag. Returns one track per trial,
+    in the order of `ftrials`.
+    """
+    ids = [ft.trial_id for ft in ftrials]
+    position = {tid: i for i, tid in enumerate(ids)}
+    counts = [ft.frame_count for ft in ftrials]
+    # Typed buffers, not a tuple per row: they hold 8 bytes per field.
+    ints, raws = array("q"), array("d")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -234,33 +226,50 @@ def read_raw_scores(path) -> dict[str, dict[str, np.ndarray]]:
                 continue
             if len(row) != len(_SCORE_COLUMNS):
                 raise DataValidationError(f"{path}:{lineno}: ragged score row")
-            rec = per_trial.setdefault(
-                row[0], {"frame_index": [], "raw": [], "label": [], "padded": []}
-            )
+            trial = position.get(row[0], -1)
             try:
-                rec["frame_index"].append(int(row[1]))
-                raw = float(row[2])
-                rec["label"].append(int(row[4]))
-                rec["padded"].append(bool(int(row[5])))
-            except ValueError as exc:
+                frame, raw = int(row[1]), float(row[2])
+                ints.extend((lineno, trial, frame, int(row[4]), int(row[5])))
+            except (ValueError, OverflowError) as exc:
                 raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
             if not 0.0 <= raw < math.inf:
                 raise DataValidationError(
                     f"{path}:{lineno}: raw score {row[2]!r} is not a finite, "
                     f"non-negative number"
                 )
-            rec["raw"].append(raw)
-    out: dict[str, dict[str, np.ndarray]] = {}
-    for trial_id, rec in per_trial.items():
-        order = np.argsort(rec["frame_index"])
-        expected = np.arange(len(order))
-        if np.any(np.asarray(rec["frame_index"])[order] != expected):
-            raise DataValidationError(
-                f"{path}: trial {trial_id!r} has missing or duplicate frames"
-            )
-        out[trial_id] = {
-            "raw": np.asarray(rec["raw"])[order],
-            "label": np.asarray(rec["label"], dtype=np.int64)[order],
-            "padded": np.asarray(rec["padded"], dtype=bool)[order],
-        }
-    return out
+            if trial < 0 or not 0 <= frame < counts[trial]:
+                raise DataValidationError(
+                    f"{path}:{lineno}: trial {row[0]!r} frame {frame} is not "
+                    f"in the dataset"
+                )
+            raws.append(raw)
+    table = np.frombuffer(ints, dtype=np.int64).reshape(-1, 5)
+    line, trial, frame = table[:, :3].T
+
+    # Slot s of trial i holds frame s - starts[i]; each must be hit once.
+    starts = np.cumsum(counts, dtype=np.int64) - counts
+    slot = starts[trial] + frame
+    hits = np.bincount(slot, minlength=sum(counts))
+    if (hits != 1).any():
+        s = int(np.argmax(hits != 1))
+        i = int(np.searchsorted(starts, s, side="right")) - 1
+        where = f"trial {ids[i]!r}"
+        if hits[starts[i]:starts[i] + counts[i]].any():
+            where += f" frame {s - starts[i]}"
+        fault = "appears more than once" if hits[s] > 1 else "is missing"
+        raise DataValidationError(f"{path}: {where} {fault}")
+
+    want = np.concatenate([np.c_[ft.frame_labels, ft.padded_mask]
+                           for ft in ftrials])[slot]
+    bad = np.flatnonzero((table[:, 3:] != want).any(axis=1))
+    if bad.size:
+        j = bad[0]
+        raise DataValidationError(
+            f"{path}:{line[j]}: trial {ids[trial[j]]!r} frame {frame[j]}: "
+            f"frame_label, padded = {table[j, 3]}, {table[j, 4]}; the dataset "
+            f"has {want[j, 0]}, {want[j, 1]}"
+        )
+    raw = np.empty(len(hits))
+    raw[slot] = np.frombuffer(raws)
+    return [FrameScoreTrack(tid, r)
+            for tid, r in zip(ids, np.split(raw, starts[1:]))]

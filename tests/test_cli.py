@@ -116,6 +116,16 @@ class TestTrainCommand:
         assert run("train", "--data", data, "--out", tmp_path / "m.json",
                    "--split", 1.5) == 2
 
+    @pytest.mark.parametrize("split", [0.99, 0.01])
+    def test_empty_split_side_rejected(self, tmp_path, capsys, split):
+        data = make_dataset(tmp_path)
+        model = tmp_path / "m.json"
+        assert run("train", "--data", data, "--out", model,
+                   "--split", split) == 2
+        train, test = (12, 0) if split > 0.5 else (0, 12)
+        assert f"{train} train / {test} test" in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("field, value", [("t_max", "abc"), ("joints", 5)])
     def test_malformed_header_names_line(self, tmp_path, capsys, field, value):
         data = make_dataset(tmp_path)
@@ -166,6 +176,88 @@ class TestExplainCommand:
         assert run("explain", "--model", model, "--data", other,
                    "--out", out) == 2
         assert not out.exists()
+
+    def test_reordered_joints_rejected(self, tmp_path, capsys):
+        data = make_dataset(tmp_path)
+        model = train_small(tmp_path, data)
+        header, *records = [json.loads(l) for l in data.read_text().splitlines()]
+        joints = header["joints"]
+        joints[2], joints[5] = joints[5], joints[2]
+        for rec in records:
+            for frame in rec["frames"]:
+                frame[2], frame[5] = frame[5], frame[2]
+        swapped = tmp_path / "swapped.jsonl"
+        swapped.write_text("".join(json.dumps(o) + "\n"
+                                   for o in [header, *records]))
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert run("explain", "--model", model, "--data", swapped,
+                   "--out", out) == 2
+        assert "checkpoint joints" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_without_layout_rejected(self, tmp_path, capsys):
+        data = make_dataset(tmp_path)
+        model = train_small(tmp_path, data)
+        payload = json.loads(model.read_text())
+        del payload["metadata"]["joints"]
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert run("explain", "--model", model, "--data", data,
+                   "--out", out) == 2
+        assert "checkpoint joints 'not recorded'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _set(lines, lineno, column, value):
+    row = lines[lineno - 1].split(",")
+    row[column] = value(row[column])
+    lines[lineno - 1] = ",".join(row)
+    return lines
+
+
+def _flip(text):
+    return str(1 - int(text))
+
+
+FIRST = "'P00-affected-00'"
+# Each fault edits the lines of a 12-trial x 40-frame score file.
+SCORE_FILE_FAULTS = {
+    "missing-trial": (
+        lambda ls: [l for l in ls if not l.startswith("P00-affected-00,")],
+        f"scores.csv: trial {FIRST} is missing"),
+    "unknown-trial": (
+        lambda ls: _set(ls, 6, 0, lambda _: "nobody"),
+        "scores.csv:6: trial 'nobody' frame 4 is not in the dataset"),
+    "frame-out-of-range": (
+        lambda ls: _set(ls, 6, 1, lambda _: "40"),
+        f"scores.csv:6: trial {FIRST} frame 40 is not in the dataset"),
+    "missing-frame": (
+        lambda ls: ls[:5] + ls[6:],
+        f"scores.csv: trial {FIRST} frame 4 is missing"),
+    "duplicate-frame": (
+        lambda ls: ls + ls[5:6],
+        f"scores.csv: trial {FIRST} frame 4 appears more than once"),
+    "flipped-label": (
+        lambda ls: _set(ls, 6, 4, _flip),
+        f"scores.csv:6: trial {FIRST} frame 4: frame_label, padded"),
+    "flipped-padding": (
+        lambda ls: _set(ls, 6, 5, _flip),
+        f"scores.csv:6: trial {FIRST} frame 4: frame_label, padded"),
+    "label-not-a-flag": (
+        lambda ls: _set(ls, 6, 4, lambda _: "2"),
+        f"scores.csv:6: trial {FIRST} frame 4: frame_label, padded = 2"),
+    "label-overflows-int64": (
+        lambda ls: _set(ls, 6, 4, lambda _: "9" * 30),
+        "scores.csv:6: "),
+    "ragged-row": (
+        lambda ls: _set(ls, 6, 5, lambda v: v + ",0"),
+        "scores.csv:6: ragged score row"),
+    "wrong-header": (
+        lambda ls: _set(ls, 1, 2, lambda _: "score"),
+        "scores.csv: unexpected score file header"),
+}
 
 
 class TestSweepCommand:
@@ -246,6 +338,20 @@ class TestSweepCommand:
         assert run("sweep", "--scores", scores, "--data", data,
                    "--out", out) == 2
         assert f"scores.csv:6: raw score '{bad}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", SCORE_FILE_FAULTS)
+    def test_score_file_fault_rejected(self, prepared, tmp_path, capsys,
+                                       fault):
+        data, scores = prepared
+        edit, message = SCORE_FILE_FAULTS[fault]
+        scores.write_text("\n".join(edit(scores.read_text().splitlines()))
+                          + "\n")
+        capsys.readouterr()
+        out = tmp_path / "r"
+        assert run("sweep", "--scores", scores, "--data", data,
+                   "--out", out) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_mode_name(self, prepared, tmp_path):

@@ -181,6 +181,12 @@ class TestSplit:
         with pytest.raises(DataValidationError):
             split_dataset(manifest, 0.5, seed=0)
 
+    @pytest.mark.parametrize("fraction, counts", [(0.1, "0 train / 3 test"),
+                                                  (0.9, "3 train / 0 test")])
+    def test_empty_side_rejected(self, tiny_manifest, fraction, counts):
+        with pytest.raises(DataValidationError, match=counts):
+            split_dataset(tiny_manifest, fraction, seed=0)
+
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])
     def test_fraction_bounds(self, tiny_manifest, fraction):
         with pytest.raises(DataValidationError):

@@ -31,8 +31,7 @@ from framescore.saliency import FramePool, FrameScoreTrack, normalize_pool
 def tracks_for(ftrials, seed=0):
     rng = np.random.default_rng(seed)
     return [
-        FrameScoreTrack(ft.trial_id, rng.uniform(size=ft.frame_count),
-                        ft.padded_mask)
+        FrameScoreTrack(ft.trial_id, rng.uniform(size=ft.frame_count))
         for ft in ftrials
     ]
 

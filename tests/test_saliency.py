@@ -51,18 +51,18 @@ def windows_of(scores, labels, window_size):
 class TestFrameAggregate:
     def test_sum_of_absolute_values(self):
         sal = np.array([[0.1, -0.3, 0.2], [0.0, 0.0, 0.0]])
-        track = frame_aggregate("t", sal, original_length=1)
+        track = frame_aggregate("t", sal)
+        assert track.trial_id == "t"
         assert track.raw_scores[0] == pytest.approx(0.6, abs=1e-12)
         assert track.raw_scores[1] == 0.0
-        assert list(track.padded_mask) == [False, True]
 
     @given(c=st.floats(1e-3, 1e3))
     @settings(max_examples=30, deadline=None)
     def test_positive_homogeneity(self, c):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(4, 3))
-        a = frame_aggregate("t", values, 4).raw_scores
-        b = frame_aggregate("t", c * values, 4).raw_scores
+        a = frame_aggregate("t", values).raw_scores
+        b = frame_aggregate("t", c * values).raw_scores
         assert np.allclose(b, c * a, rtol=1e-12)
 
     def test_matches_model_gradient_shape(self, small_synth_manifest):
@@ -76,7 +76,7 @@ class TestFrameAggregate:
         assert not sal.flags.writeable
         tracks = compute_tracks(model, ftrials)
         assert len(tracks) == len(ftrials)
-        assert tracks[0].frame_count == small_synth_manifest.t_max
+        assert len(tracks[0].raw_scores) == small_synth_manifest.t_max
 
 
 class TestNormalizePool:
@@ -124,10 +124,8 @@ class TestNormalizePool:
             for tid, length in (("a", 2), ("b", 3))
         ]
         tracks = [
-            FrameScoreTrack("a", np.array([1.0, 2.0, 9.0]),
-                            np.array([False, False, True])),
-            FrameScoreTrack("b", np.array([0.0, 3.0, 0.5]),
-                            np.array([False, False, False])),
+            FrameScoreTrack("a", np.array([1.0, 2.0, 9.0])),
+            FrameScoreTrack("b", np.array([0.0, 3.0, 0.5])),
         ]
 
         def normalized_by_key(mode):
@@ -255,21 +253,35 @@ class TestHeatmap:
 
 
 class TestScoreFiles:
-    def test_round_trip(self, small_synth_manifest, tmp_path):
+    @pytest.fixture
+    def written(self, small_synth_manifest, tmp_path):
         ftrials = featurize(small_synth_manifest)
         rng = np.random.default_rng(6)
-        tracks = [
-            FrameScoreTrack(ft.trial_id,
-                            rng.uniform(size=ft.frame_count),
-                            ft.padded_mask)
-            for ft in ftrials
-        ]
+        tracks = [FrameScoreTrack(ft.trial_id, rng.uniform(size=ft.frame_count))
+                  for ft in ftrials]
         path = tmp_path / "scores.csv"
         write_raw_scores(path, ftrials, tracks)
-        back = read_raw_scores(path)
-        assert set(back) == {ft.trial_id for ft in ftrials}
-        for ft, track in zip(ftrials, tracks):
-            rec = back[ft.trial_id]
-            assert np.array_equal(rec["raw"], track.raw_scores)
-            assert np.array_equal(rec["label"], ft.frame_labels)
-            assert np.array_equal(rec["padded"], ft.padded_mask)
+        return ftrials, tracks, path
+
+    def test_round_trip(self, written):
+        ftrials, tracks, path = written
+        back = read_raw_scores(path, ftrials)
+        assert [t.trial_id for t in back] == [ft.trial_id for ft in ftrials]
+        for got, want in zip(back, tracks):
+            assert np.array_equal(got.raw_scores, want.raw_scores)
+
+    def test_shuffled_rows_read_back_to_the_same_tracks(self, written):
+        ftrials, tracks, path = written
+        header, *rows = path.read_text().splitlines()
+        order = np.random.default_rng(7).permutation(len(rows))
+        path.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
+        back = read_raw_scores(path, ftrials)
+        assert [t.trial_id for t in back] == [ft.trial_id for ft in ftrials]
+        for got, want in zip(back, tracks):
+            assert np.array_equal(got.raw_scores, want.raw_scores)
+
+    def test_reads_tracks_in_dataset_order(self, written):
+        ftrials, tracks, path = written
+        back = read_raw_scores(path, ftrials[::-1])
+        assert [t.trial_id for t in back] == [ft.trial_id for ft in ftrials[::-1]]
+        assert np.array_equal(back[0].raw_scores, tracks[-1].raw_scores)
