@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -237,8 +238,12 @@ def _cmd_train(args) -> int:
         hidden, rates, base = _parse_grid(args.grid, base_config)
         grid = network.build_grid(input_dim, hidden, rates, base)
 
-    result = network.grid_search(X_train, y_train, grid,
-                                 folds=args.folds, seed=args.seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = network.grid_search(X_train, y_train, grid,
+                                     folds=args.folds, seed=args.seed)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        _warn(message)
     best = result.best
     hidden = "x".join(str(w) for w in best.architecture.hidden_layers)
     print(f"grid search: {len(result.cells)} cells, best hidden [{hidden}] "
@@ -301,9 +306,10 @@ def _cmd_explain(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        modes = [evaluation.FilterMode.parse(m.strip())
-                 for m in args.modes.split(",") if m.strip()]
-        windows = [int(w) for w in args.windows.split(",") if w.strip()]
+        modes = list(dict.fromkeys(evaluation.FilterMode.parse(m.strip())
+                                   for m in args.modes.split(",") if m.strip()))
+        windows = list(dict.fromkeys(int(w) for w in args.windows.split(",")
+                                     if w.strip()))
     except (ContractError, ValueError) as exc:
         raise DataValidationError(str(exc)) from exc
     if not modes or not windows:

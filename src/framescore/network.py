@@ -10,6 +10,9 @@ Input coordinates that are constant over the training set get a scale of
 zero and their first-layer weight rows are zeroed at initialization: they
 cannot influence the output, would never receive weight updates anyway, and
 therefore carry exactly zero input gradient instead of initialization noise.
+Training standardizes the inputs once per fit and trains the first layer on
+the live coordinates only; the trained rows are scattered back into the
+full-width first-layer matrix, whose dead rows stay exactly zero.
 """
 
 from __future__ import annotations
@@ -166,18 +169,34 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_batch(model: TrainedModel, X: np.ndarray):
-    """Probabilities plus cached pre-activations and activations per layer."""
-    h = model.scaler.transform(X)
+def _forward(weights, biases, h: np.ndarray):
+    """Probabilities plus cached pre-activations and activations per layer
+    for standardized inputs h; the one layer loop of training and inference."""
     pre, post = [], [h]
-    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+    for W, b in zip(weights[:-1], biases[:-1]):
         z = h @ W + b
         h = np.maximum(z, 0.0)
         pre.append(z)
         post.append(h)
-    logits = (h @ model.weights[-1] + model.biases[-1])[:, 0]
-    probs = _sigmoid(logits)
-    return probs, pre, post
+    logits = (h @ weights[-1] + biases[-1])[:, 0]
+    return _sigmoid(logits), pre, post
+
+
+def _backward(weights, y, probs, pre, post):
+    """Mean-over-batch gradients for every weight and bias."""
+    delta = (probs - y)[:, None] / len(y)
+    grads_w = [post[-1].T @ delta]
+    grads_b = [delta.sum(axis=0)]
+    d = delta
+    for li in range(len(weights) - 2, -1, -1):
+        d = (d @ weights[li + 1].T) * (pre[li] > 0)
+        grads_w.insert(0, post[li].T @ d)
+        grads_b.insert(0, d.sum(axis=0))
+    return grads_w, grads_b
+
+
+def _forward_batch(model: TrainedModel, X: np.ndarray):
+    return _forward(model.weights, model.biases, model.scaler.transform(X))
 
 
 def forward(model: TrainedModel, x: np.ndarray):
@@ -200,26 +219,12 @@ def bce_loss(probability: float, y: int) -> float:
     return -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
 
 
-def _backward_batch(model, X, y, probs, pre, post):
-    """Mean-over-batch gradients for every weight and bias."""
-    n = len(X)
-    delta = (probs - y)[:, None] / n
-    grads_w = [post[-1].T @ delta]
-    grads_b = [delta.sum(axis=0)]
-    d = delta
-    for li in range(len(model.weights) - 2, -1, -1):
-        d = (d @ model.weights[li + 1].T) * (pre[li] > 0)
-        grads_w.insert(0, post[li].T @ d)
-        grads_b.insert(0, d.sum(axis=0))
-    return grads_w, grads_b
-
-
 def loss_gradients(model: TrainedModel, X: np.ndarray, y: np.ndarray):
     """Gradients of the mean BCE over (X, y) w.r.t. weights and biases."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     probs, pre, post = _forward_batch(model, X)
-    return _backward_batch(model, X, y, probs, pre, post)
+    return _backward(model.weights, y, probs, pre, post)
 
 
 def input_gradient(model: TrainedModel, x: np.ndarray, y: int) -> np.ndarray:
@@ -279,8 +284,13 @@ def train(
 
     scaler = InputScaler.fit(X)
     model = init_model(architecture, _init_rng(config.seed), scaler)
-    vel_w = [np.zeros_like(W) for W in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    # Train on the live coordinates only: dead inputs are zero after
+    # standardizing and their first-layer rows stay zero.
+    live = scaler.live_mask
+    Z = scaler.transform(X)[:, live]
+    weights = [model.weights[0][live], *model.weights[1:]]
+    params = weights + model.biases
+    velocities = [np.zeros_like(p) for p in params]
     shuffle = _shuffle_rng(config.seed)
 
     trace = []
@@ -289,8 +299,8 @@ def train(
         epoch_loss = 0.0
         for bi, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            Xb, yb = X[idx], y[idx]
-            probs, pre, post = _forward_batch(model, Xb)
+            yb = y[idx]
+            probs, pre, post = _forward(weights, model.biases, Z[idx])
             clamped = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
             batch_loss = float(
                 -(yb * np.log(clamped) + (1 - yb) * np.log(1 - clamped)).mean()
@@ -300,13 +310,14 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {bi}"
                 )
             epoch_loss += batch_loss * len(idx)
-            grads_w, grads_b = _backward_batch(model, Xb, yb, probs, pre, post)
-            for i in range(len(model.weights)):
-                vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * grads_w[i]
-                vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * grads_b[i]
-                model.weights[i] += vel_w[i]
-                model.biases[i] += vel_b[i]
+            grads_w, grads_b = _backward(weights, yb, probs, pre, post)
+            for p, v, g in zip(params, velocities, grads_w + grads_b):
+                v *= config.momentum
+                g *= config.learning_rate
+                v -= g
+                p += v
         trace.append(epoch_loss / n)
+    model.weights[0][live] = weights[0]
 
     model.metadata = {
         "seed": config.seed,
@@ -452,8 +463,7 @@ def save_model(model: TrainedModel, path) -> None:
         "metadata": model.metadata,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_model(path) -> TrainedModel:

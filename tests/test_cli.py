@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import framescore
 from framescore.cli import main
 
 
@@ -106,6 +110,26 @@ class TestTrainCommand:
                  if l and not l.startswith("#")]
         assert len(lines) == 8
         assert sum(l.rstrip().endswith(",1") for l in lines) == 1
+
+    def test_single_class_fold_notes_are_clean_warnings(self, tmp_path):
+        # A separate interpreter, so that Python's own warning display is
+        # what the user would see, not the test runner's capture.
+        data = make_dataset(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(framescore.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "framescore.cli", "train", "--data", data,
+             "--out", tmp_path / "model.json", "--split", "0.5", "--seed", "0",
+             "--grid", write_grid(tmp_path), "--epochs", "1",
+             "--batch-size", "4"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "warning: fold" in proc.stderr
+        assert "UserWarning" not in proc.stderr
+        assert "network.grid_search(" not in proc.stderr
+        notes = proc.stderr.splitlines()
+        assert len(notes) == len(set(notes))
 
     def test_missing_data_file(self, tmp_path):
         assert run("train", "--data", tmp_path / "nope.jsonl",
@@ -301,6 +325,23 @@ class TestSweepCommand:
         rows = (out / "report-all-w1.csv").read_text().splitlines()
         taus = [r.split(",")[3] for r in rows[1:] if r.startswith("all,")]
         assert taus == ["0.0", "0.5", "1.0"]
+
+    def test_duplicate_modes_and_windows_run_once(self, prepared, tmp_path,
+                                                  capsys):
+        data, scores = prepared
+        outputs = {}
+        for name, modes, windows in (("once", "comp-no-pad", "1"),
+                                     ("twice", "comp-no-pad,comp-no-pad", "1,1")):
+            out = tmp_path / name
+            capsys.readouterr()
+            assert run("sweep", "--scores", scores, "--data", data,
+                       "--out", out, "--modes", modes, "--windows", windows) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "<out>")
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            outputs[name] = (stdout, files)
+        assert outputs["twice"] == outputs["once"]
+        assert "report-comp-no-pad-w1.csv" in outputs["once"][1]
+        assert len(outputs["once"][1]["summary.csv"].splitlines()) == 2
 
     def test_empty_mode_skipped_with_warning(self, tmp_path, capsys):
         data = make_dataset(tmp_path, "nocomp.jsonl",

@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from framescore.network import (
     input_gradient,
     load_model,
     loss_gradients,
+    predict_proba,
     save_model,
     train,
 )
@@ -296,6 +300,66 @@ class TestTrain:
         assert not model.scaler.live_mask[2]
 
 
+def reference_train(X, y, architecture, config):
+    """The full-width training loop: every batch is standardized again and
+    every momentum update allocates new arrays."""
+    scaler = InputScaler.fit(X)
+    model = init_model(
+        architecture,
+        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,))),
+        scaler,
+    )
+    shuffle = np.random.default_rng(
+        np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    vel_w = [np.zeros_like(W) for W in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    trace = []
+    for _ in range(config.epochs):
+        order = shuffle.permutation(len(X))
+        epoch_loss = 0.0
+        for start in range(0, len(X), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            Xb, yb = X[idx], y[idx]
+            p = np.clip(predict_proba(model, Xb), 1e-12, 1.0 - 1e-12)
+            epoch_loss += float(
+                -(yb * np.log(p) + (1 - yb) * np.log(1 - p)).mean()) * len(idx)
+            grads_w, grads_b = loss_gradients(model, Xb, yb)
+            for i in range(len(model.weights)):
+                vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * grads_w[i]
+                vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * grads_b[i]
+                model.weights[i] += vel_w[i]
+                model.biases[i] += vel_b[i]
+        trace.append(epoch_loss / len(X))
+    return model, trace
+
+
+class TestCompactTraining:
+    """`train` fits the first layer on live coordinates only; the result must
+    match the full-width loop to the last bits."""
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_full_width_reference(self, hidden, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(30, 12)) * rng.uniform(0.5, 4.0, size=12)
+        X[:, [0, 5, 6, 11]] = [2.5, -1.0, 0.0, 7.0]
+        y = (X[:, 1] + X[:, 3] > 0).astype(float)
+        arch = ModelArchitecture(12, hidden)
+        config = TrainConfig(learning_rate=0.05, epochs=25, batch_size=8,
+                             seed=seed)
+        model = train(X, y, arch, config)
+        ref, ref_trace = reference_train(X, y, arch, config)
+        for got, want in zip(model.weights + model.biases,
+                             ref.weights + ref.biases):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(model.metadata["loss_trace"], ref_trace,
+                                   rtol=1e-12)
+        dead = ~model.scaler.live_mask
+        assert dead.sum() == 4
+        assert np.all(model.weights[0][dead] == 0.0)
+        assert not np.signbit(model.weights[0][dead]).any()
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -408,6 +472,19 @@ class TestCheckpoint:
         assert np.array_equal(loaded.scaler.mean, model.scaler.mean)
         assert np.array_equal(loaded.scaler.scale, model.scaler.scale)
         assert loaded.metadata["test_accuracy"] == 0.9375
+
+    def test_bytes_match_streaming_encoder(self, tmp_path):
+        X, y = separable_toy()
+        model = train(X, y, ModelArchitecture(2, (4, 3)),
+                      TrainConfig(epochs=10, batch_size=8, seed=3))
+        model.metadata["extra"] = {"name": "h\u00fcft", "values": [
+            0.1, -0.0, 1e-300, 2**60, float("nan"), float("inf")]}
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        streamed = io.StringIO()
+        json.dump(json.loads(path.read_text(encoding="utf-8")), streamed)
+        streamed.write("\n")
+        assert path.read_bytes() == streamed.getvalue().encode("utf-8")
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "model.json"
