@@ -7,13 +7,11 @@ scores, and calibrate a detection threshold against F-beta.
 
 from .data import (
     DatasetManifest,
-    FeatureTrial,
+    FeatureSet,
     JointLayout,
     KeypointTrial,
-    extract_features,
     featurize,
     load_dataset,
-    pad_trial,
     save_dataset,
     split_dataset,
 )
@@ -61,7 +59,7 @@ __all__ = [
     "ContractError",
     "DataValidationError",
     "DatasetManifest",
-    "FeatureTrial",
+    "FeatureSet",
     "FilterMode",
     "FramePool",
     "FrameScoreTrack",
@@ -78,7 +76,6 @@ __all__ = [
     "compute_saliency",
     "compute_tracks",
     "export_heatmap",
-    "extract_features",
     "fbeta",
     "featurize",
     "forward",
@@ -92,7 +89,6 @@ __all__ = [
     "load_dataset",
     "load_model",
     "normalize_pool",
-    "pad_trial",
     "run_experiment_matrix",
     "save_dataset",
     "save_model",

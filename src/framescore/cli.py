@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -144,9 +145,9 @@ def _cmd_synth(args) -> int:
     manifest = synth.generate_dataset(config)
     data.save_dataset(manifest, args.out)
 
-    labels = np.concatenate([t.frame_labels for t in manifest.trials])
-    unpadded = len(labels)
-    comp = int((labels == data.LABEL_COMPENSATORY).sum())
+    unpadded = sum(t.length for t in manifest.trials)
+    comp = sum(int(np.count_nonzero(t.frame_labels == data.LABEL_COMPENSATORY))
+               for t in manifest.trials)
     comp_trials = sum(
         1 for t in manifest.trials if t.trial_label == data.LABEL_COMPENSATORY
     )
@@ -160,7 +161,8 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(path, base_config: network.TrainConfig):
+def _parse_grid(path):
+    """Hidden-layer options and learning rates of a JSON grid file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -173,7 +175,23 @@ def _parse_grid(path, base_config: network.TrainConfig):
         raise DataValidationError(
             f"{path}: grid file needs 'hidden_layers' and 'learning_rates'"
         )
-    return obj["hidden_layers"], obj["learning_rates"], base_config
+
+    # type() rather than isinstance(): JSON true and false are not numbers.
+    def widths(h) -> bool:
+        return isinstance(h, list) and all(type(w) is int and w >= 1 for w in h)
+
+    def rate(r) -> bool:
+        return type(r) in (int, float) and 0 < r < math.inf
+
+    for name, ok, want in (("hidden_layers", widths, "lists of integers >= 1"),
+                           ("learning_rates", rate, "finite positive numbers")):
+        values = obj[name]
+        if not isinstance(values, list) or not values or not all(map(ok, values)):
+            raise DataValidationError(
+                f"{path}: field {name!r} must be a non-empty list of {want}, "
+                f"got {values!r}"
+            )
+    return obj["hidden_layers"], obj["learning_rates"]
 
 
 def _write_grid_report(result: network.GridSearchResult, path) -> None:
@@ -216,10 +234,8 @@ def _cmd_train(args) -> int:
           f"(split {args.split}, seed {args.seed})")
 
     def flatten(m: data.DatasetManifest):
-        ftrials = data.featurize(m)
-        X = np.stack([ft.features.ravel() for ft in ftrials])
-        y = np.array([ft.trial_label for ft in ftrials], dtype=np.float64)
-        return X, y
+        fs = data.featurize(m)
+        return fs.features.reshape(len(fs), -1), fs.trial_labels.astype(np.float64)
 
     X_train, y_train = flatten(train_set)
     X_test, y_test = flatten(test_set)
@@ -235,8 +251,8 @@ def _cmd_train(args) -> int:
     if args.grid is None:
         grid = network.build_grid(input_dim, base_config=base_config)
     else:
-        hidden, rates, base = _parse_grid(args.grid, base_config)
-        grid = network.build_grid(input_dim, hidden, rates, base)
+        hidden, rates = _parse_grid(args.grid)
+        grid = network.build_grid(input_dim, hidden, rates, base_config)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -279,22 +295,18 @@ def _cmd_explain(args) -> int:
                 f"{args.model}: checkpoint {key} {got!r} does not match "
                 f"dataset {key} {value!r}"
             )
-    ftrials = data.featurize(manifest)
-    heatmap_ft = None
-    if args.heatmap is not None:
-        matches = [ft for ft in ftrials if ft.trial_id == args.heatmap]
-        if not matches:
-            raise DataValidationError(f"trial {args.heatmap!r} not in dataset")
-        heatmap_ft = matches[0]
+    fs = data.featurize(manifest)
+    if args.heatmap is not None and args.heatmap not in fs.trial_ids:
+        raise DataValidationError(f"trial {args.heatmap!r} not in dataset")
 
-    tracks = saliency.compute_tracks(model, ftrials)
-    saliency.write_raw_scores(args.out, ftrials, tracks)
+    tracks = saliency.compute_tracks(model, fs)
+    saliency.write_raw_scores(args.out, fs, tracks)
     print(f"{len(tracks)} trials x {manifest.t_max} frames -> {args.out}")
 
-    if heatmap_ft is not None:
-        grid = saliency.importance_matrix(
-            saliency.compute_saliency(model, heatmap_ft)
-        )
+    if args.heatmap is not None:
+        grid = saliency.importance_matrix(saliency.compute_saliency(
+            model, fs, fs.trial_ids.index(args.heatmap)
+        ))
         out = args.heatmap_out or os.path.join(
             os.path.dirname(os.path.abspath(args.out)),
             f"heatmap-{args.heatmap}.csv",
@@ -322,13 +334,13 @@ def _cmd_sweep(args) -> int:
         raise DataValidationError("--step must be in (0, 1]")
 
     manifest = data.load_dataset(args.data)
-    ftrials = data.featurize(manifest)
-    tracks = saliency.read_raw_scores(args.scores, ftrials)
+    fs = data.featurize(manifest)
+    tracks = saliency.read_raw_scores(args.scores, fs)
 
     usable = []
     for mode in modes:
         try:
-            evaluation.select_frames(ftrials, tracks, mode)
+            evaluation.select_frames(fs, tracks, mode)
         except ContractError as exc:
             _warn(f"skipping mode {mode.value!r}: {exc}")
             continue
@@ -338,7 +350,7 @@ def _cmd_sweep(args) -> int:
         return EXIT_OK
 
     matrix = evaluation.run_experiment_matrix(
-        ftrials, tracks, usable, windows, beta=args.beta, step=args.step
+        fs, tracks, usable, windows, beta=args.beta, step=args.step
     )
     os.makedirs(args.out, exist_ok=True)
     for res in matrix.results:

@@ -1,10 +1,11 @@
 """Trials, displacement features, padding, splits, and on-disk formats.
 
 A dataset is a collection of keypoint trials (per-frame 2D joint positions
-with frame- and trial-level binary labels). Featurization turns a trial into
-a fixed-length matrix of signed per-coordinate displacements from the first
-frame; trials shorter than the frame capacity are padded with zero rows that
-carry the "normal" label.
+with frame- and trial-level binary labels). Featurization turns the whole
+dataset into one (trials x t_max x features) block of signed per-coordinate
+displacements from each trial's first frame; trials shorter than the frame
+capacity t_max are padded with zero rows that carry the "normal" label, and
+`FeatureSet.padded` is the one place that says which slots are padding.
 """
 
 from __future__ import annotations
@@ -131,78 +132,6 @@ class KeypointTrial:
 
 
 @dataclass(frozen=True)
-class FeatureTrial:
-    """Displacement-feature matrix for a trial, optionally padded.
-
-    features has shape (T, F); row t holds the signed displacement of every
-    joint coordinate from its position in frame 0. Rows at or beyond
-    original_length are padding: exactly zero and labelled normal.
-    """
-
-    trial_id: str
-    features: np.ndarray
-    original_length: int
-    frame_labels: np.ndarray
-    trial_label: int
-
-    def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.frame_labels, dtype=np.int64)
-        L = int(self.original_length)
-        if feats.ndim != 2:
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: features must be 2-D, got {feats.shape}"
-            )
-        if not (1 <= L <= feats.shape[0]):
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: original_length {L} outside "
-                f"[1, {feats.shape[0]}]"
-            )
-        if not np.isfinite(feats).all():
-            raise DataValidationError(f"trial {self.trial_id!r}: non-finite feature")
-        if labels.shape != (feats.shape[0],):
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: frame_labels length mismatch"
-            )
-        if not np.isin(labels, (LABEL_COMPENSATORY, LABEL_NORMAL)).all():
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: frame labels must be 0 or 1"
-            )
-        if np.any(feats[0] != 0.0):
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: first feature row must be zero"
-            )
-        if np.any(feats[L:] != 0.0):
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: padded rows must be zero"
-            )
-        if np.any(labels[L:] != LABEL_NORMAL):
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: padded frames must be labelled normal"
-            )
-        if int(self.trial_label) != int(labels.min()):
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: trial_label inconsistent with frame labels"
-            )
-        object.__setattr__(self, "features", _readonly(feats))
-        object.__setattr__(self, "frame_labels", _readonly(labels))
-        object.__setattr__(self, "original_length", L)
-        object.__setattr__(self, "trial_label", int(self.trial_label))
-
-    @property
-    def frame_count(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def feature_count(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def padded_mask(self) -> np.ndarray:
-        return np.arange(self.frame_count) >= self.original_length
-
-
-@dataclass(frozen=True)
 class DatasetManifest:
     """A set of trials sharing one layout and one frame capacity."""
 
@@ -239,51 +168,47 @@ class DatasetManifest:
         return len(self.trials)
 
 
-def extract_features(trial: KeypointTrial, layout: JointLayout) -> FeatureTrial:
-    """Signed per-coordinate displacement from the first frame, unpadded."""
-    if trial.joint_count != layout.joint_count:
-        raise DataValidationError(
-            f"trial {trial.trial_id!r}: {trial.joint_count} joints, layout "
-            f"expects {layout.joint_count}"
-        )
-    disp = trial.frames - trial.frames[0]
-    feats = disp.reshape(trial.length, layout.feature_count)
-    return FeatureTrial(
-        trial_id=trial.trial_id,
-        features=feats,
-        original_length=trial.length,
-        frame_labels=trial.frame_labels,
-        trial_label=trial.trial_label,
+@dataclass(frozen=True)
+class FeatureSet:
+    """Displacement features of a whole dataset as one padded block.
+
+    features has shape (trials, t_max, features); row t of trial i holds the
+    signed displacement of every joint coordinate from its position in the
+    trial's frame 0. Rows at or beyond lengths[i] are padding: exactly zero
+    and labelled normal. Every array is read-only.
+    """
+
+    trial_ids: tuple[str, ...]
+    features: np.ndarray
+    frame_labels: np.ndarray
+    lengths: np.ndarray
+    trial_labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.trial_ids)
+
+    @property
+    def padded(self) -> np.ndarray:
+        """(trials, t_max) mask of the padding slots."""
+        return np.arange(self.features.shape[1]) >= self.lengths[:, None]
+
+
+def featurize(manifest: DatasetManifest) -> FeatureSet:
+    """Displacement features of every trial, padded to the manifest's t_max."""
+    trials = manifest.trials
+    features = np.zeros((len(trials), manifest.t_max,
+                         manifest.layout.feature_count))
+    frame_labels = np.full(features.shape[:2], LABEL_NORMAL, dtype=np.int64)
+    for i, t in enumerate(trials):
+        features[i, : t.length] = (t.frames - t.frames[0]).reshape(t.length, -1)
+        frame_labels[i, : t.length] = t.frame_labels
+    return FeatureSet(
+        trial_ids=tuple(t.trial_id for t in trials),
+        features=_readonly(features),
+        frame_labels=_readonly(frame_labels),
+        lengths=_readonly(np.array([t.length for t in trials], np.int64)),
+        trial_labels=_readonly(np.array([t.trial_label for t in trials], np.int64)),
     )
-
-
-def pad_trial(ft: FeatureTrial, t_max: int) -> FeatureTrial:
-    """Extend a feature trial to t_max rows of zero displacement, label normal."""
-    if ft.frame_count > t_max:
-        raise DataValidationError(
-            f"trial {ft.trial_id!r}: length {ft.frame_count} exceeds t_max {t_max}"
-        )
-    if ft.frame_count == t_max:
-        return ft
-    feats = np.zeros((t_max, ft.feature_count))
-    feats[: ft.frame_count] = ft.features
-    labels = np.full(t_max, LABEL_NORMAL, dtype=np.int64)
-    labels[: ft.frame_count] = ft.frame_labels
-    return FeatureTrial(
-        trial_id=ft.trial_id,
-        features=feats,
-        original_length=ft.original_length,
-        frame_labels=labels,
-        trial_label=ft.trial_label,
-    )
-
-
-def featurize(manifest: DatasetManifest) -> list[FeatureTrial]:
-    """Extract and pad displacement features for every trial in the manifest."""
-    return [
-        pad_trial(extract_features(t, manifest.layout), manifest.t_max)
-        for t in manifest.trials
-    ]
 
 
 def split_dataset(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LABEL_COMPENSATORY, LABEL_NORMAL, FeatureTrial
+from .data import LABEL_COMPENSATORY, LABEL_NORMAL, FeatureSet
 from .errors import ContractError
 from .saliency import (
     FramePool,
@@ -49,23 +49,23 @@ class FilterMode(enum.Enum):
 
 
 def select_frames(
-    ftrials: Sequence[FeatureTrial],
+    fs: FeatureSet,
     tracks: Sequence[FrameScoreTrack],
     mode: FilterMode,
 ) -> FramePool:
     """Return the un-normalized pool of frames admitted by the mode."""
     raw = np.array([t.raw_scores for t in tracks], dtype=np.float64)
-    labels = np.array([ft.frame_labels for ft in ftrials], dtype=np.int64)
-    if raw.ndim != 2 or raw.shape != labels.shape or \
-            [t.trial_id for t in tracks] != [ft.trial_id for ft in ftrials]:
+    labels = fs.frame_labels
+    if raw.shape != labels.shape or \
+            tuple(t.trial_id for t in tracks) != fs.trial_ids:
         raise ContractError(
             f"tracks {raw.shape} do not match trials {labels.shape} "
             f"one for one, in order"
         )
-    padded = np.array([ft.padded_mask for ft in ftrials])
+    padded = fs.padded
     mask = np.ones_like(padded) if mode is FilterMode.ALL else ~padded
     if mode is FilterMode.COMP_NO_PAD:
-        comp = (labels == LABEL_COMPENSATORY).any(axis=1)
+        comp = fs.trial_labels == LABEL_COMPENSATORY
         if not comp.any():
             raise ContractError(
                 "comp-no-pad selection is empty: no compensatory trials"
@@ -73,7 +73,7 @@ def select_frames(
         mask &= comp[:, None]
     trial, frame = np.nonzero(mask)
     return FramePool(
-        trial_id=np.array([ft.trial_id for ft in ftrials], dtype=str)[trial],
+        trial_id=np.array(fs.trial_ids, dtype=str)[trial],
         frame_index=frame,
         raw=raw[mask],
         label=labels[mask],
@@ -292,7 +292,7 @@ class ExperimentMatrix:
 
 
 def run_experiment_matrix(
-    ftrials: Sequence[FeatureTrial],
+    fs: FeatureSet,
     tracks: Sequence[FrameScoreTrack],
     modes: Sequence[FilterMode] = tuple(FilterMode),
     windows: Sequence[int] = DEFAULT_WINDOWS,
@@ -302,7 +302,7 @@ def run_experiment_matrix(
     """Select, normalize, window, and sweep for every (mode, window) cell."""
     results = []
     for mode in modes:
-        pool = normalize_pool(select_frames(ftrials, tracks, mode))
+        pool = normalize_pool(select_frames(fs, tracks, mode))
         reports = []
         for w in windows:
             if w == 1:

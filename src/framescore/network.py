@@ -29,6 +29,7 @@ PROB_EPS = 1e-12
 _DEAD_SIGMA = 1e-12
 
 CHECKPOINT_FORMAT = "ffnet-checkpoint-v1"
+_JSON_CHUNK = 1 << 14  # floats per json.dumps call in save_model
 
 
 @dataclass(frozen=True)
@@ -318,6 +319,7 @@ def train(
                 p += v
         trace.append(epoch_loss / n)
     model.weights[0][live] = weights[0]
+    probs, _, _ = _forward(weights, model.biases, Z)
 
     model.metadata = {
         "seed": config.seed,
@@ -327,7 +329,7 @@ def train(
             "epochs": config.epochs,
             "batch_size": config.batch_size,
         },
-        "train_accuracy": evaluate_accuracy(model, X, y),
+        "train_accuracy": _accuracy(probs, y),
         "loss_trace": trace,
     }
     return model
@@ -338,11 +340,14 @@ def predict_proba(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     return probs
 
 
-def evaluate_accuracy(model: TrainedModel, X: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of trials classified correctly at probability threshold 0.5."""
-    probs = predict_proba(model, X)
+def _accuracy(probs: np.ndarray, y: np.ndarray) -> float:
     predicted = (probs >= 0.5).astype(np.int64)
     return float((predicted == np.asarray(y).astype(np.int64)).mean())
+
+
+def evaluate_accuracy(model: TrainedModel, X: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of trials classified correctly at probability threshold 0.5."""
+    return _accuracy(predict_proba(model, X), y)
 
 
 DEFAULT_GRID_HIDDEN = ((32,), (64,), (64, 32), (128, 64))
@@ -447,7 +452,9 @@ def grid_search(
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Checkpoint as JSON; float values round-trip exactly."""
+    """Checkpoint as JSON, floats round-tripping exactly: the bytes of
+    `json.dumps(payload)`, with the weights written a chunk at a time so the
+    text never holds a whole weight matrix."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "architecture": {
@@ -458,12 +465,23 @@ def save_model(model: TrainedModel, path) -> None:
             "mean": model.scaler.mean.tolist(),
             "scale": model.scaler.scale.tolist(),
         },
-        "weights": [W.ravel().tolist() for W in model.weights],
+        "weights": model.weights,
         "biases": [b.tolist() for b in model.biases],
         "metadata": model.metadata,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload) + "\n")
+        for i, (key, value) in enumerate(payload.items()):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if key != "weights":
+                fh.write(json.dumps(value))
+                continue
+            for j, W in enumerate(value):
+                flat = W.ravel()
+                for k in range(0, flat.size, _JSON_CHUNK):
+                    sep = ", " if k else ("[[" if j == 0 else "], [")
+                    fh.write(sep + json.dumps(flat[k:k + _JSON_CHUNK].tolist())[1:-1])
+            fh.write("]]")
+        fh.write("}\n")
 
 
 def load_model(path) -> TrainedModel:

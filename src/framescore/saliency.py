@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LABEL_NORMAL, FeatureTrial
+from .data import LABEL_NORMAL, FeatureSet
 from .errors import ContractError, DataValidationError
 from .network import TrainedModel, input_gradient
 
@@ -54,12 +54,12 @@ class FramePool:
         return len(self.raw)
 
 
-def compute_saliency(model: TrainedModel, ft: FeatureTrial) -> np.ndarray:
-    """Loss gradient at the trial's true label, read-only, (frames, features)."""
-    grad = input_gradient(model, ft.features.ravel(), ft.trial_label)
+def compute_saliency(model: TrainedModel, fs: FeatureSet, i: int) -> np.ndarray:
+    """Loss gradient at trial i's true label, read-only, (t_max, features)."""
+    grad = input_gradient(model, fs.features[i].ravel(), fs.trial_labels[i])
     if not np.isfinite(grad).all():
-        raise DataValidationError(f"trial {ft.trial_id!r}: non-finite saliency")
-    sal = grad.reshape(ft.features.shape)
+        raise DataValidationError(f"trial {fs.trial_ids[i]!r}: non-finite saliency")
+    sal = grad.reshape(fs.features.shape[1:])
     sal.flags.writeable = False
     return sal
 
@@ -69,10 +69,10 @@ def frame_aggregate(trial_id: str, sal: np.ndarray) -> FrameScoreTrack:
     return FrameScoreTrack(trial_id, np.abs(sal).sum(axis=1))
 
 
-def compute_tracks(model: TrainedModel, ftrials: Sequence[FeatureTrial]
+def compute_tracks(model: TrainedModel, fs: FeatureSet
                    ) -> list[FrameScoreTrack]:
-    return [frame_aggregate(ft.trial_id, compute_saliency(model, ft))
-            for ft in ftrials]
+    return [frame_aggregate(tid, compute_saliency(model, fs, i))
+            for i, tid in enumerate(fs.trial_ids)]
 
 
 def normalize_pool(entries: FramePool) -> FramePool:
@@ -170,19 +170,20 @@ _SCORE_COLUMNS = (
 )
 
 
-def write_raw_scores(path, ftrials: Sequence[FeatureTrial],
+def write_raw_scores(path, fs: FeatureSet,
                      tracks: Sequence[FrameScoreTrack]) -> None:
     """One row per (trial, frame); normalized_score left empty."""
+    padded = fs.padded.astype(np.int64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SCORE_COLUMNS)
-        for ft, track in zip(ftrials, tracks):
+        for tid, labels, pad, track in zip(fs.trial_ids, fs.frame_labels,
+                                           padded, tracks):
             n = len(track.raw_scores)
             writer.writerows(
-                zip([ft.trial_id] * n, range(n),
+                zip([tid] * n, range(n),
                     map(repr, track.raw_scores.tolist()), [""] * n,
-                    ft.frame_labels.tolist(),
-                    ft.padded_mask.astype(np.int64).tolist())
+                    labels.tolist(), pad.tolist())
             )
 
 
@@ -203,17 +204,16 @@ def write_pooled_scores(path, pool: FramePool) -> None:
         )
 
 
-def read_raw_scores(path, ftrials: Sequence[FeatureTrial]
-                    ) -> list[FrameScoreTrack]:
+def read_raw_scores(path, fs: FeatureSet) -> list[FrameScoreTrack]:
     """Read a raw score file written for these trials, in any row order.
 
-    Every (trial, frame) slot of the trials must appear exactly once, with
-    the trial's frame label and padding flag. Returns one track per trial,
-    in the order of `ftrials`.
+    Every (trial, frame) slot of the block must appear exactly once, with
+    the slot's frame label and padding flag. Returns one track per trial,
+    in the order of `fs`.
     """
-    ids = [ft.trial_id for ft in ftrials]
+    ids = fs.trial_ids
     position = {tid: i for i, tid in enumerate(ids)}
-    counts = [ft.frame_count for ft in ftrials]
+    t_max = fs.features.shape[1]
     # Typed buffers, not a tuple per row: they hold 8 bytes per field.
     ints, raws = array("q"), array("d")
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -237,7 +237,7 @@ def read_raw_scores(path, ftrials: Sequence[FeatureTrial]
                     f"{path}:{lineno}: raw score {row[2]!r} is not a finite, "
                     f"non-negative number"
                 )
-            if trial < 0 or not 0 <= frame < counts[trial]:
+            if trial < 0 or not 0 <= frame < t_max:
                 raise DataValidationError(
                     f"{path}:{lineno}: trial {row[0]!r} frame {frame} is not "
                     f"in the dataset"
@@ -246,21 +246,18 @@ def read_raw_scores(path, ftrials: Sequence[FeatureTrial]
     table = np.frombuffer(ints, dtype=np.int64).reshape(-1, 5)
     line, trial, frame = table[:, :3].T
 
-    # Slot s of trial i holds frame s - starts[i]; each must be hit once.
-    starts = np.cumsum(counts, dtype=np.int64) - counts
-    slot = starts[trial] + frame
-    hits = np.bincount(slot, minlength=sum(counts))
+    # Slot trial * t_max + frame of the flattened block must be hit once.
+    slot = trial * t_max + frame
+    hits = np.bincount(slot, minlength=len(ids) * t_max).reshape(-1, t_max)
     if (hits != 1).any():
-        s = int(np.argmax(hits != 1))
-        i = int(np.searchsorted(starts, s, side="right")) - 1
+        i, f = np.argwhere(hits != 1)[0]
         where = f"trial {ids[i]!r}"
-        if hits[starts[i]:starts[i] + counts[i]].any():
-            where += f" frame {s - starts[i]}"
-        fault = "appears more than once" if hits[s] > 1 else "is missing"
+        if hits[i].any():
+            where += f" frame {f}"
+        fault = "appears more than once" if hits[i, f] > 1 else "is missing"
         raise DataValidationError(f"{path}: {where} {fault}")
 
-    want = np.concatenate([np.c_[ft.frame_labels, ft.padded_mask]
-                           for ft in ftrials])[slot]
+    want = np.c_[fs.frame_labels.ravel()[slot], fs.padded.ravel()[slot]]
     bad = np.flatnonzero((table[:, 3:] != want).any(axis=1))
     if bad.size:
         j = bad[0]
@@ -269,7 +266,7 @@ def read_raw_scores(path, ftrials: Sequence[FeatureTrial]
             f"frame_label, padded = {table[j, 3]}, {table[j, 4]}; the dataset "
             f"has {want[j, 0]}, {want[j, 1]}"
         )
-    raw = np.empty(len(hits))
+    raw = np.empty(hits.size)
     raw[slot] = np.frombuffer(raws)
     return [FrameScoreTrack(tid, r)
-            for tid, r in zip(ids, np.split(raw, starts[1:]))]
+            for tid, r in zip(ids, raw.reshape(hits.shape))]

@@ -10,7 +10,9 @@ over a few frames. Frame labels mark exactly the injected segment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +46,24 @@ _SHOULDER_L, _ELBOW_L, _WRIST_L = 5, 6, 7
 RAMP_FRAMES = 5
 
 
+def _checked(name: str, value, default):
+    """The value, a pair as a tuple, if it has its default's kind: an integer
+    or a finite number, or a pair of them; a bool is neither."""
+    pair = isinstance(default, tuple)
+    integral = isinstance(default[0] if pair else default, int)
+    kind = numbers.Integral if integral else numbers.Real
+    items = tuple(value) if pair and isinstance(value, (list, tuple)) else (value,)
+    if len(items) != (2 if pair else 1) or not all(
+        isinstance(v, kind) and not isinstance(v, bool)
+        and (integral or math.isfinite(v))
+        for v in items
+    ):
+        noun = "integer" if integral else "finite number"
+        what = f"a pair of {noun}s" if pair else ("an " if integral else "a ") + noun
+        raise DataValidationError(f"{name} must be {what}, got {value!r}")
+    return items if pair else value
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     patient_count: int = 15
@@ -59,17 +79,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "length_range", tuple(self.length_range))
-        object.__setattr__(
-            self, "compensation_coverage_range",
-            tuple(self.compensation_coverage_range),
-        )
-        if self.patient_count < 1:
-            raise DataValidationError("patient_count must be at least 1")
-        if self.trials_per_patient_per_side < 1:
-            raise DataValidationError(
-                "trials_per_patient_per_side must be at least 1"
+        for f in fields(self):
+            object.__setattr__(
+                self, f.name, _checked(f.name, getattr(self, f.name), f.default)
             )
+        for name in ("patient_count", "trials_per_patient_per_side"):
+            if getattr(self, name) < 1:
+                raise DataValidationError(f"{name} must be at least 1")
         lo, hi = self.length_range
         if not (1 <= lo <= hi <= self.t_max):
             raise DataValidationError(
@@ -89,25 +105,14 @@ class SynthConfig:
                 f"compensation_coverage_range {self.compensation_coverage_range} "
                 f"must be within [0, 1] with min <= max"
             )
-        if self.compensation_amplitude < 0 or self.motion_amplitude < 0:
-            raise DataValidationError("amplitudes must be non-negative")
-        if self.noise_std < 0:
-            raise DataValidationError("noise_std must be non-negative")
+        for name in ("compensation_amplitude", "motion_amplitude", "noise_std"):
+            if getattr(self, name) < 0:
+                raise DataValidationError(f"{name} must be non-negative")
 
     def compensation_probability(self, side: str) -> float:
         if side == "affected":
             return self.compensation_probability_affected
         return self.compensation_probability_unaffected
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SynthConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
-        if unknown:
-            raise DataValidationError(
-                f"unknown synth config fields: {sorted(unknown)}"
-            )
-        return cls(**obj)
 
 
 def load_synth_config(path) -> SynthConfig:
@@ -119,9 +124,12 @@ def load_synth_config(path) -> SynthConfig:
         raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DataValidationError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(obj) - {f.name for f in fields(SynthConfig)})
+    if unknown:
+        raise DataValidationError(f"{path}: unknown synth config fields: {unknown}")
     try:
-        return SynthConfig.from_dict(obj)
-    except TypeError as exc:
+        return SynthConfig(**obj)
+    except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from exc
 
 

@@ -48,7 +48,7 @@ SEED = 42
 @dataclass
 class PipelineRun:
     manifest: object
-    ftrials: list
+    fs: object
     model: object
     test_accuracy: float
     tracks: list
@@ -61,14 +61,13 @@ def pipeline():
     """Default config end-to-end run: synth, featurize, train, explain, sweep."""
     start = time.perf_counter()
     manifest = generate_dataset(SynthConfig(seed=SEED))
-    ftrials = featurize(manifest)
+    fs = featurize(manifest)
     train_set, test_set = split_dataset(manifest, 0.8, seed=SEED)
 
     def flatten(m):
-        fts = featurize(m)
-        X = np.stack([ft.features.ravel() for ft in fts])
-        y = np.array([ft.trial_label for ft in fts], dtype=np.float64)
-        return X, y
+        block = featurize(m)
+        return (block.features.reshape(len(block), -1),
+                block.trial_labels.astype(np.float64))
 
     X_train, y_train = flatten(train_set)
     X_test, y_test = flatten(test_set)
@@ -78,10 +77,10 @@ def pipeline():
         TrainConfig(seed=SEED),
     )
     test_accuracy = evaluate_accuracy(model, X_test, y_test)
-    tracks = compute_tracks(model, ftrials)
-    matrix = run_experiment_matrix(ftrials, tracks)
+    tracks = compute_tracks(model, fs)
+    matrix = run_experiment_matrix(fs, tracks)
     elapsed = time.perf_counter() - start
-    return PipelineRun(manifest, ftrials, model, test_accuracy, tracks,
+    return PipelineRun(manifest, fs, model, test_accuracy, tracks,
                        matrix, elapsed)
 
 
@@ -148,14 +147,14 @@ def test_criterion_2_metric_oracle():
 
 
 def test_criterion_3_bookkeeping_oracle(pipeline):
-    ftrials, tracks = pipeline.ftrials, pipeline.tracks
-    assert len(ftrials) == 300
+    fs, tracks = pipeline.fs, pipeline.tracks
+    assert len(fs) == 300
     assert pipeline.manifest.t_max == 394
-    all_entries = select_frames(ftrials, tracks, FilterMode.ALL)
+    all_entries = select_frames(fs, tracks, FilterMode.ALL)
     assert len(all_entries) == 118_200
-    no_pad = select_frames(ftrials, tracks, FilterMode.NO_PAD)
-    assert len(no_pad) == sum(ft.original_length for ft in ftrials)
-    comp = select_frames(ftrials, tracks, FilterMode.COMP_NO_PAD)
+    no_pad = select_frames(fs, tracks, FilterMode.NO_PAD)
+    assert len(no_pad) == fs.lengths.sum()
+    comp = select_frames(fs, tracks, FilterMode.COMP_NO_PAD)
     comp_keys = set(zip(comp.trial_id.tolist(), comp.frame_index.tolist()))
     no_pad_keys = set(zip(no_pad.trial_id.tolist(), no_pad.frame_index.tolist()))
     assert comp_keys <= no_pad_keys
@@ -280,10 +279,11 @@ def test_criterion_8_determinism(tmp_path_factory):
 def test_criterion_9_heatmap_contrast(pipeline):
     ratios = []
     exported = False
-    for ft in pipeline.ftrials:
-        if ft.trial_label != 0:
+    fs = pipeline.fs
+    for i, trial_id in enumerate(fs.trial_ids):
+        if fs.trial_labels[i] != 0:
             continue
-        grid = importance_matrix(compute_saliency(pipeline.model, ft))
+        grid = importance_matrix(compute_saliency(pipeline.model, fs, i))
         if not exported:
             # exercise the on-disk path once and assert on the file contents
             import tempfile, os
@@ -298,12 +298,12 @@ def test_criterion_9_heatmap_contrast(pipeline):
                 assert all(len(l.split(",")) == 17 for l in lines)
                 grid = load_heatmap(path)
             exported = True
-        length = ft.original_length
-        segment = ft.frame_labels[:length] == 0
+        length = fs.lengths[i]
+        segment = fs.frame_labels[i, :length] == 0
         seg_mean = grid[:length][segment].mean()
         pad_mean = grid[length:].mean()
         assert seg_mean >= 2.0 * pad_mean, \
-            f"trial {ft.trial_id}: {seg_mean:.4g} < 2 x {pad_mean:.4g}"
+            f"trial {trial_id}: {seg_mean:.4g} < 2 x {pad_mean:.4g}"
         ratios.append(seg_mean / pad_mean if pad_mean > 0 else np.inf)
     assert ratios, "no compensatory trials generated"
     finite = [r for r in ratios if np.isfinite(r)]

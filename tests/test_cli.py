@@ -85,6 +85,20 @@ class TestSynthCommand:
         assert run("synth", "--out", tmp_path / "x.jsonl",
                    "--config", config) == 2
 
+    @pytest.mark.parametrize("fields", [
+        {"seed": "a"},
+        {"patient_count": 1.5},
+        {"length_range": [10.5, 20]},
+    ])
+    def test_malformed_config_field_exits_2(self, tmp_path, capsys, fields):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(fields))
+        out = tmp_path / "x.jsonl"
+        assert run("synth", "--out", out, "--config", config) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and next(iter(fields)) in err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_grid_report(self, tmp_path, capsys):
@@ -130,6 +144,24 @@ class TestTrainCommand:
         assert "network.grid_search(" not in proc.stderr
         notes = proc.stderr.splitlines()
         assert len(notes) == len(set(notes))
+
+    @pytest.mark.parametrize("grid, field", [
+        ({"hidden_layers": [32], "learning_rates": [0.001]}, "hidden_layers"),
+        ({"hidden_layers": [[4]], "learning_rates": ["fast"]}, "learning_rates"),
+        ({"hidden_layers": [[4.5]], "learning_rates": [0.001]}, "hidden_layers"),
+    ])
+    def test_malformed_grid_file_exits_2(self, tmp_path, capsys, grid, field):
+        data = make_dataset(tmp_path)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        model = tmp_path / "model.json"
+        code = run("train", "--data", data, "--out", model, "--split", 0.5,
+                   "--grid", path, "--epochs", 1, "--batch-size", 4)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and field in err
+        assert not model.exists()
+        assert not (tmp_path / "model.json.grid.csv").exists()
 
     def test_missing_data_file(self, tmp_path):
         assert run("train", "--data", tmp_path / "nope.jsonl",

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from framescore.data import (
     DatasetManifest,
-    FeatureTrial,
+    LABEL_NORMAL,
     JointLayout,
     KeypointTrial,
-    extract_features,
     featurize,
     load_dataset,
-    pad_trial,
     save_dataset,
     split_dataset,
 )
@@ -57,35 +55,42 @@ class TestJointLayout:
             JointLayout(joints=())
 
 
+def featurize_one(trial, t_max=None):
+    """Feature block of a one-trial manifest, t_max defaulting to its length."""
+    return featurize(DatasetManifest(trials=(trial,), t_max=t_max or trial.length))
+
+
 class TestExtractFeatures:
+    """Displacement features of single trials, through featurize."""
+
     def test_displacement_definition(self):
         frames = np.full((6, 8, 2), 100.0)
         frames[:, :, 1] = 200.0
         frames[5, 3] = (103.0, 196.0)
         trial = KeypointTrial("t", "p", "affected", frames,
                              np.ones(6, dtype=np.int64), 1)
-        ft = extract_features(trial, JointLayout())
-        assert ft.features[5, 6] == 3.0
-        assert ft.features[5, 7] == -4.0
+        fs = featurize_one(trial)
+        assert fs.features[0, 5, 6] == 3.0
+        assert fs.features[0, 5, 7] == -4.0
 
     def test_first_row_is_zero(self):
         rng = np.random.default_rng(0)
         trial = make_trial(length=9, rng=rng)
-        ft = extract_features(trial, JointLayout())
-        assert np.all(ft.features[0] == 0.0)
+        fs = featurize_one(trial)
+        assert np.all(fs.features[0, 0] == 0.0)
 
     def test_constant_trajectory_all_zero(self):
         frames = np.full((7, 8, 2), 55.5)
         trial = KeypointTrial("t", "p", "affected", frames,
                              np.ones(7, dtype=np.int64), 1)
-        ft = extract_features(trial, JointLayout())
-        assert np.all(ft.features == 0.0)
+        fs = featurize_one(trial)
+        assert np.all(fs.features == 0.0)
 
     def test_labels_carried_through(self):
         trial = make_trial(length=5, comp_frames=(2,))
-        ft = extract_features(trial, JointLayout())
-        assert np.array_equal(ft.frame_labels, trial.frame_labels)
-        assert ft.trial_label == 0
+        fs = featurize_one(trial)
+        assert np.array_equal(fs.frame_labels[0], trial.frame_labels)
+        assert fs.trial_labels[0] == 0
 
     @given(offset=st.floats(-1e4, 1e4, allow_nan=False))
     @settings(max_examples=25, deadline=None)
@@ -96,8 +101,8 @@ class TestExtractFeatures:
             trial.trial_id, trial.patient_id, trial.side,
             trial.frames + offset, trial.frame_labels, trial.trial_label,
         )
-        a = extract_features(trial, JointLayout()).features
-        b = extract_features(shifted, JointLayout()).features
+        a = featurize_one(trial).features
+        b = featurize_one(shifted).features
         assert np.allclose(a, b, atol=1e-9)
 
     def test_joint_count_mismatch(self):
@@ -105,7 +110,7 @@ class TestExtractFeatures:
         trial = KeypointTrial("t", "p", "affected", frames,
                              np.ones(4, dtype=np.int64), 1)
         with pytest.raises(DataValidationError):
-            extract_features(trial, JointLayout())
+            featurize_one(trial)
 
     def test_non_finite_rejected_at_construction(self):
         frames = np.zeros((4, 8, 2))
@@ -116,38 +121,74 @@ class TestExtractFeatures:
 
 
 class TestPadTrial:
+    """Padding of trials shorter than t_max, through featurize."""
+
     def test_pad_appends_zero_rows_and_normal_labels(self):
         rng = np.random.default_rng(1)
-        ft = extract_features(make_trial(length=300, rng=rng), JointLayout())
-        padded = pad_trial(ft, 394)
-        assert padded.frame_count == 394
-        assert np.all(padded.features[300:] == 0.0)
-        assert np.all(padded.frame_labels[300:] == 1)
-        assert int(padded.padded_mask.sum()) == 94
+        fs = featurize_one(make_trial(length=300, rng=rng), t_max=394)
+        assert fs.features.shape[1] == 394
+        assert np.all(fs.features[0, 300:] == 0.0)
+        assert np.all(fs.frame_labels[0, 300:] == 1)
+        assert int(fs.padded.sum()) == 94
 
     def test_full_length_trial_unchanged(self):
         rng = np.random.default_rng(2)
-        ft = extract_features(make_trial(length=12, rng=rng), JointLayout())
-        assert pad_trial(ft, 12) is ft
+        trial = make_trial(length=12, rng=rng)
+        fs = featurize_one(trial, t_max=12)
+        assert np.array_equal(fs.features[0],
+                              (trial.frames - trial.frames[0]).reshape(12, 16))
+        assert not fs.padded.any()
 
     def test_too_long_rejected(self):
-        ft = extract_features(make_trial(length=12), JointLayout())
         with pytest.raises(DataValidationError):
-            pad_trial(ft, 11)
+            featurize_one(make_trial(length=12), t_max=11)
 
-    def test_feature_trial_invariants_enforced(self):
-        feats = np.zeros((5, 4))
-        feats[4, 0] = 1.0  # nonzero in the padded zone
-        with pytest.raises(DataValidationError):
-            FeatureTrial("t", feats, 3, np.ones(5, dtype=np.int64), 1)
-        feats = np.zeros((5, 4))
-        feats[0, 0] = 1.0  # nonzero first row
-        with pytest.raises(DataValidationError):
-            FeatureTrial("t", feats, 5, np.ones(5, dtype=np.int64), 1)
-        labels = np.ones(5, dtype=np.int64)
-        labels[4] = 0  # compensatory label on a padded frame
-        with pytest.raises(DataValidationError):
-            FeatureTrial("t", np.zeros((5, 4)), 3, labels, 0)
+
+@st.composite
+def manifests(draw):
+    """Small manifests of random shape, lengths, coordinates and labels."""
+    joints = draw(st.integers(1, 3))
+    t_max = draw(st.integers(1, 8))
+    lengths = draw(st.lists(st.integers(1, t_max), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trials = []
+    for i, length in enumerate(lengths):
+        labels = rng.integers(0, 2, size=length)
+        trials.append(KeypointTrial(
+            f"t{i}", "p", "affected",
+            rng.uniform(-1e3, 1e3, size=(length, joints, 2)),
+            labels, int(labels.min()),
+        ))
+    layout = JointLayout(joints=tuple(f"J{j}" for j in range(joints)))
+    return DatasetManifest(trials=tuple(trials), t_max=t_max, layout=layout)
+
+
+class TestFeatureSet:
+    @given(manifest=manifests())
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_trials_padding_and_is_read_only(self, manifest):
+        fs = featurize(manifest)
+        n, t_max, F = len(manifest), manifest.t_max, manifest.layout.feature_count
+        assert fs.features.shape == (n, t_max, F)
+        assert fs.frame_labels.shape == (n, t_max)
+        assert fs.trial_ids == tuple(t.trial_id for t in manifest.trials)
+        assert fs.lengths.tolist() == [t.length for t in manifest.trials]
+        assert fs.trial_labels.tolist() == [t.trial_label for t in manifest.trials]
+        for i, t in enumerate(manifest.trials):
+            L = t.length
+            assert np.array_equal(fs.features[i, :L],
+                                  (t.frames - t.frames[0]).reshape(L, F))
+            assert np.array_equal(fs.frame_labels[i, :L], t.frame_labels)
+            assert np.all(fs.features[i, L:] == 0.0)
+            assert np.all(fs.frame_labels[i, L:] == LABEL_NORMAL)
+        assert np.array_equal(fs.padded,
+                              np.arange(t_max) >= fs.lengths[:, None])
+        for a in (fs.features, fs.frame_labels, fs.lengths, fs.trial_labels):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            fs.features[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            fs.frame_labels[0, 0] = 0
 
 
 class TestSplit:
@@ -264,19 +305,17 @@ class TestInvariants:
 
     def test_bookkeeping_identity(self, small_synth_manifest):
         m = small_synth_manifest
-        ftrials = featurize(m)
-        comp = sum(int((ft.frame_labels == 0).sum()) for ft in ftrials)
-        unpadded_normal = sum(
-            int((ft.frame_labels[: ft.original_length] == 1).sum())
-            for ft in ftrials
-        )
-        padded = sum(ft.frame_count - ft.original_length for ft in ftrials)
+        fs = featurize(m)
+        comp = int((fs.frame_labels == 0).sum())
+        unpadded_normal = int(((fs.frame_labels == 1) & ~fs.padded).sum())
+        padded = int(fs.padded.sum())
+        assert padded == len(m) * m.t_max - sum(t.length for t in m.trials)
         assert comp + unpadded_normal + padded == len(m) * m.t_max
 
     def test_arrays_read_only(self, tiny_manifest):
         trial = tiny_manifest.trials[0]
         with pytest.raises(ValueError):
             trial.frames[0, 0, 0] = 1.0
-        ft = featurize(tiny_manifest)[0]
+        fs = featurize(tiny_manifest)
         with pytest.raises(ValueError):
-            ft.features[0, 0] = 1.0
+            fs.features[0, 0, 0] = 1.0

@@ -28,11 +28,11 @@ from framescore.evaluation import (
 from framescore.saliency import FramePool, FrameScoreTrack, normalize_pool
 
 
-def tracks_for(ftrials, seed=0):
+def tracks_for(fs, seed=0):
     rng = np.random.default_rng(seed)
     return [
-        FrameScoreTrack(ft.trial_id, rng.uniform(size=ft.frame_count))
-        for ft in ftrials
+        FrameScoreTrack(tid, rng.uniform(size=fs.features.shape[1]))
+        for tid in fs.trial_ids
     ]
 
 
@@ -127,23 +127,23 @@ class TestThresholdGrid:
 
 class TestSelectFrames:
     def test_mode_nesting(self, small_synth_manifest):
-        ftrials = featurize(small_synth_manifest)
-        tracks = tracks_for(ftrials)
+        fs = featurize(small_synth_manifest)
+        tracks = tracks_for(fs)
         sets = {}
         for mode in FilterMode:
-            sets[mode] = set(frame_keys(select_frames(ftrials, tracks, mode)))
+            sets[mode] = set(frame_keys(select_frames(fs, tracks, mode)))
         assert sets[FilterMode.COMP_NO_PAD] <= sets[FilterMode.NO_PAD]
         assert sets[FilterMode.NO_PAD] <= sets[FilterMode.ALL]
 
     def test_all_counts(self, small_synth_manifest):
-        ftrials = featurize(small_synth_manifest)
-        entries = select_frames(ftrials, tracks_for(ftrials), FilterMode.ALL)
-        assert len(entries) == len(ftrials) * small_synth_manifest.t_max
+        fs = featurize(small_synth_manifest)
+        entries = select_frames(fs, tracks_for(fs), FilterMode.ALL)
+        assert len(entries) == len(fs) * small_synth_manifest.t_max
 
     def test_no_pad_counts(self, small_synth_manifest):
-        ftrials = featurize(small_synth_manifest)
-        entries = select_frames(ftrials, tracks_for(ftrials), FilterMode.NO_PAD)
-        assert len(entries) == sum(ft.original_length for ft in ftrials)
+        fs = featurize(small_synth_manifest)
+        entries = select_frames(fs, tracks_for(fs), FilterMode.NO_PAD)
+        assert len(entries) == fs.lengths.sum()
         assert not entries.padded.any()
 
     def test_full_length_trial_identical_under_no_pad(self):
@@ -152,10 +152,10 @@ class TestSelectFrames:
 
         trial = make_trial("full", length=10)
         manifest = DatasetManifest(trials=(trial,), t_max=10)
-        ftrials = featurize(manifest)
-        tracks = tracks_for(ftrials)
-        all_entries = select_frames(ftrials, tracks, FilterMode.ALL)
-        nopad_entries = select_frames(ftrials, tracks, FilterMode.NO_PAD)
+        fs = featurize(manifest)
+        tracks = tracks_for(fs)
+        all_entries = select_frames(fs, tracks, FilterMode.ALL)
+        nopad_entries = select_frames(fs, tracks, FilterMode.NO_PAD)
         assert frame_keys(all_entries) == frame_keys(nopad_entries)
 
     def test_comp_mode_requires_compensatory_trials(self):
@@ -163,17 +163,17 @@ class TestSelectFrames:
         from framescore.data import DatasetManifest
 
         manifest = DatasetManifest(trials=(make_trial("n", length=6),), t_max=8)
-        ftrials = featurize(manifest)
+        fs = featurize(manifest)
         with pytest.raises(ContractError):
-            select_frames(ftrials, tracks_for(ftrials), FilterMode.COMP_NO_PAD)
+            select_frames(fs, tracks_for(fs), FilterMode.COMP_NO_PAD)
 
     def test_track_alignment_checked(self, small_synth_manifest):
-        ftrials = featurize(small_synth_manifest)
-        tracks = tracks_for(ftrials)
+        fs = featurize(small_synth_manifest)
+        tracks = tracks_for(fs)
         with pytest.raises(ContractError):
-            select_frames(ftrials, tracks[:-1], FilterMode.ALL)
+            select_frames(fs, tracks[:-1], FilterMode.ALL)
         with pytest.raises(ContractError):
-            select_frames(ftrials, list(reversed(tracks)), FilterMode.ALL)
+            select_frames(fs, list(reversed(tracks)), FilterMode.ALL)
 
     def test_parse_mode(self):
         assert FilterMode.parse("comp-no-pad") is FilterMode.COMP_NO_PAD
@@ -265,9 +265,9 @@ class TestHistogram:
 
 class TestExperimentMatrix:
     def test_full_matrix_shape(self, small_synth_manifest):
-        ftrials = featurize(small_synth_manifest)
-        tracks = tracks_for(ftrials)
-        matrix = run_experiment_matrix(ftrials, tracks)
+        fs = featurize(small_synth_manifest)
+        tracks = tracks_for(fs)
+        matrix = run_experiment_matrix(fs, tracks)
         assert len(matrix.reports) == 15
         pairs = {(r.mode, r.window_size) for r in matrix.reports}
         assert len(pairs) == 15
@@ -275,19 +275,19 @@ class TestExperimentMatrix:
         assert report.window_size == 5
 
     def test_window_counts_match_ceil_arithmetic(self, small_synth_manifest):
-        ftrials = featurize(small_synth_manifest)
-        tracks = tracks_for(ftrials)
+        fs = featurize(small_synth_manifest)
+        tracks = tracks_for(fs)
         matrix = run_experiment_matrix(
-            ftrials, tracks, modes=(FilterMode.NO_PAD,), windows=(5,)
+            fs, tracks, modes=(FilterMode.NO_PAD,), windows=(5,)
         )
         report = matrix.reports[0]
-        expected = sum(math.ceil(ft.original_length / 5) for ft in ftrials)
+        expected = sum(math.ceil(L / 5) for L in fs.lengths.tolist())
         assert report.total == expected
 
     def test_writers_produce_files(self, small_synth_manifest, tmp_path):
-        ftrials = featurize(small_synth_manifest)
+        fs = featurize(small_synth_manifest)
         matrix = run_experiment_matrix(
-            ftrials, tracks_for(ftrials), windows=(1, 5)
+            fs, tracks_for(fs), windows=(1, 5)
         )
         write_summary(matrix, tmp_path / "summary.csv")
         write_sweep_report(matrix.reports[0], tmp_path / "report.csv")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from framescore.errors import ContractError, DataValidationError, NumericFailure
 from framescore.network import (
+    _JSON_CHUNK,
     InputScaler,
     ModelArchitecture,
     TrainConfig,
@@ -359,6 +360,18 @@ class TestCompactTraining:
         assert np.all(model.weights[0][dead] == 0.0)
         assert not np.signbit(model.weights[0][dead]).any()
 
+    @pytest.mark.parametrize("epochs", [1, 3, 10])
+    def test_train_accuracy_matches_evaluate_accuracy(self, epochs):
+        rng = np.random.default_rng(epochs)
+        X = rng.normal(size=(40, 10))
+        X[:, [2, 7]] = [3.0, -0.5]
+        # Noisy labels keep the accuracy away from 0 and 1.
+        y = ((X[:, 0] + rng.normal(size=40)) > 0).astype(float)
+        model = train(X, y, ModelArchitecture(10, (6,)),
+                      TrainConfig(learning_rate=0.05, epochs=epochs,
+                                  batch_size=8, seed=epochs))
+        assert model.metadata["train_accuracy"] == evaluate_accuracy(model, X, y)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -485,6 +498,19 @@ class TestCheckpoint:
         json.dump(json.loads(path.read_text(encoding="utf-8")), streamed)
         streamed.write("\n")
         assert path.read_bytes() == streamed.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("input_dim", [1, _JSON_CHUNK // 4, _JSON_CHUNK // 2 + 1])
+    def test_bytes_match_across_write_chunks(self, tmp_path, input_dim):
+        # 4 * input_dim first-layer floats: part of one write chunk, exactly
+        # one, and two plus a partial third.
+        model = init_model(ModelArchitecture(input_dim, (4, 2)),
+                           np.random.default_rng(input_dim))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text)) + "\n"
+        for a, b in zip(load_model(path).weights, model.weights):
+            assert np.array_equal(a, b)
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "model.json"

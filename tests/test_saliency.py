@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framescore.data import FeatureTrial, JointLayout, featurize
+from framescore.data import DatasetManifest, JointLayout, featurize
 from framescore.errors import ContractError
 from framescore.evaluation import FilterMode, select_frames
 from framescore.network import ModelArchitecture, TrainConfig, train
@@ -21,6 +23,7 @@ from framescore.saliency import (
     windows_over_pool,
     write_raw_scores,
 )
+from tests.conftest import make_trial
 
 
 def pool_of(raws, labels=None, trial_ids=None, normalized=None):
@@ -66,16 +69,16 @@ class TestFrameAggregate:
         assert np.allclose(b, c * a, rtol=1e-12)
 
     def test_matches_model_gradient_shape(self, small_synth_manifest):
-        ftrials = featurize(small_synth_manifest)
-        X = np.stack([ft.features.ravel() for ft in ftrials])
-        y = np.array([ft.trial_label for ft in ftrials], dtype=np.float64)
+        fs = featurize(small_synth_manifest)
+        X = fs.features.reshape(len(fs), -1)
+        y = fs.trial_labels.astype(np.float64)
         model = train(X, y, ModelArchitecture(X.shape[1], (8,)),
                       TrainConfig(epochs=3, batch_size=4, seed=0))
-        sal = compute_saliency(model, ftrials[0])
-        assert sal.shape == ftrials[0].features.shape
+        sal = compute_saliency(model, fs, 0)
+        assert sal.shape == fs.features.shape[1:]
         assert not sal.flags.writeable
-        tracks = compute_tracks(model, ftrials)
-        assert len(tracks) == len(ftrials)
+        tracks = compute_tracks(model, fs)
+        assert len(tracks) == len(fs)
         assert len(tracks[0].raw_scores) == small_synth_manifest.t_max
 
 
@@ -119,17 +122,17 @@ class TestNormalizePool:
 
     def test_pool_composition_changes_normalization(self):
         """Shared frames renormalize when the padded pool holds the max."""
-        ftrials = [
-            FeatureTrial(tid, np.zeros((3, 2)), length, np.ones(3, dtype=int), 1)
-            for tid, length in (("a", 2), ("b", 3))
-        ]
+        fs = featurize(DatasetManifest(
+            trials=(make_trial("a", length=2), make_trial("b", length=3)),
+            t_max=3,
+        ))
         tracks = [
             FrameScoreTrack("a", np.array([1.0, 2.0, 9.0])),
             FrameScoreTrack("b", np.array([0.0, 3.0, 0.5])),
         ]
 
         def normalized_by_key(mode):
-            pool = normalize_pool(select_frames(ftrials, tracks, mode))
+            pool = normalize_pool(select_frames(fs, tracks, mode))
             keys = zip(pool.trial_id.tolist(), pool.frame_index.tolist())
             return pool, dict(zip(keys, pool.normalized.tolist()))
 
@@ -255,33 +258,34 @@ class TestHeatmap:
 class TestScoreFiles:
     @pytest.fixture
     def written(self, small_synth_manifest, tmp_path):
-        ftrials = featurize(small_synth_manifest)
+        fs = featurize(small_synth_manifest)
         rng = np.random.default_rng(6)
-        tracks = [FrameScoreTrack(ft.trial_id, rng.uniform(size=ft.frame_count))
-                  for ft in ftrials]
+        tracks = [FrameScoreTrack(tid, rng.uniform(size=small_synth_manifest.t_max))
+                  for tid in fs.trial_ids]
         path = tmp_path / "scores.csv"
-        write_raw_scores(path, ftrials, tracks)
-        return ftrials, tracks, path
+        write_raw_scores(path, fs, tracks)
+        return small_synth_manifest, tracks, path
 
     def test_round_trip(self, written):
-        ftrials, tracks, path = written
-        back = read_raw_scores(path, ftrials)
-        assert [t.trial_id for t in back] == [ft.trial_id for ft in ftrials]
+        manifest, tracks, path = written
+        back = read_raw_scores(path, featurize(manifest))
+        assert [t.trial_id for t in back] == [t.trial_id for t in tracks]
         for got, want in zip(back, tracks):
             assert np.array_equal(got.raw_scores, want.raw_scores)
 
     def test_shuffled_rows_read_back_to_the_same_tracks(self, written):
-        ftrials, tracks, path = written
+        manifest, tracks, path = written
         header, *rows = path.read_text().splitlines()
         order = np.random.default_rng(7).permutation(len(rows))
         path.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
-        back = read_raw_scores(path, ftrials)
-        assert [t.trial_id for t in back] == [ft.trial_id for ft in ftrials]
+        back = read_raw_scores(path, featurize(manifest))
+        assert [t.trial_id for t in back] == [t.trial_id for t in tracks]
         for got, want in zip(back, tracks):
             assert np.array_equal(got.raw_scores, want.raw_scores)
 
     def test_reads_tracks_in_dataset_order(self, written):
-        ftrials, tracks, path = written
-        back = read_raw_scores(path, ftrials[::-1])
-        assert [t.trial_id for t in back] == [ft.trial_id for ft in ftrials[::-1]]
+        manifest, tracks, path = written
+        reversed_fs = featurize(replace(manifest, trials=manifest.trials[::-1]))
+        back = read_raw_scores(path, reversed_fs)
+        assert [t.trial_id for t in back] == [t.trial_id for t in tracks[::-1]]
         assert np.array_equal(back[0].raw_scores, tracks[-1].raw_scores)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framescore.data import extract_features, save_dataset, JointLayout
+from framescore.data import DatasetManifest, JointLayout, featurize, save_dataset
 from framescore.errors import DataValidationError
 from framescore.synth import (
     SynthConfig,
@@ -12,6 +12,11 @@ from framescore.synth import (
 )
 
 LAYOUT = JointLayout()
+
+
+def trial_features(trial):
+    """(frames, features) displacement block of one unpadded trial."""
+    return featurize(DatasetManifest(trials=(trial,), t_max=trial.length)).features[0]
 
 
 def comp_channel_indices(side):
@@ -62,6 +67,35 @@ class TestConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(DataValidationError):
             SynthConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": "a"},
+            {"patient_count": 1.5},
+            {"t_max": True},
+            {"length_range": (10.5, 20)},
+            {"length_range": (10,)},
+            {"noise_std": "1"},
+            {"compensation_amplitude": False},
+            {"compensation_coverage_range": (0.5, None)},
+            {"noise_std": float("nan")},
+            {"motion_amplitude": float("inf")},
+        ],
+    )
+    def test_wrong_field_types_rejected(self, kwargs):
+        with pytest.raises(DataValidationError, match=next(iter(kwargs))):
+            SynthConfig(**kwargs)
+
+    def test_config_file_huge_integer_seed_accepted(self, tmp_path):
+        path = tmp_path / "synth.json"
+        path.write_text('{"seed": ' + "9" * 400 + "}")
+        assert load_synth_config(path).seed == int("9" * 400)
+
+    def test_numeric_fields_accept_ints_and_numpy_scalars(self):
+        config = SynthConfig(noise_std=2, seed=np.int64(3),
+                             compensation_coverage_range=[0, np.float64(1)])
+        assert config.compensation_coverage_range == (0, 1.0)
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "synth.json"
@@ -121,7 +155,7 @@ class TestGenerateTrial:
             noise_std=1.0,
         )
         trial = generate_trial(config, "P00", side, trial_rng(2, 0, side, 0))
-        feats = extract_features(trial, LAYOUT).features
+        feats = trial_features(trial)
         quiet = feats[:, quiet_channel_indices(side)]
         # displacement noise has std sqrt(2) * noise_std; a 5-sigma bound
         assert np.abs(quiet).max() < 5 * np.sqrt(2) * config.noise_std
@@ -134,7 +168,7 @@ class TestGenerateTrial:
             compensation_coverage_range=(0.6, 0.6),
         )
         trial = generate_trial(config, "P00", side, trial_rng(4, 0, side, 0))
-        feats = extract_features(trial, LAYOUT).features
+        feats = trial_features(trial)
         comp = np.flatnonzero(trial.frame_labels == 0)
         center = comp[len(comp) // 2]
         for f in comp_channel_indices(side):
