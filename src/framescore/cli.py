@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
@@ -123,25 +124,10 @@ def build_parser() -> _Parser:
 
 
 def _cmd_synth(args) -> int:
-    config = synth.SynthConfig() if args.config is None else \
-        synth.load_synth_config(args.config)
-    config = synth.with_overrides(
-        config,
-        patient_count=args.patient_count,
-        trials_per_patient_per_side=args.trials_per_patient_per_side,
-        length_range=tuple(args.length_range) if args.length_range else None,
-        compensation_probability_affected=args.compensation_probability_affected,
-        compensation_probability_unaffected=args.compensation_probability_unaffected,
-        compensation_coverage_range=(
-            tuple(args.compensation_coverage_range)
-            if args.compensation_coverage_range else None
-        ),
-        compensation_amplitude=args.compensation_amplitude,
-        motion_amplitude=args.motion_amplitude,
-        noise_std=args.noise_std,
-        t_max=args.t_max,
-        seed=args.seed,
-    )
+    # each flag's dest is the name of the generator field it overrides
+    config = synth.load_synth_config(args.config, **{
+        f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)
+    })
     manifest = synth.generate_dataset(config)
     data.save_dataset(manifest, args.out)
 

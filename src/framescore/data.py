@@ -276,11 +276,8 @@ _TRIAL_FIELDS = (
 
 
 def load_dataset(path) -> DatasetManifest:
-    """Parse a dataset file; validation errors name the offending line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataValidationError(f"{path}: empty dataset file")
+    """Parse a dataset file one line at a time; validation errors name the
+    offending line."""
 
     def parse(lineno: int, text: str) -> dict:
         try:
@@ -291,48 +288,55 @@ def load_dataset(path) -> DatasetManifest:
             raise DataValidationError(f"{path}:{lineno}: expected an object")
         return obj
 
-    header = parse(1, lines[0])
-    for key in ("t_max", "joints", "provenance", "seed"):
-        if key not in header:
-            raise DataValidationError(f"{path}:1: missing field {key!r}")
-    joints = header["joints"]
-    if not isinstance(joints, list) or not all(isinstance(j, str) for j in joints):
-        raise DataValidationError(
-            f"{path}:1: field 'joints' must be a list of names, got {joints!r}"
-        )
-    for key in ("t_max", "seed"):
-        try:
-            header[key] = int(header[key])
-        except (TypeError, ValueError) as exc:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = enumerate((line.rstrip("\n") for line in fh), start=1)
+        first = next(lines, None)
+        if first is None:
+            raise DataValidationError(f"{path}: empty dataset file")
+        header = parse(*first)
+        for key in ("t_max", "joints", "provenance", "seed"):
+            if key not in header:
+                raise DataValidationError(f"{path}:1: missing field {key!r}")
+        joints = header["joints"]
+        if not isinstance(joints, list) or \
+                not all(isinstance(j, str) for j in joints):
             raise DataValidationError(
-                f"{path}:1: field {key!r} must be an integer, "
-                f"got {header[key]!r}"
-            ) from exc
-    layout = JointLayout(joints=tuple(joints))
-
-    trials = []
-    for lineno, text in enumerate(lines[1:], start=2):
-        if not text.strip():
-            continue
-        rec = parse(lineno, text)
-        for field_name in _TRIAL_FIELDS:
-            if field_name not in rec:
-                raise DataValidationError(
-                    f"{path}:{lineno}: missing field {field_name!r}"
-                )
-        try:
-            trials.append(
-                KeypointTrial(
-                    trial_id=rec["trial_id"],
-                    patient_id=rec["patient_id"],
-                    side=rec["side"],
-                    frames=np.asarray(rec["frames"], dtype=np.float64),
-                    frame_labels=np.asarray(rec["frame_labels"], dtype=np.int64),
-                    trial_label=int(rec["trial_label"]),
-                )
+                f"{path}:1: field 'joints' must be a list of names, got {joints!r}"
             )
-        except (DataValidationError, ValueError, TypeError) as exc:
-            raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
+        for key in ("t_max", "seed"):
+            try:
+                header[key] = int(header[key])
+            except (TypeError, ValueError) as exc:
+                raise DataValidationError(
+                    f"{path}:1: field {key!r} must be an integer, "
+                    f"got {header[key]!r}"
+                ) from exc
+        layout = JointLayout(joints=tuple(joints))
+
+        trials = []
+        for lineno, text in lines:
+            if not text.strip():
+                continue
+            rec = parse(lineno, text)
+            for field_name in _TRIAL_FIELDS:
+                if field_name not in rec:
+                    raise DataValidationError(
+                        f"{path}:{lineno}: missing field {field_name!r}"
+                    )
+            try:
+                trials.append(
+                    KeypointTrial(
+                        trial_id=rec["trial_id"],
+                        patient_id=rec["patient_id"],
+                        side=rec["side"],
+                        frames=np.asarray(rec["frames"], dtype=np.float64),
+                        frame_labels=np.asarray(rec["frame_labels"],
+                                                dtype=np.int64),
+                        trial_label=int(rec["trial_label"]),
+                    )
+                )
+            except (DataValidationError, ValueError, TypeError) as exc:
+                raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
     if not trials:
         raise DataValidationError(f"{path}: no trials")
     try:

@@ -2,8 +2,11 @@
 
 The positive class throughout is compensatory (frame label 0): a frame or
 window is predicted compensatory when its normalized score exceeds the
-threshold. Sweeps evaluate a uniform threshold grid over [0, 1] and report
-the row maximizing F-beta, ties resolved toward the smallest threshold.
+threshold. A sweep evaluates a uniform threshold grid over [0, 1] as
+columns: each label group's scores are sorted once, and one binary search
+over the whole grid gives the count above every threshold. The report holds
+one array per column and picks the threshold maximizing F-beta, ties
+resolved toward the smallest threshold.
 """
 
 from __future__ import annotations
@@ -83,52 +86,56 @@ def select_frames(
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    """Counts with compensatory as the positive class."""
+    """Counts with compensatory as the positive class: ints at one
+    threshold, or arrays with one entry per threshold."""
 
-    tp: int
-    fp: int
-    tn: int
-    fn: int
+    tp: int | np.ndarray
+    fp: int | np.ndarray
+    tn: int | np.ndarray
+    fn: int | np.ndarray
 
     @property
-    def total(self) -> int:
+    def total(self) -> int | np.ndarray:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def confusion_at(scores: np.ndarray, labels: np.ndarray, tau: float
+def confusion_at(scores: np.ndarray, labels: np.ndarray, tau
                  ) -> ConfusionCounts:
+    """Counts of `scores > tau` per label group, at one threshold or at each
+    of an array of thresholds."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    predicted_comp = scores > tau
-    actual_comp = labels == LABEL_COMPENSATORY
-    return ConfusionCounts(
-        tp=int(np.sum(predicted_comp & actual_comp)),
-        fp=int(np.sum(predicted_comp & ~actual_comp)),
-        tn=int(np.sum(~predicted_comp & ~actual_comp)),
-        fn=int(np.sum(~predicted_comp & actual_comp)),
-    )
+    actual_comp = np.asarray(labels, dtype=np.int64) == LABEL_COMPENSATORY
+    comp = np.sort(scores[actual_comp])
+    normal = np.sort(scores[~actual_comp])
+    # the scores above tau are those right of its rightmost insertion point
+    tp = len(comp) - np.searchsorted(comp, tau, side="right")
+    fp = len(normal) - np.searchsorted(normal, tau, side="right")
+    if np.ndim(tau) == 0:
+        tp, fp = int(tp), int(fp)
+    return ConfusionCounts(tp=tp, fp=fp, tn=len(normal) - fp, fn=len(comp) - tp)
 
 
-def precision(counts: ConfusionCounts) -> float:
-    denom = counts.tp + counts.fp
-    return counts.tp / denom if denom else 0.0
+def _ratio(num, denom):
+    """num / denom, and 0 where denom is 0 (num is 0 there too)."""
+    return num / (denom + (denom == 0))
 
 
-def recall(counts: ConfusionCounts) -> float:
-    denom = counts.tp + counts.fn
-    return counts.tp / denom if denom else 0.0
+def precision(counts: ConfusionCounts):
+    return _ratio(counts.tp, counts.tp + counts.fp)
 
 
-def fbeta(counts: ConfusionCounts, beta: float) -> float:
+def recall(counts: ConfusionCounts):
+    return _ratio(counts.tp, counts.tp + counts.fn)
+
+
+def fbeta(counts: ConfusionCounts, beta: float):
     """(1 + b^2) P R / (b^2 P + R), zero when both P and R are zero."""
     if beta <= 0:
         raise ContractError("beta must be positive")
     p = precision(counts)
     r = recall(counts)
-    if p == 0.0 and r == 0.0:
-        return 0.0
     b2 = beta * beta
-    return (1.0 + b2) * p * r / (b2 * p + r)
+    return _ratio((1.0 + b2) * p * r, b2 * p + r)
 
 
 def threshold_grid(step: float) -> list[float]:
@@ -149,52 +156,43 @@ def threshold_grid(step: float) -> list[float]:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    tau: float
-    counts: ConfusionCounts
-    precision: float
-    recall: float
-    fbeta: float
-
-
-@dataclass(frozen=True)
 class ThresholdSweepReport:
+    """One column entry per grid threshold; best_index maximizes F-beta."""
+
     mode: FilterMode
     window_size: int
     beta: float
     step: float
-    rows: tuple[SweepRow, ...]
+    taus: np.ndarray
+    counts: ConfusionCounts
+    precision: np.ndarray
+    recall: np.ndarray
+    fbeta: np.ndarray
     best_index: int
-    group0: int
-    group1: int
-
-    @property
-    def best(self) -> SweepRow:
-        return self.rows[self.best_index]
 
     @property
     def best_tau(self) -> float:
-        return self.best.tau
+        return float(self.taus[self.best_index])
 
     @property
     def best_recall(self) -> float:
-        return self.best.recall
+        return float(self.recall[self.best_index])
 
     @property
     def best_fbeta(self) -> float:
-        return self.best.fbeta
+        return float(self.fbeta[self.best_index])
+
+    @property
+    def group0(self) -> int:
+        return int(self.counts.tp[0] + self.counts.fn[0])
+
+    @property
+    def group1(self) -> int:
+        return int(self.counts.fp[0] + self.counts.tn[0])
 
     @property
     def total(self) -> int:
         return self.group0 + self.group1
-
-    @property
-    def group0_fraction(self) -> float:
-        return self.group0 / self.total if self.total else 0.0
-
-    @property
-    def group1_fraction(self) -> float:
-        return self.group1 / self.total if self.total else 0.0
 
 
 def sweep(
@@ -205,38 +203,28 @@ def sweep(
     mode: FilterMode = FilterMode.ALL,
     window_size: int = 1,
 ) -> ThresholdSweepReport:
-    """Evaluate every threshold on the grid; best row maximizes F-beta."""
+    """Evaluate every threshold on the grid; the best one maximizes F-beta,
+    ties resolved toward the smallest threshold."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(scores) == 0:
         raise ContractError("cannot sweep an empty pool")
     if scores.shape != labels.shape:
         raise ContractError("scores and labels must align")
-    rows = []
-    best_index = 0
-    best_score = -1.0
-    for tau in threshold_grid(step):
-        counts = confusion_at(scores, labels, tau)
-        row = SweepRow(
-            tau=tau,
-            counts=counts,
-            precision=precision(counts),
-            recall=recall(counts),
-            fbeta=fbeta(counts, beta),
-        )
-        if row.fbeta > best_score:
-            best_score = row.fbeta
-            best_index = len(rows)
-        rows.append(row)
+    taus = np.array(threshold_grid(step))
+    counts = confusion_at(scores, labels, taus)
+    f = fbeta(counts, beta)
     return ThresholdSweepReport(
         mode=mode,
         window_size=window_size,
         beta=beta,
         step=step,
-        rows=tuple(rows),
-        best_index=best_index,
-        group0=int(np.sum(labels == LABEL_COMPENSATORY)),
-        group1=int(np.sum(labels == LABEL_NORMAL)),
+        taus=taus,
+        counts=counts,
+        precision=precision(counts),
+        recall=recall(counts),
+        fbeta=f,
+        best_index=int(np.argmax(f)),
     )
 
 
@@ -321,28 +309,20 @@ def run_experiment_matrix(
 
 def write_sweep_report(report: ThresholdSweepReport, path) -> None:
     """One row per threshold plus a best-row summary block."""
+    c = report.counts
+    columns = (report.taus, c.tp, c.fp, c.tn, c.fn,
+               report.precision, report.recall, report.fbeta)
+    lead = [report.mode.value, report.window_size, repr(report.beta)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["mode", "window", "beta", "tau", "tp", "fp", "tn", "fn",
              "precision", "recall", "fbeta"]
         )
-        for row in report.rows:
-            writer.writerow(
-                [
-                    report.mode.value,
-                    report.window_size,
-                    repr(report.beta),
-                    repr(row.tau),
-                    row.counts.tp,
-                    row.counts.fp,
-                    row.counts.tn,
-                    row.counts.fn,
-                    repr(row.precision),
-                    repr(row.recall),
-                    repr(row.fbeta),
-                ]
-            )
+        writer.writerows(
+            lead + [repr(v) for v in row]
+            for row in zip(*(col.tolist() for col in columns))
+        )
         writer.writerow([])
         writer.writerow(["# best", "tau", "recall", "fbeta", "group0", "group1"])
         writer.writerow(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -115,21 +115,30 @@ class SynthConfig:
         return self.compensation_probability_unaffected
 
 
-def load_synth_config(path) -> SynthConfig:
-    """Read a SynthConfig from a JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DataValidationError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(obj) - {f.name for f in fields(SynthConfig)})
-    if unknown:
-        raise DataValidationError(f"{path}: unknown synth config fields: {unknown}")
+def load_synth_config(path=None, **overrides) -> SynthConfig:
+    """A SynthConfig from a JSON file's fields (the defaults when path is
+    None), with every non-None override replacing its field before the
+    config is validated."""
+    obj = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise DataValidationError(f"{path}: config must be a JSON object")
+        unknown = sorted(set(obj) - {f.name for f in fields(SynthConfig)})
+        if unknown:
+            raise DataValidationError(
+                f"{path}: unknown synth config fields: {unknown}"
+            )
+    obj.update((k, v) for k, v in overrides.items() if v is not None)
     try:
         return SynthConfig(**obj)
     except DataValidationError as exc:
+        if path is None:
+            raise
         raise DataValidationError(f"{path}: {exc}") from exc
 
 
@@ -238,9 +247,3 @@ def generate_dataset(config: SynthConfig) -> DatasetManifest:
         provenance="synthetic",
         seed=config.seed,
     )
-
-
-def with_overrides(config: SynthConfig, **overrides) -> SynthConfig:
-    """Return a copy with the given fields replaced (None values skipped)."""
-    filtered = {k: v for k, v in overrides.items() if v is not None}
-    return replace(config, **filtered)

@@ -79,6 +79,14 @@ class TestSynthCommand:
                    "--patient-count", 1) == 0
         assert "4 trials" in capsys.readouterr().out
 
+    def test_flag_replaces_an_invalid_file_value(self, tmp_path):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({"patient_count": 0}))
+        with_file = make_dataset(tmp_path, "with.jsonl", patients=1,
+                                 extra=("--config", config))
+        without = make_dataset(tmp_path, "without.jsonl", patients=1)
+        assert with_file.read_bytes() == without.read_bytes()
+
     def test_invalid_config_file(self, tmp_path):
         config = tmp_path / "synth.json"
         config.write_text("{broken")

@@ -196,7 +196,7 @@ class TestSweep:
         scores = np.array([0.2, 0.8, 0.5])
         labels = np.array([1, 1, 1])
         report = sweep(scores, labels)
-        assert all(row.fbeta == 0.0 for row in report.rows)
+        assert np.all(report.fbeta == 0.0)
         assert report.best_tau == 0.0
 
     def test_recall_non_increasing_and_totals_constant(self):
@@ -206,25 +206,24 @@ class TestSweep:
             scores = rng.uniform(size=n)
             labels = rng.integers(0, 2, size=n)
             report = sweep(scores, labels, step=0.05)
-            recalls = [row.recall for row in report.rows]
+            recalls = report.recall.tolist()
             assert all(a >= b - 1e-15 for a, b in zip(recalls, recalls[1:]))
-            assert all(row.counts.total == n for row in report.rows)
+            assert np.all(report.counts.total == n)
 
     def test_endpoint_behavior(self):
         rng = np.random.default_rng(1)
         scores = rng.uniform(0.01, 0.99, size=50)
         labels = rng.integers(0, 2, size=50)
         report = sweep(scores, labels)
-        top = report.rows[-1]
-        assert top.tau == 1.0
-        assert top.counts.tp == 0 and top.counts.fp == 0
-        bottom = report.rows[0]
+        c = report.counts
+        assert report.taus[-1] == 1.0
+        assert c.tp[-1] == 0 and c.fp[-1] == 0
         flagged = int((scores > 0).sum())
-        assert bottom.counts.tp + bottom.counts.fp == flagged
+        assert c.tp[0] + c.fp[0] == flagged
 
     def test_rows_cover_grid(self):
         report = sweep(np.array([0.5]), np.array([0]), step=0.25)
-        assert [row.tau for row in report.rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert report.taus.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ContractError):
@@ -235,8 +234,59 @@ class TestSweep:
         assert report.group0 == 2
         assert report.group1 == 1
         assert report.total == 3
-        assert report.group0_fraction == pytest.approx(2 / 3)
-        assert report.group1_fraction == pytest.approx(1 / 3)
+
+    @given(
+        pool=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(0.0, 1.0),
+                    # exactly on a threshold of the 0.01, 0.25 or 0.3 grid
+                    st.integers(0, 100).map(lambda i: round(i * 0.01, 12)),
+                    st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0]),
+                ),
+                st.sampled_from([0, 1]),
+            ),
+            min_size=1, max_size=60,
+        ),
+        one_class=st.sampled_from([None, 0, 1]),
+        step=st.sampled_from([0.01, 0.25, 0.3]),
+        beta=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_columns_match_a_per_threshold_loop(self, pool, one_class, step,
+                                                beta):
+        scores = np.array([s for s, _ in pool])
+        labels = np.array([l if one_class is None else one_class
+                           for _, l in pool])
+        report = sweep(scores, labels, beta=beta, step=step)
+        b2 = beta * beta
+        comp = labels == 0
+        want = {k: [] for k in ("tp", "fp", "tn", "fn", "p", "r", "f")}
+        for tau in threshold_grid(step):
+            flagged = scores > tau
+            tp = int(np.sum(flagged & comp))
+            fp = int(np.sum(flagged & ~comp))
+            fn = int(np.sum(~flagged & comp))
+            p = tp / (tp + fp) if tp + fp else 0.0
+            r = tp / (tp + fn) if tp + fn else 0.0
+            want["tp"].append(tp)
+            want["fp"].append(fp)
+            want["tn"].append(int(np.sum(~flagged & ~comp)))
+            want["fn"].append(fn)
+            want["p"].append(p)
+            want["r"].append(r)
+            want["f"].append((1.0 + b2) * p * r / (b2 * p + r)
+                             if p or r else 0.0)
+        c = report.counts
+        assert report.taus.tolist() == threshold_grid(step)
+        assert c.tp.tolist() == want["tp"]
+        assert c.fp.tolist() == want["fp"]
+        assert c.tn.tolist() == want["tn"]
+        assert c.fn.tolist() == want["fn"]
+        assert report.precision.tolist() == want["p"]
+        assert report.recall.tolist() == want["r"]
+        assert report.fbeta.tolist() == want["f"]
+        assert report.best_index == want["f"].index(max(want["f"]))
 
 
 class TestHistogram:
