@@ -10,9 +10,15 @@ Input coordinates that are constant over the training set get a scale of
 zero and their first-layer weight rows are zeroed at initialization: they
 cannot influence the output, would never receive weight updates anyway, and
 therefore carry exactly zero input gradient instead of initialization noise.
-Training standardizes the inputs once per fit and trains the first layer on
-the live coordinates only; the trained rows are scattered back into the
-full-width first-layer matrix, whose dead rows stay exactly zero.
+Training standardizes the inputs once per fit, Z = standardized live
+columns of X (n trials x live inputs), and trains the first layer in its
+dual form. Every first-layer gradient is Z[batch].T @ delta, so momentum SGD
+never moves W0 out of W0_init + span(Z.T): W0 - W0_init == Z.T @ S for an
+n x h coefficient matrix S (the representer argument of Schoelkopf, Herbrich
+& Smola 2001). Training updates S through the n x n Gram matrix Z @ Z.T,
+which costs O(batch * n * h) per step instead of O(batch * live * h), with
+n far below the live input count. The trained live rows are scattered back
+into the full-width first-layer matrix, whose dead rows stay exactly zero.
 """
 
 from __future__ import annotations
@@ -173,27 +179,36 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _forward(weights, biases, h: np.ndarray):
     """Probabilities plus cached pre-activations and activations per layer
     for standardized inputs h; the one layer loop of training and inference."""
-    pre, post = [], [h]
-    for W, b in zip(weights[:-1], biases[:-1]):
-        z = h @ W + b
+    probs, pre, post = _activate(h @ weights[0] + biases[0], weights[1:], biases[1:])
+    return probs, pre, [h, *post]
+
+
+def _activate(z: np.ndarray, weights, biases):
+    """The layers after the first, from the first layer's pre-activation z:
+    probabilities, hidden pre-activations, and the inputs of layers 1.."""
+    pre, post = [], []
+    for W, b in zip(weights, biases):
         h = np.maximum(z, 0.0)
         pre.append(z)
         post.append(h)
-    logits = (h @ weights[-1] + biases[-1])[:, 0]
-    return _sigmoid(logits), pre, post
+        z = h @ W + b
+    return _sigmoid(z[:, 0]), pre, post
+
+
+def _deltas(weights, y, probs, pre):
+    """Mean-over-batch loss derivative at each layer's pre-activation."""
+    d = (probs - y)[:, None] / len(y)
+    deltas = [d]
+    for li in range(len(weights) - 2, -1, -1):
+        d = (d @ weights[li + 1].T) * (pre[li] > 0)
+        deltas.insert(0, d)
+    return deltas
 
 
 def _backward(weights, y, probs, pre, post):
     """Mean-over-batch gradients for every weight and bias."""
-    delta = (probs - y)[:, None] / len(y)
-    grads_w = [post[-1].T @ delta]
-    grads_b = [delta.sum(axis=0)]
-    d = delta
-    for li in range(len(weights) - 2, -1, -1):
-        d = (d @ weights[li + 1].T) * (pre[li] > 0)
-        grads_w.insert(0, post[li].T @ d)
-        grads_b.insert(0, d.sum(axis=0))
-    return grads_w, grads_b
+    deltas = _deltas(weights, y, probs, pre)
+    return [h.T @ d for h, d in zip(post, deltas)], [d.sum(axis=0) for d in deltas]
 
 
 def _forward_batch(model: TrainedModel, X: np.ndarray):
@@ -285,12 +300,20 @@ def train(
 
     scaler = InputScaler.fit(X)
     model = init_model(architecture, _init_rng(config.seed), scaler)
-    # Train on the live coordinates only: dead inputs are zero after
-    # standardizing and their first-layer rows stay zero.
+    # Dead inputs are zero after standardizing and their first-layer rows
+    # stay zero, so only the live columns of Z and rows of W0 take part.
     live = scaler.live_mask
-    Z = scaler.transform(X)[:, live]
-    weights = [model.weights[0][live], *model.weights[1:]]
-    params = weights + model.biases
+    Z = (X[:, live] - scaler.mean[live]) * scaler.scale[live]
+    # Every first-layer gradient is Z[idx].T @ d0, so W0 - W0_init == Z.T @ S
+    # for an n x h coefficient matrix S, updated with the same momentum rule
+    # as the weights: a step costs O(batch * n * h), not O(batch * live * h).
+    W0 = model.weights[0][live]
+    K = Z @ Z.T
+    A0 = Z @ W0
+    S = np.zeros_like(A0)
+    V = np.zeros_like(A0)
+    weights, biases = model.weights, model.biases
+    params = weights[1:] + biases
     velocities = [np.zeros_like(p) for p in params]
     shuffle = _shuffle_rng(config.seed)
 
@@ -301,7 +324,8 @@ def train(
         for bi, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
             yb = y[idx]
-            probs, pre, post = _forward(weights, model.biases, Z[idx])
+            probs, pre, post = _activate(A0[idx] + K[idx] @ S + biases[0],
+                                         weights[1:], biases[1:])
             clamped = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
             batch_loss = float(
                 -(yb * np.log(clamped) + (1 - yb) * np.log(1 - clamped)).mean()
@@ -311,15 +335,23 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {bi}"
                 )
             epoch_loss += batch_loss * len(idx)
-            grads_w, grads_b = _backward(weights, yb, probs, pre, post)
-            for p, v, g in zip(params, velocities, grads_w + grads_b):
+            deltas = _deltas(weights, yb, probs, pre)
+            grads = [h.T @ d for h, d in zip(post, deltas[1:])]
+            grads += [d.sum(axis=0) for d in deltas]
+            for p, v, g in zip(params, velocities, grads):
                 v *= config.momentum
                 g *= config.learning_rate
                 v -= g
                 p += v
+            # W0's momentum step in coefficients: Z.T @ V is W0's velocity,
+            # and its gradient Z[idx].T @ deltas[0] touches rows idx of V.
+            V *= config.momentum
+            V[idx] -= config.learning_rate * deltas[0]
+            S += V
         trace.append(epoch_loss / n)
-    model.weights[0][live] = weights[0]
-    probs, _, _ = _forward(weights, model.biases, Z)
+    W0 += (S.T @ Z).T
+    model.weights[0][live] = W0
+    probs, _, _ = _forward([W0, *weights[1:]], biases, Z)
 
     model.metadata = {
         "seed": config.seed,
@@ -484,28 +516,59 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("}\n")
 
 
+def _architecture(obj) -> ModelArchitecture:
+    hidden = obj["hidden_layers"]
+    if type(obj["input_dim"]) is not int or not isinstance(hidden, list) \
+            or any(type(w) is not int for w in hidden):
+        raise TypeError("want an integer input_dim and a list of integer "
+                        f"hidden_layers, got {obj!r}")
+    return ModelArchitecture(obj["input_dim"], tuple(hidden))
+
+
 def load_model(path) -> TrainedModel:
+    """Read a `save_model` checkpoint. A malformed one raises
+    DataValidationError naming the path and the field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataValidationError(f"{path}: invalid checkpoint JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataValidationError(
+            f"{path}: checkpoint must be a JSON object, got "
+            f"{type(payload).__name__}"
+        )
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise DataValidationError(
             f"{path}: unsupported checkpoint format {payload.get('format')!r}"
         )
-    arch = ModelArchitecture(
-        input_dim=int(payload["architecture"]["input_dim"]),
-        hidden_layers=tuple(payload["architecture"]["hidden_layers"]),
-    )
-    scaler = InputScaler(
-        mean=np.asarray(payload["scaler"]["mean"], dtype=np.float64),
-        scale=np.asarray(payload["scaler"]["scale"], dtype=np.float64),
-    )
+
+    def read(name, build):
+        if name not in payload:
+            raise DataValidationError(f"{path}: checkpoint field {name!r} is missing")
+        try:
+            return build(payload[name])
+        except (DataValidationError, KeyError, TypeError, ValueError) as exc:
+            why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise DataValidationError(
+                f"{path}: checkpoint field {name!r}: {why}") from exc
+
+    arch = read("architecture", _architecture)
     dims = arch.layer_dims
-    weights = [
+    scaler = read("scaler", lambda s: InputScaler(
+        mean=np.asarray(s["mean"], dtype=np.float64),
+        scale=np.asarray(s["scale"], dtype=np.float64),
+    ))
+    weights = read("weights", lambda ws: [
         np.asarray(flat, dtype=np.float64).reshape(a, b)
-        for flat, a, b in zip(payload["weights"], dims[:-1], dims[1:])
-    ]
-    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
-    return TrainedModel(arch, scaler, weights, biases, payload.get("metadata", {}))
+        for flat, a, b in zip(ws, dims[:-1], dims[1:])
+    ])
+    biases = read("biases", lambda bs: [np.asarray(b, dtype=np.float64) for b in bs])
+    metadata = payload.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DataValidationError(
+            f"{path}: checkpoint field 'metadata' must be a JSON object")
+    try:
+        return TrainedModel(arch, scaler, weights, biases, metadata)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from exc

@@ -273,6 +273,29 @@ class TestExplainCommand:
         assert "checkpoint joints 'not recorded'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("corrupt, expected", [
+        # Each corruption edits the payload in place and returns the JSON.
+        (lambda p: (p.pop("scaler"), p)[1], "'scaler' is missing"),
+        (lambda p: (p["weights"][0].pop(), p)[1], "'weights'"),
+        (lambda p: [p], "must be a JSON object"),
+        (lambda p: (p["architecture"].update(hidden_layers="32"), p)[1],
+         "hidden_layers"),
+        (lambda p: (p["weights"].pop(), p)[1], "layer count mismatch"),
+    ], ids=["no-scaler", "short-weights", "list", "string-widths",
+            "missing-layer"])
+    def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, corrupt,
+                                          expected):
+        data = make_dataset(tmp_path)
+        model = train_small(tmp_path, data)
+        model.write_text(json.dumps(corrupt(json.loads(model.read_text()))))
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert run("explain", "--model", model, "--data", data,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and expected in err
+        assert not out.exists()
+
 
 def _set(lines, lineno, column, value):
     row = lines[lineno - 1].split(",")

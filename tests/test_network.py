@@ -334,9 +334,26 @@ def reference_train(X, y, architecture, config):
     return model, trace
 
 
+def assert_matches_reference(X, y, arch, config, dead_count):
+    """Weights to 64 ulp of each layer's largest reference weight, the loss
+    trace to 1e-12, and dead first-layer rows exactly +0.0."""
+    model = train(X, y, arch, config)
+    ref, ref_trace = reference_train(X, y, arch, config)
+    for got, want in zip(model.weights + model.biases,
+                         ref.weights + ref.biases):
+        atol = 64 * np.finfo(float).eps * np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+    np.testing.assert_allclose(model.metadata["loss_trace"], ref_trace,
+                               rtol=1e-12)
+    dead = ~model.scaler.live_mask
+    assert dead.sum() == dead_count
+    assert np.all(model.weights[0][dead] == 0.0)
+    assert not np.signbit(model.weights[0][dead]).any()
+
+
 class TestCompactTraining:
-    """`train` fits the first layer on live coordinates only; the result must
-    match the full-width loop to the last bits."""
+    """`train` fits the first layer as W0_init + Z.T @ S on live coordinates
+    only; the result must match the full-width primal loop up to rounding."""
 
     @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
     @pytest.mark.parametrize("seed", [0, 3])
@@ -345,20 +362,23 @@ class TestCompactTraining:
         X = rng.normal(size=(30, 12)) * rng.uniform(0.5, 4.0, size=12)
         X[:, [0, 5, 6, 11]] = [2.5, -1.0, 0.0, 7.0]
         y = (X[:, 1] + X[:, 3] > 0).astype(float)
-        arch = ModelArchitecture(12, hidden)
         config = TrainConfig(learning_rate=0.05, epochs=25, batch_size=8,
                              seed=seed)
-        model = train(X, y, arch, config)
-        ref, ref_trace = reference_train(X, y, arch, config)
-        for got, want in zip(model.weights + model.biases,
-                             ref.weights + ref.biases):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(model.metadata["loss_trace"], ref_trace,
-                                   rtol=1e-12)
-        dead = ~model.scaler.live_mask
-        assert dead.sum() == 4
-        assert np.all(model.weights[0][dead] == 0.0)
-        assert not np.signbit(model.weights[0][dead]).any()
+        assert_matches_reference(X, y, ModelArchitecture(12, hidden), config, 4)
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (6, 4)])
+    def test_matches_reference_with_fewer_rows_than_inputs(self, hidden):
+        # The product's regime: far fewer trials than live inputs.
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(24, 300)) * rng.uniform(0.5, 4.0, size=300)
+        dead = rng.choice(300, size=100, replace=False)
+        X[:, dead] = rng.normal(size=100)
+        y = (X[:, rng.choice(np.setdiff1d(np.arange(300), dead), 5)].sum(axis=1)
+             > 0).astype(float)
+        config = TrainConfig(learning_rate=0.01, epochs=40, batch_size=8,
+                             seed=1)
+        assert_matches_reference(X, y, ModelArchitecture(300, hidden), config,
+                                 100)
 
     @pytest.mark.parametrize("epochs", [1, 3, 10])
     def test_train_accuracy_matches_evaluate_accuracy(self, epochs):
