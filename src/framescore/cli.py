@@ -91,8 +91,6 @@ def build_parser() -> _Parser:
                    help="cross-validation folds for the grid search")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--learning-rate", type=float, default=1e-3,
-                   help="learning rate for the final fit (grid may override)")
     p.add_argument("--momentum", type=float, default=0.9)
 
     p = sub.add_parser(
@@ -131,13 +129,11 @@ def _cmd_synth(args) -> int:
     manifest = synth.generate_dataset(config)
     data.save_dataset(manifest, args.out)
 
-    unpadded = sum(t.length for t in manifest.trials)
-    comp = sum(int(np.count_nonzero(t.frame_labels == data.LABEL_COMPENSATORY))
-               for t in manifest.trials)
-    comp_trials = sum(
-        1 for t in manifest.trials if t.trial_label == data.LABEL_COMPENSATORY
-    )
-    padded_slots = len(manifest) * manifest.t_max - unpadded
+    unpadded = int(manifest.lengths.sum())
+    comp = int(np.count_nonzero(manifest.frame_labels == data.LABEL_COMPENSATORY))
+    comp_trials = int(np.count_nonzero(
+        manifest.trial_labels == data.LABEL_COMPENSATORY))
+    padded_slots = int(manifest.padded.sum())
     print(
         f"{len(manifest)} trials ({comp_trials} compensatory), "
         f"{unpadded} frames ({comp} compensatory, {unpadded - comp} normal), "
@@ -220,15 +216,14 @@ def _cmd_train(args) -> int:
           f"(split {args.split}, seed {args.seed})")
 
     def flatten(m: data.DatasetManifest):
-        fs = data.featurize(m)
-        return fs.features.reshape(len(fs), -1), fs.trial_labels.astype(np.float64)
+        return (data.featurize(m).reshape(len(m), -1),
+                m.trial_labels.astype(np.float64))
 
     X_train, y_train = flatten(train_set)
     X_test, y_test = flatten(test_set)
     input_dim = X_train.shape[1]
 
     base_config = network.TrainConfig(
-        learning_rate=args.learning_rate,
         momentum=args.momentum,
         epochs=args.epochs,
         batch_size=min(args.batch_size, len(train_set)),
@@ -281,17 +276,17 @@ def _cmd_explain(args) -> int:
                 f"{args.model}: checkpoint {key} {got!r} does not match "
                 f"dataset {key} {value!r}"
             )
-    fs = data.featurize(manifest)
-    if args.heatmap is not None and args.heatmap not in fs.trial_ids:
+    if args.heatmap is not None and args.heatmap not in manifest.trial_ids:
         raise DataValidationError(f"trial {args.heatmap!r} not in dataset")
 
-    tracks = saliency.compute_tracks(model, fs)
-    saliency.write_raw_scores(args.out, fs, tracks)
+    X = data.featurize(manifest)
+    tracks = saliency.compute_tracks(model, manifest, X)
+    saliency.write_raw_scores(args.out, manifest, tracks)
     print(f"{len(tracks)} trials x {manifest.t_max} frames -> {args.out}")
 
     if args.heatmap is not None:
         grid = saliency.importance_matrix(saliency.compute_saliency(
-            model, fs, fs.trial_ids.index(args.heatmap)
+            model, manifest, X, manifest.trial_ids.index(args.heatmap)
         ))
         out = args.heatmap_out or os.path.join(
             os.path.dirname(os.path.abspath(args.out)),
@@ -320,13 +315,12 @@ def _cmd_sweep(args) -> int:
         raise DataValidationError("--step must be in (0, 1]")
 
     manifest = data.load_dataset(args.data)
-    fs = data.featurize(manifest)
-    tracks = saliency.read_raw_scores(args.scores, fs)
+    tracks = saliency.read_raw_scores(args.scores, manifest)
 
     usable = []
     for mode in modes:
         try:
-            evaluation.select_frames(fs, tracks, mode)
+            evaluation.select_frames(manifest, tracks, mode)
         except ContractError as exc:
             _warn(f"skipping mode {mode.value!r}: {exc}")
             continue
@@ -336,7 +330,7 @@ def _cmd_sweep(args) -> int:
         return EXIT_OK
 
     matrix = evaluation.run_experiment_matrix(
-        fs, tracks, usable, windows, beta=args.beta, step=args.step
+        manifest, tracks, usable, windows, beta=args.beta, step=args.step
     )
     os.makedirs(args.out, exist_ok=True)
     for res in matrix.results:

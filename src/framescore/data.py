@@ -1,17 +1,21 @@
-"""Trials, displacement features, padding, splits, and on-disk formats.
+"""The dataset as columns, displacement features, splits, and the file format.
 
-A dataset is a collection of keypoint trials (per-frame 2D joint positions
-with frame- and trial-level binary labels). Featurization turns the whole
-dataset into one (trials x t_max x features) block of signed per-coordinate
-displacements from each trial's first frame; trials shorter than the frame
-capacity t_max are padded with zero rows that carry the "normal" label, and
-`FeatureSet.padded` is the one place that says which slots are padding.
+A `DatasetManifest` holds the trials of one dataset as columns: ids,
+patients and sides as tuples, each trial's keypoints (per-frame 2D joint
+positions) as one read-only array, and the frame labels of every trial as
+one (trials x t_max) block in which slots past a trial's length are padding
+labelled "normal". Lengths, trial labels and the padding mask derive from
+these columns; `DatasetManifest.padded` is the one place that says which
+slots are padding. Featurization turns the keypoints into one
+(trials x t_max x features) block of signed per-coordinate displacements
+from each trial's first frame, zero on padding.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from .errors import DataValidationError
 LABEL_COMPENSATORY = 0
 LABEL_NORMAL = 1
 SIDES = ("affected", "unaffected")
-PROVENANCES = ("synthetic",)
+PROVENANCE = "synthetic"
 
 DEFAULT_T_MAX = 394
 DEFAULT_JOINTS = (
@@ -71,144 +75,94 @@ class JointLayout:
 
 
 @dataclass(frozen=True)
-class KeypointTrial:
-    """One exercise trial: raw keypoints plus frame and trial labels.
-
-    frames has shape (L, joint_count, 2) in pixels; frame_labels has length L
-    over {0 = compensatory, 1 = normal}; trial_label is 0 exactly when some
-    frame is compensatory.
-    """
-
-    trial_id: str
-    patient_id: str
-    side: str
-    frames: np.ndarray
-    frame_labels: np.ndarray
-    trial_label: int
-
-    def __post_init__(self) -> None:
-        frames = np.asarray(self.frames, dtype=np.float64)
-        labels = np.asarray(self.frame_labels, dtype=np.int64)
-        if frames.ndim != 3 or frames.shape[2] != 2:
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: frames must have shape (L, joints, 2), "
-                f"got {frames.shape}"
-            )
-        if frames.shape[0] < 1:
-            raise DataValidationError(f"trial {self.trial_id!r}: no frames")
-        if not np.isfinite(frames).all():
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: non-finite coordinate"
-            )
-        if labels.shape != (frames.shape[0],):
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: frame_labels length {labels.shape} "
-                f"does not match frame count {frames.shape[0]}"
-            )
-        if not np.isin(labels, (LABEL_COMPENSATORY, LABEL_NORMAL)).all():
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: frame labels must be 0 or 1"
-            )
-        if self.side not in SIDES:
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: side must be one of {SIDES}"
-            )
-        if int(self.trial_label) != int(labels.min()):
-            raise DataValidationError(
-                f"trial {self.trial_id!r}: trial_label {self.trial_label} "
-                f"inconsistent with frame labels"
-            )
-        object.__setattr__(self, "frames", _readonly(frames))
-        object.__setattr__(self, "frame_labels", _readonly(labels))
-        object.__setattr__(self, "trial_label", int(self.trial_label))
-
-    @property
-    def length(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def joint_count(self) -> int:
-        return self.frames.shape[1]
-
-
-@dataclass(frozen=True)
 class DatasetManifest:
-    """A set of trials sharing one layout and one frame capacity."""
+    """The trials of one dataset as columns, in dataset order.
 
-    trials: tuple[KeypointTrial, ...]
-    t_max: int = DEFAULT_T_MAX
-    layout: JointLayout = field(default_factory=JointLayout)
-    provenance: str = "synthetic"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "trials", tuple(self.trials))
-        if self.t_max < 1:
-            raise DataValidationError("t_max must be at least 1")
-        if self.provenance not in PROVENANCES:
-            raise DataValidationError(
-                f"provenance must be one of {PROVENANCES}, got {self.provenance!r}"
-            )
-        ids = [t.trial_id for t in self.trials]
-        if len(set(ids)) != len(ids):
-            raise DataValidationError("duplicate trial ids in manifest")
-        for t in self.trials:
-            if t.joint_count != self.layout.joint_count:
-                raise DataValidationError(
-                    f"trial {t.trial_id!r}: {t.joint_count} joints, layout "
-                    f"expects {self.layout.joint_count}"
-                )
-            if t.length > self.t_max:
-                raise DataValidationError(
-                    f"trial {t.trial_id!r}: length {t.length} exceeds t_max "
-                    f"{self.t_max}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.trials)
-
-
-@dataclass(frozen=True)
-class FeatureSet:
-    """Displacement features of a whole dataset as one padded block.
-
-    features has shape (trials, t_max, features); row t of trial i holds the
-    signed displacement of every joint coordinate from its position in the
-    trial's frame 0. Rows at or beyond lengths[i] are padding: exactly zero
-    and labelled normal. Every array is read-only.
+    frames[i] has shape (L_i, joints, 2) in pixels; row i of frame_labels
+    holds trial i's labels over {0 = compensatory, 1 = normal} in its first
+    L_i slots and 1 after them, so its t_max is the block's width. Arrays
+    are read-only. A record from a file is validated by `load_dataset`, and
+    `synth` builds only valid trials; the constructor checks only that the
+    columns agree with one another.
     """
 
     trial_ids: tuple[str, ...]
-    features: np.ndarray
+    patient_ids: tuple[str, ...]
+    sides: tuple[str, ...]
+    frames: tuple[np.ndarray, ...]
     frame_labels: np.ndarray
-    lengths: np.ndarray
-    trial_labels: np.ndarray
+    layout: JointLayout = field(default_factory=JointLayout)
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("trial_ids", "patient_ids", "sides"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "frames", tuple(map(_readonly, self.frames)))
+        labels = _readonly(np.asarray(self.frame_labels, dtype=np.int64))
+        object.__setattr__(self, "frame_labels", labels)
+        if labels.ndim != 2 or labels.shape[1] < 1:
+            raise DataValidationError(
+                f"frame_labels must be a (trials, t_max) block with t_max at "
+                f"least 1, got shape {labels.shape}"
+            )
+        columns = (self.trial_ids, self.patient_ids, self.sides, self.frames,
+                   labels)
+        if len({len(c) for c in columns}) != 1:
+            raise DataValidationError(
+                f"dataset columns differ in length: {[len(c) for c in columns]}"
+            )
+        seen = set()
+        for tid in self.trial_ids:
+            if tid in seen:
+                raise DataValidationError(f"duplicate trial id {tid!r}")
+            seen.add(tid)
+
+    @classmethod
+    def from_rows(cls, rows, t_max: int, layout: JointLayout = JointLayout(),
+                  seed: int = 0) -> "DatasetManifest":
+        """Columns of checked (trial_id, patient_id, side, frames,
+        frame_labels) rows, each trial's labels padded out to t_max."""
+        rows = list(rows)
+        labels = np.full((len(rows), t_max), LABEL_NORMAL, dtype=np.int64)
+        for i, row in enumerate(rows):
+            labels[i, : len(row[4])] = row[4]
+        ids, patients, sides, frames = (
+            tuple(r[k] for r in rows) for k in range(4))
+        return cls(ids, patients, sides, frames, labels, layout, seed)
 
     def __len__(self) -> int:
         return len(self.trial_ids)
 
     @property
+    def t_max(self) -> int:
+        return self.frame_labels.shape[1]
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return _readonly(np.array([len(f) for f in self.frames], dtype=np.int64))
+
+    @cached_property
+    def trial_labels(self) -> np.ndarray:
+        """0 exactly for the trials with a compensatory frame."""
+        return _readonly(self.frame_labels.min(axis=1))
+
+    @cached_property
     def padded(self) -> np.ndarray:
         """(trials, t_max) mask of the padding slots."""
-        return np.arange(self.features.shape[1]) >= self.lengths[:, None]
+        return _readonly(np.arange(self.t_max) >= self.lengths[:, None])
 
 
-def featurize(manifest: DatasetManifest) -> FeatureSet:
-    """Displacement features of every trial, padded to the manifest's t_max."""
-    trials = manifest.trials
-    features = np.zeros((len(trials), manifest.t_max,
+def featurize(manifest: DatasetManifest) -> np.ndarray:
+    """Read-only (trials, t_max, features) block of displacement features.
+
+    Row t of trial i holds the signed displacement of every joint coordinate
+    from its position in the trial's frame 0; padding rows are exactly zero.
+    """
+    features = np.zeros((len(manifest), manifest.t_max,
                          manifest.layout.feature_count))
-    frame_labels = np.full(features.shape[:2], LABEL_NORMAL, dtype=np.int64)
-    for i, t in enumerate(trials):
-        features[i, : t.length] = (t.frames - t.frames[0]).reshape(t.length, -1)
-        frame_labels[i, : t.length] = t.frame_labels
-    return FeatureSet(
-        trial_ids=tuple(t.trial_id for t in trials),
-        features=_readonly(features),
-        frame_labels=_readonly(frame_labels),
-        lengths=_readonly(np.array([t.length for t in trials], np.int64)),
-        trial_labels=_readonly(np.array([t.trial_label for t in trials], np.int64)),
-    )
+    for i, f in enumerate(manifest.frames):
+        features[i, : len(f)] = (f - f[0]).reshape(len(f), -1)
+    return _readonly(features)
 
 
 def split_dataset(
@@ -219,7 +173,7 @@ def split_dataset(
         raise DataValidationError(
             f"train_fraction must be in (0, 1), got {train_fraction}"
         )
-    n = len(manifest.trials)
+    n = len(manifest)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_train = int(round(train_fraction * n))
@@ -228,39 +182,41 @@ def split_dataset(
             f"train fraction {train_fraction} of {n} trials leaves {n_train} "
             f"train / {n - n_train} test trials; each side needs at least one"
         )
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
 
     def subset(idx: np.ndarray) -> DatasetManifest:
-        return DatasetManifest(
-            trials=tuple(manifest.trials[i] for i in idx),
-            t_max=manifest.t_max,
-            layout=manifest.layout,
-            provenance=manifest.provenance,
-            seed=manifest.seed,
-        )
+        def pick(column):
+            return tuple(column[i] for i in idx)
 
-    return subset(train_idx), subset(test_idx)
+        m = manifest
+        return DatasetManifest(pick(m.trial_ids), pick(m.patient_ids),
+                               pick(m.sides), pick(m.frames),
+                               m.frame_labels[idx], m.layout, m.seed)
+
+    return subset(np.sort(perm[:n_train])), subset(np.sort(perm[n_train:]))
 
 
 def save_dataset(manifest: DatasetManifest, path) -> None:
     """Write one header line plus one JSON record per trial."""
+    m = manifest
     with open(path, "w", encoding="utf-8") as fh:
         header = {
-            "t_max": manifest.t_max,
-            "joints": list(manifest.layout.joints),
-            "provenance": manifest.provenance,
-            "seed": manifest.seed,
+            "t_max": m.t_max,
+            "joints": list(m.layout.joints),
+            "provenance": PROVENANCE,
+            "seed": m.seed,
         }
         fh.write(json.dumps(header) + "\n")
-        for t in manifest.trials:
+        for tid, pid, side, frames, labels, trial_label in zip(
+            m.trial_ids, m.patient_ids, m.sides, m.frames, m.frame_labels,
+            m.trial_labels.tolist(),
+        ):
             record = {
-                "trial_id": t.trial_id,
-                "patient_id": t.patient_id,
-                "side": t.side,
-                "frames": t.frames.tolist(),
-                "frame_labels": t.frame_labels.tolist(),
-                "trial_label": t.trial_label,
+                "trial_id": tid,
+                "patient_id": pid,
+                "side": side,
+                "frames": frames.tolist(),
+                "frame_labels": labels[: len(frames)].tolist(),
+                "trial_label": trial_label,
             }
             fh.write(json.dumps(record) + "\n")
 
@@ -273,6 +229,48 @@ _TRIAL_FIELDS = (
     "frame_labels",
     "trial_label",
 )
+
+
+def _trial_row(rec: dict, layout: JointLayout, t_max: int) -> tuple:
+    """The (trial_id, patient_id, side, frames, frame_labels) row of one
+    parsed trial record, after checking every field against the header."""
+    for name in _TRIAL_FIELDS:
+        if name not in rec:
+            raise DataValidationError(f"missing field {name!r}")
+    tid, pid, side = rec["trial_id"], rec["patient_id"], rec["side"]
+    if not (isinstance(tid, str) and isinstance(pid, str)):
+        raise DataValidationError(
+            f"trial_id and patient_id must be strings, got {tid!r}, {pid!r}"
+        )
+
+    def bad(message) -> DataValidationError:
+        return DataValidationError(f"trial {tid!r}: {message}")
+
+    try:
+        frames = np.asarray(rec["frames"], dtype=np.float64)
+        labels = np.asarray(rec["frame_labels"], dtype=np.float64)
+        trial_label = float(rec["trial_label"])
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise bad(exc) from exc
+    if frames.ndim != 3 or frames.shape[1:] != (layout.joint_count, 2):
+        raise bad(f"frames must have shape (L, {layout.joint_count}, 2), "
+                  f"got {frames.shape}")
+    length = frames.shape[0]
+    if not 1 <= length <= t_max:
+        raise bad(f"{length} frames; a trial needs 1 to t_max {t_max}")
+    if not np.isfinite(frames).all():
+        raise bad("non-finite coordinate")
+    if labels.shape != (length,):
+        raise bad(f"frame_labels length {labels.shape} does not match frame "
+                  f"count {length}")
+    if not np.isin(labels, (LABEL_COMPENSATORY, LABEL_NORMAL)).all():
+        raise bad("frame labels must be 0 or 1")
+    if side not in SIDES:
+        raise bad(f"side must be one of {SIDES}, got {side!r}")
+    if trial_label != labels.min():
+        raise bad(f"trial_label {rec['trial_label']!r} inconsistent with "
+                  f"frame labels")
+    return tid, pid, side, frames, labels.astype(np.int64)
 
 
 def load_dataset(path) -> DatasetManifest:
@@ -311,42 +309,29 @@ def load_dataset(path) -> DatasetManifest:
                     f"{path}:1: field {key!r} must be an integer, "
                     f"got {header[key]!r}"
                 ) from exc
-        layout = JointLayout(joints=tuple(joints))
+        if header["provenance"] != PROVENANCE:
+            raise DataValidationError(
+                f"{path}:1: provenance must be {PROVENANCE!r}, "
+                f"got {header['provenance']!r}"
+            )
+        try:
+            layout = JointLayout(joints=tuple(joints))
+        except DataValidationError as exc:
+            raise DataValidationError(f"{path}:1: field 'joints': {exc}") from exc
 
-        trials = []
+        rows = []
         for lineno, text in lines:
             if not text.strip():
                 continue
             rec = parse(lineno, text)
-            for field_name in _TRIAL_FIELDS:
-                if field_name not in rec:
-                    raise DataValidationError(
-                        f"{path}:{lineno}: missing field {field_name!r}"
-                    )
             try:
-                trials.append(
-                    KeypointTrial(
-                        trial_id=rec["trial_id"],
-                        patient_id=rec["patient_id"],
-                        side=rec["side"],
-                        frames=np.asarray(rec["frames"], dtype=np.float64),
-                        frame_labels=np.asarray(rec["frame_labels"],
-                                                dtype=np.int64),
-                        trial_label=int(rec["trial_label"]),
-                    )
-                )
-            except (DataValidationError, ValueError, TypeError) as exc:
+                rows.append(_trial_row(rec, layout, header["t_max"]))
+            except DataValidationError as exc:
                 raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
-    if not trials:
+    if not rows:
         raise DataValidationError(f"{path}: no trials")
     try:
-        return DatasetManifest(
-            trials=tuple(trials),
-            t_max=header["t_max"],
-            layout=layout,
-            provenance=header["provenance"],
-            seed=header["seed"],
-        )
+        return DatasetManifest.from_rows(rows, header["t_max"], layout,
+                                         header["seed"])
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from exc
-

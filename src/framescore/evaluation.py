@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LABEL_COMPENSATORY, LABEL_NORMAL, FeatureSet
+from .data import LABEL_COMPENSATORY, LABEL_NORMAL, DatasetManifest
 from .errors import ContractError
 from .saliency import (
     FramePool,
@@ -52,23 +52,23 @@ class FilterMode(enum.Enum):
 
 
 def select_frames(
-    fs: FeatureSet,
+    manifest: DatasetManifest,
     tracks: Sequence[FrameScoreTrack],
     mode: FilterMode,
 ) -> FramePool:
     """Return the un-normalized pool of frames admitted by the mode."""
     raw = np.array([t.raw_scores for t in tracks], dtype=np.float64)
-    labels = fs.frame_labels
+    labels = manifest.frame_labels
     if raw.shape != labels.shape or \
-            tuple(t.trial_id for t in tracks) != fs.trial_ids:
+            tuple(t.trial_id for t in tracks) != manifest.trial_ids:
         raise ContractError(
             f"tracks {raw.shape} do not match trials {labels.shape} "
             f"one for one, in order"
         )
-    padded = fs.padded
+    padded = manifest.padded
     mask = np.ones_like(padded) if mode is FilterMode.ALL else ~padded
     if mode is FilterMode.COMP_NO_PAD:
-        comp = fs.trial_labels == LABEL_COMPENSATORY
+        comp = manifest.trial_labels == LABEL_COMPENSATORY
         if not comp.any():
             raise ContractError(
                 "comp-no-pad selection is empty: no compensatory trials"
@@ -76,7 +76,7 @@ def select_frames(
         mask &= comp[:, None]
     trial, frame = np.nonzero(mask)
     return FramePool(
-        trial_id=np.array(fs.trial_ids, dtype=str)[trial],
+        trial_id=np.array(manifest.trial_ids, dtype=str)[trial],
         frame_index=frame,
         raw=raw[mask],
         label=labels[mask],
@@ -280,7 +280,7 @@ class ExperimentMatrix:
 
 
 def run_experiment_matrix(
-    fs: FeatureSet,
+    manifest: DatasetManifest,
     tracks: Sequence[FrameScoreTrack],
     modes: Sequence[FilterMode] = tuple(FilterMode),
     windows: Sequence[int] = DEFAULT_WINDOWS,
@@ -290,17 +290,12 @@ def run_experiment_matrix(
     """Select, normalize, window, and sweep for every (mode, window) cell."""
     results = []
     for mode in modes:
-        pool = normalize_pool(select_frames(fs, tracks, mode))
-        reports = []
-        for w in windows:
-            if w == 1:
-                scores, labels = pool.normalized, pool.label
-            else:
-                scores, labels = windows_over_pool(pool, w)
-            reports.append(
-                sweep(scores, labels, beta=beta, step=step, mode=mode,
-                      window_size=w)
-            )
+        pool = normalize_pool(select_frames(manifest, tracks, mode))
+        reports = [
+            sweep(*windows_over_pool(pool, w), beta=beta, step=step,
+                  mode=mode, window_size=w)
+            for w in windows
+        ]
         results.append(
             ModeResult(mode, pool, histogram(pool), tuple(reports))
         )

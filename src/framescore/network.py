@@ -256,11 +256,9 @@ def input_gradient(model: TrainedModel, x: np.ndarray, y: int) -> np.ndarray:
             f"{model.architecture.input_dim}"
         )
     probs, pre, _ = _forward_batch(model, x[None, :])
-    p = min(max(float(probs[0]), PROB_EPS), 1.0 - PROB_EPS)
-    d = np.array([[p - y]])
-    for li in range(len(model.weights) - 1, 0, -1):
-        d = (d @ model.weights[li].T) * (pre[li - 1] > 0)
-    return (d @ model.weights[0].T)[0]
+    p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+    d0 = _deltas(model.weights, np.array([y]), p, pre)[0]
+    return (d0 @ model.weights[0].T)[0]
 
 
 def _shuffle_rng(seed: int) -> np.random.Generator:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LABEL_NORMAL, FeatureSet
+from .data import LABEL_NORMAL, DatasetManifest
 from .errors import ContractError, DataValidationError
 from .network import TrainedModel, input_gradient
 
@@ -54,12 +54,17 @@ class FramePool:
         return len(self.raw)
 
 
-def compute_saliency(model: TrainedModel, fs: FeatureSet, i: int) -> np.ndarray:
-    """Loss gradient at trial i's true label, read-only, (t_max, features)."""
-    grad = input_gradient(model, fs.features[i].ravel(), fs.trial_labels[i])
+def compute_saliency(model: TrainedModel, manifest: DatasetManifest,
+                     X: np.ndarray, i: int) -> np.ndarray:
+    """Loss gradient at trial i's true label, read-only, (t_max, features).
+
+    X is the manifest's feature block, `data.featurize(manifest)`.
+    """
+    grad = input_gradient(model, X[i].ravel(), manifest.trial_labels[i])
     if not np.isfinite(grad).all():
-        raise DataValidationError(f"trial {fs.trial_ids[i]!r}: non-finite saliency")
-    sal = grad.reshape(fs.features.shape[1:])
+        raise DataValidationError(
+            f"trial {manifest.trial_ids[i]!r}: non-finite saliency")
+    sal = grad.reshape(X.shape[1:])
     sal.flags.writeable = False
     return sal
 
@@ -69,10 +74,10 @@ def frame_aggregate(trial_id: str, sal: np.ndarray) -> FrameScoreTrack:
     return FrameScoreTrack(trial_id, np.abs(sal).sum(axis=1))
 
 
-def compute_tracks(model: TrainedModel, fs: FeatureSet
-                   ) -> list[FrameScoreTrack]:
-    return [frame_aggregate(tid, compute_saliency(model, fs, i))
-            for i, tid in enumerate(fs.trial_ids)]
+def compute_tracks(model: TrainedModel, manifest: DatasetManifest,
+                   X: np.ndarray) -> list[FrameScoreTrack]:
+    return [frame_aggregate(tid, compute_saliency(model, manifest, X, i))
+            for i, tid in enumerate(manifest.trial_ids)]
 
 
 def normalize_pool(entries: FramePool) -> FramePool:
@@ -170,15 +175,16 @@ _SCORE_COLUMNS = (
 )
 
 
-def write_raw_scores(path, fs: FeatureSet,
+def write_raw_scores(path, manifest: DatasetManifest,
                      tracks: Sequence[FrameScoreTrack]) -> None:
     """One row per (trial, frame); normalized_score left empty."""
-    padded = fs.padded.astype(np.int64)
+    padded = manifest.padded.astype(np.int64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SCORE_COLUMNS)
-        for tid, labels, pad, track in zip(fs.trial_ids, fs.frame_labels,
-                                           padded, tracks):
+        for tid, labels, pad, track in zip(manifest.trial_ids,
+                                           manifest.frame_labels, padded,
+                                           tracks):
             n = len(track.raw_scores)
             writer.writerows(
                 zip([tid] * n, range(n),
@@ -204,16 +210,17 @@ def write_pooled_scores(path, pool: FramePool) -> None:
         )
 
 
-def read_raw_scores(path, fs: FeatureSet) -> list[FrameScoreTrack]:
+def read_raw_scores(path, manifest: DatasetManifest
+                    ) -> list[FrameScoreTrack]:
     """Read a raw score file written for these trials, in any row order.
 
     Every (trial, frame) slot of the block must appear exactly once, with
     the slot's frame label and padding flag. Returns one track per trial,
-    in the order of `fs`.
+    in the order of `manifest`.
     """
-    ids = fs.trial_ids
+    ids = manifest.trial_ids
     position = {tid: i for i, tid in enumerate(ids)}
-    t_max = fs.features.shape[1]
+    t_max = manifest.t_max
     # Typed buffers, not a tuple per row: they hold 8 bytes per field.
     ints, raws = array("q"), array("d")
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -257,7 +264,8 @@ def read_raw_scores(path, fs: FeatureSet) -> list[FrameScoreTrack]:
         fault = "appears more than once" if hits[i, f] > 1 else "is missing"
         raise DataValidationError(f"{path}: {where} {fault}")
 
-    want = np.c_[fs.frame_labels.ravel()[slot], fs.padded.ravel()[slot]]
+    want = np.c_[manifest.frame_labels.ravel()[slot],
+                 manifest.padded.ravel()[slot]]
     bad = np.flatnonzero((table[:, 3:] != want).any(axis=1))
     if bad.size:
         j = bad[0]

@@ -22,7 +22,6 @@ from .data import (
     LABEL_NORMAL,
     DatasetManifest,
     JointLayout,
-    KeypointTrial,
 )
 from .errors import DataValidationError
 
@@ -165,9 +164,11 @@ def generate_trial(
     side: str,
     rng: np.random.Generator,
     trial_index: int = 0,
-) -> KeypointTrial:
+) -> tuple[str, str, str, np.ndarray, np.ndarray]:
     """Generate one labelled trial, consuming randomness only from rng.
 
+    Returns the trial's (trial_id, patient_id, side, frames, frame_labels)
+    columns: frames (L, joints, 2) in pixels, labels over the L frames.
     The draw order is fixed (length, compensation coin, coverage, segment
     start, noise) so a trial is reproducible from its substream alone.
     """
@@ -209,14 +210,7 @@ def generate_trial(
         pos[:, shoulder_ipsi, 1] += -0.7 * comp * env
 
     pos += rng.normal(0.0, config.noise_std, pos.shape)
-    return KeypointTrial(
-        trial_id=f"{patient_id}-{side}-{trial_index:02d}",
-        patient_id=patient_id,
-        side=side,
-        frames=pos,
-        frame_labels=labels,
-        trial_label=int(labels.min()),
-    )
+    return f"{patient_id}-{side}-{trial_index:02d}", patient_id, side, pos, labels
 
 
 def trial_rng(seed: int, patient_index: int, side: str, trial_index: int
@@ -231,19 +225,14 @@ def trial_rng(seed: int, patient_index: int, side: str, trial_index: int
 
 def generate_dataset(config: SynthConfig) -> DatasetManifest:
     """patient_count x 2 sides x trials_per_patient_per_side labelled trials."""
-    trials = []
+    rows = []
     for p in range(config.patient_count):
         patient_id = f"P{p:02d}"
         for side in ("affected", "unaffected"):
             for k in range(config.trials_per_patient_per_side):
                 rng = trial_rng(config.seed, p, side, k)
-                trials.append(
+                rows.append(
                     generate_trial(config, patient_id, side, rng, trial_index=k)
                 )
-    return DatasetManifest(
-        trials=tuple(trials),
-        t_max=config.t_max,
-        layout=JointLayout(),
-        provenance="synthetic",
-        seed=config.seed,
-    )
+    return DatasetManifest.from_rows(rows, config.t_max, JointLayout(),
+                                     config.seed)

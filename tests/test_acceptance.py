@@ -48,7 +48,7 @@ SEED = 42
 @dataclass
 class PipelineRun:
     manifest: object
-    fs: object
+    features: object
     model: object
     test_accuracy: float
     tracks: list
@@ -61,13 +61,11 @@ def pipeline():
     """Default config end-to-end run: synth, featurize, train, explain, sweep."""
     start = time.perf_counter()
     manifest = generate_dataset(SynthConfig(seed=SEED))
-    fs = featurize(manifest)
+    features = featurize(manifest)
     train_set, test_set = split_dataset(manifest, 0.8, seed=SEED)
 
     def flatten(m):
-        block = featurize(m)
-        return (block.features.reshape(len(block), -1),
-                block.trial_labels.astype(np.float64))
+        return featurize(m).reshape(len(m), -1), m.trial_labels.astype(np.float64)
 
     X_train, y_train = flatten(train_set)
     X_test, y_test = flatten(test_set)
@@ -77,10 +75,10 @@ def pipeline():
         TrainConfig(seed=SEED),
     )
     test_accuracy = evaluate_accuracy(model, X_test, y_test)
-    tracks = compute_tracks(model, fs)
-    matrix = run_experiment_matrix(fs, tracks)
+    tracks = compute_tracks(model, manifest, features)
+    matrix = run_experiment_matrix(manifest, tracks)
     elapsed = time.perf_counter() - start
-    return PipelineRun(manifest, fs, model, test_accuracy, tracks,
+    return PipelineRun(manifest, features, model, test_accuracy, tracks,
                        matrix, elapsed)
 
 
@@ -147,14 +145,14 @@ def test_criterion_2_metric_oracle():
 
 
 def test_criterion_3_bookkeeping_oracle(pipeline):
-    fs, tracks = pipeline.fs, pipeline.tracks
-    assert len(fs) == 300
+    manifest, tracks = pipeline.manifest, pipeline.tracks
+    assert len(manifest) == 300
     assert pipeline.manifest.t_max == 394
-    all_entries = select_frames(fs, tracks, FilterMode.ALL)
+    all_entries = select_frames(manifest, tracks, FilterMode.ALL)
     assert len(all_entries) == 118_200
-    no_pad = select_frames(fs, tracks, FilterMode.NO_PAD)
-    assert len(no_pad) == fs.lengths.sum()
-    comp = select_frames(fs, tracks, FilterMode.COMP_NO_PAD)
+    no_pad = select_frames(manifest, tracks, FilterMode.NO_PAD)
+    assert len(no_pad) == manifest.lengths.sum()
+    comp = select_frames(manifest, tracks, FilterMode.COMP_NO_PAD)
     comp_keys = set(zip(comp.trial_id.tolist(), comp.frame_index.tolist()))
     no_pad_keys = set(zip(no_pad.trial_id.tolist(), no_pad.frame_index.tolist()))
     assert comp_keys <= no_pad_keys
@@ -279,11 +277,12 @@ def test_criterion_8_determinism(tmp_path_factory):
 def test_criterion_9_heatmap_contrast(pipeline):
     ratios = []
     exported = False
-    fs = pipeline.fs
-    for i, trial_id in enumerate(fs.trial_ids):
-        if fs.trial_labels[i] != 0:
+    manifest = pipeline.manifest
+    for i, trial_id in enumerate(manifest.trial_ids):
+        if manifest.trial_labels[i] != 0:
             continue
-        grid = importance_matrix(compute_saliency(pipeline.model, fs, i))
+        grid = importance_matrix(
+            compute_saliency(pipeline.model, manifest, pipeline.features, i))
         if not exported:
             # exercise the on-disk path once and assert on the file contents
             import tempfile, os
@@ -298,8 +297,8 @@ def test_criterion_9_heatmap_contrast(pipeline):
                 assert all(len(l.split(",")) == 17 for l in lines)
                 grid = load_heatmap(path)
             exported = True
-        length = fs.lengths[i]
-        segment = fs.frame_labels[i, :length] == 0
+        length = manifest.lengths[i]
+        segment = manifest.frame_labels[i, :length] == 0
         seg_mean = grid[:length][segment].mean()
         pad_mean = grid[length:].mean()
         assert seg_mean >= 2.0 * pad_mean, \

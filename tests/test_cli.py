@@ -108,6 +108,28 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+def _lengthen(record, length):
+    record["frames"] += [record["frames"][-1]] * (length - len(record["frames"]))
+    record["frame_labels"] += [1] * (length - len(record["frame_labels"]))
+
+
+# Each fault edits, in place, the first trial record of a 12-trial dataset
+# with t_max 40: trial 'P00-affected-00', compensatory, on line 2.
+RECORD_FAULTS = {
+    "bad-side": lambda r: r.update(side="left"),
+    "nan-coordinate": lambda r: r["frames"][3][1].__setitem__(0, float("nan")),
+    "label-2": lambda r: r["frame_labels"].__setitem__(0, 2),
+    "flipped-trial-label": lambda r: r.update(trial_label=1 - r["trial_label"]),
+    "labels-one-short": lambda r: r["frame_labels"].pop(),
+    "seven-joints": lambda r: [frame.pop() for frame in r["frames"]],
+    "longer-than-t-max": lambda r: _lengthen(r, 41),
+    "ragged-frames": lambda r: r["frames"][2].pop(),
+    "duplicate-id": lambda r: r.update(trial_id="P00-affected-01"),
+    "fractional-labels": lambda r: r.update(
+        frame_labels=[l or 0.5 for l in r["frame_labels"]], trial_label=0.5),
+}
+
+
 class TestTrainCommand:
     def test_writes_checkpoint_and_grid_report(self, tmp_path, capsys):
         data = make_dataset(tmp_path)
@@ -171,6 +193,26 @@ class TestTrainCommand:
         assert not model.exists()
         assert not (tmp_path / "model.json.grid.csv").exists()
 
+    @pytest.mark.parametrize("fault", RECORD_FAULTS)
+    def test_record_fault_rejected(self, tmp_path, capsys, fault):
+        data = make_dataset(tmp_path)
+        header, first, *rest = data.read_text().splitlines()
+        record = json.loads(first)
+        RECORD_FAULTS[fault](record)
+        data.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert run("train", "--data", data, "--out", model, "--split", 0.5,
+                   "--grid", write_grid(tmp_path), "--epochs", 1,
+                   "--batch-size", 4) == 2
+        err = capsys.readouterr().err
+        if fault == "duplicate-id":
+            assert f"{data}: duplicate trial id 'P00-affected-01'" in err
+        else:
+            assert f"{data}:2: trial 'P00-affected-00': " in err
+        assert "Traceback" not in err
+        assert not model.exists()
+
     def test_missing_data_file(self, tmp_path):
         assert run("train", "--data", tmp_path / "nope.jsonl",
                    "--out", tmp_path / "m.json") == 2
@@ -190,7 +232,8 @@ class TestTrainCommand:
         assert f"{train} train / {test} test" in capsys.readouterr().err
         assert not model.exists()
 
-    @pytest.mark.parametrize("field, value", [("t_max", "abc"), ("joints", 5)])
+    @pytest.mark.parametrize("field, value", [("t_max", "abc"), ("joints", 5),
+                                              ("joints", [])])
     def test_malformed_header_names_line(self, tmp_path, capsys, field, value):
         data = make_dataset(tmp_path)
         lines = data.read_text().splitlines()

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framescore.data import featurize
 from framescore.errors import ContractError
 from framescore.evaluation import (
     ConfusionCounts,
@@ -26,13 +25,14 @@ from framescore.evaluation import (
     write_sweep_report,
 )
 from framescore.saliency import FramePool, FrameScoreTrack, normalize_pool
+from tests.conftest import make_manifest, make_trial
 
 
-def tracks_for(fs, seed=0):
+def tracks_for(manifest, seed=0):
     rng = np.random.default_rng(seed)
     return [
-        FrameScoreTrack(tid, rng.uniform(size=fs.features.shape[1]))
-        for tid in fs.trial_ids
+        FrameScoreTrack(tid, rng.uniform(size=manifest.t_max))
+        for tid in manifest.trial_ids
     ]
 
 
@@ -127,53 +127,44 @@ class TestThresholdGrid:
 
 class TestSelectFrames:
     def test_mode_nesting(self, small_synth_manifest):
-        fs = featurize(small_synth_manifest)
-        tracks = tracks_for(fs)
+        manifest = small_synth_manifest
+        tracks = tracks_for(manifest)
         sets = {}
         for mode in FilterMode:
-            sets[mode] = set(frame_keys(select_frames(fs, tracks, mode)))
+            sets[mode] = set(frame_keys(select_frames(manifest, tracks, mode)))
         assert sets[FilterMode.COMP_NO_PAD] <= sets[FilterMode.NO_PAD]
         assert sets[FilterMode.NO_PAD] <= sets[FilterMode.ALL]
 
     def test_all_counts(self, small_synth_manifest):
-        fs = featurize(small_synth_manifest)
-        entries = select_frames(fs, tracks_for(fs), FilterMode.ALL)
-        assert len(entries) == len(fs) * small_synth_manifest.t_max
+        manifest = small_synth_manifest
+        entries = select_frames(manifest, tracks_for(manifest), FilterMode.ALL)
+        assert len(entries) == len(manifest) * small_synth_manifest.t_max
 
     def test_no_pad_counts(self, small_synth_manifest):
-        fs = featurize(small_synth_manifest)
-        entries = select_frames(fs, tracks_for(fs), FilterMode.NO_PAD)
-        assert len(entries) == fs.lengths.sum()
+        manifest = small_synth_manifest
+        entries = select_frames(manifest, tracks_for(manifest), FilterMode.NO_PAD)
+        assert len(entries) == manifest.lengths.sum()
         assert not entries.padded.any()
 
     def test_full_length_trial_identical_under_no_pad(self):
-        from tests.conftest import make_trial
-        from framescore.data import DatasetManifest
-
-        trial = make_trial("full", length=10)
-        manifest = DatasetManifest(trials=(trial,), t_max=10)
-        fs = featurize(manifest)
-        tracks = tracks_for(fs)
-        all_entries = select_frames(fs, tracks, FilterMode.ALL)
-        nopad_entries = select_frames(fs, tracks, FilterMode.NO_PAD)
+        manifest = make_manifest(make_trial("full", length=10), t_max=10)
+        tracks = tracks_for(manifest)
+        all_entries = select_frames(manifest, tracks, FilterMode.ALL)
+        nopad_entries = select_frames(manifest, tracks, FilterMode.NO_PAD)
         assert frame_keys(all_entries) == frame_keys(nopad_entries)
 
     def test_comp_mode_requires_compensatory_trials(self):
-        from tests.conftest import make_trial
-        from framescore.data import DatasetManifest
-
-        manifest = DatasetManifest(trials=(make_trial("n", length=6),), t_max=8)
-        fs = featurize(manifest)
+        manifest = make_manifest(make_trial("n", length=6), t_max=8)
         with pytest.raises(ContractError):
-            select_frames(fs, tracks_for(fs), FilterMode.COMP_NO_PAD)
+            select_frames(manifest, tracks_for(manifest), FilterMode.COMP_NO_PAD)
 
     def test_track_alignment_checked(self, small_synth_manifest):
-        fs = featurize(small_synth_manifest)
-        tracks = tracks_for(fs)
+        manifest = small_synth_manifest
+        tracks = tracks_for(manifest)
         with pytest.raises(ContractError):
-            select_frames(fs, tracks[:-1], FilterMode.ALL)
+            select_frames(manifest, tracks[:-1], FilterMode.ALL)
         with pytest.raises(ContractError):
-            select_frames(fs, list(reversed(tracks)), FilterMode.ALL)
+            select_frames(manifest, list(reversed(tracks)), FilterMode.ALL)
 
     def test_parse_mode(self):
         assert FilterMode.parse("comp-no-pad") is FilterMode.COMP_NO_PAD
@@ -315,9 +306,9 @@ class TestHistogram:
 
 class TestExperimentMatrix:
     def test_full_matrix_shape(self, small_synth_manifest):
-        fs = featurize(small_synth_manifest)
-        tracks = tracks_for(fs)
-        matrix = run_experiment_matrix(fs, tracks)
+        manifest = small_synth_manifest
+        tracks = tracks_for(manifest)
+        matrix = run_experiment_matrix(manifest, tracks)
         assert len(matrix.reports) == 15
         pairs = {(r.mode, r.window_size) for r in matrix.reports}
         assert len(pairs) == 15
@@ -325,19 +316,19 @@ class TestExperimentMatrix:
         assert report.window_size == 5
 
     def test_window_counts_match_ceil_arithmetic(self, small_synth_manifest):
-        fs = featurize(small_synth_manifest)
-        tracks = tracks_for(fs)
+        manifest = small_synth_manifest
+        tracks = tracks_for(manifest)
         matrix = run_experiment_matrix(
-            fs, tracks, modes=(FilterMode.NO_PAD,), windows=(5,)
+            manifest, tracks, modes=(FilterMode.NO_PAD,), windows=(5,)
         )
         report = matrix.reports[0]
-        expected = sum(math.ceil(L / 5) for L in fs.lengths.tolist())
+        expected = sum(math.ceil(L / 5) for L in manifest.lengths.tolist())
         assert report.total == expected
 
     def test_writers_produce_files(self, small_synth_manifest, tmp_path):
-        fs = featurize(small_synth_manifest)
+        manifest = small_synth_manifest
         matrix = run_experiment_matrix(
-            fs, tracks_for(fs), windows=(1, 5)
+            manifest, tracks_for(manifest), windows=(1, 5)
         )
         write_summary(matrix, tmp_path / "summary.csv")
         write_sweep_report(matrix.reports[0], tmp_path / "report.csv")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framescore.data import DatasetManifest, JointLayout, featurize
+from framescore.data import JointLayout, featurize
 from framescore.errors import ContractError
 from framescore.evaluation import FilterMode, select_frames
 from framescore.network import ModelArchitecture, TrainConfig, train
@@ -23,7 +23,7 @@ from framescore.saliency import (
     windows_over_pool,
     write_raw_scores,
 )
-from tests.conftest import make_trial
+from tests.conftest import make_manifest, make_trial
 
 
 def pool_of(raws, labels=None, trial_ids=None, normalized=None):
@@ -69,16 +69,17 @@ class TestFrameAggregate:
         assert np.allclose(b, c * a, rtol=1e-12)
 
     def test_matches_model_gradient_shape(self, small_synth_manifest):
-        fs = featurize(small_synth_manifest)
-        X = fs.features.reshape(len(fs), -1)
-        y = fs.trial_labels.astype(np.float64)
+        m = small_synth_manifest
+        block = featurize(m)
+        X = block.reshape(len(m), -1)
+        y = m.trial_labels.astype(np.float64)
         model = train(X, y, ModelArchitecture(X.shape[1], (8,)),
                       TrainConfig(epochs=3, batch_size=4, seed=0))
-        sal = compute_saliency(model, fs, 0)
-        assert sal.shape == fs.features.shape[1:]
+        sal = compute_saliency(model, m, block, 0)
+        assert sal.shape == block.shape[1:]
         assert not sal.flags.writeable
-        tracks = compute_tracks(model, fs)
-        assert len(tracks) == len(fs)
+        tracks = compute_tracks(model, m, block)
+        assert len(tracks) == len(m)
         assert len(tracks[0].raw_scores) == small_synth_manifest.t_max
 
 
@@ -122,17 +123,15 @@ class TestNormalizePool:
 
     def test_pool_composition_changes_normalization(self):
         """Shared frames renormalize when the padded pool holds the max."""
-        fs = featurize(DatasetManifest(
-            trials=(make_trial("a", length=2), make_trial("b", length=3)),
-            t_max=3,
-        ))
+        manifest = make_manifest(make_trial("a", length=2),
+                                 make_trial("b", length=3), t_max=3)
         tracks = [
             FrameScoreTrack("a", np.array([1.0, 2.0, 9.0])),
             FrameScoreTrack("b", np.array([0.0, 3.0, 0.5])),
         ]
 
         def normalized_by_key(mode):
-            pool = normalize_pool(select_frames(fs, tracks, mode))
+            pool = normalize_pool(select_frames(manifest, tracks, mode))
             keys = zip(pool.trial_id.tolist(), pool.frame_index.tolist())
             return pool, dict(zip(keys, pool.normalized.tolist()))
 
@@ -258,17 +257,16 @@ class TestHeatmap:
 class TestScoreFiles:
     @pytest.fixture
     def written(self, small_synth_manifest, tmp_path):
-        fs = featurize(small_synth_manifest)
         rng = np.random.default_rng(6)
         tracks = [FrameScoreTrack(tid, rng.uniform(size=small_synth_manifest.t_max))
-                  for tid in fs.trial_ids]
+                  for tid in small_synth_manifest.trial_ids]
         path = tmp_path / "scores.csv"
-        write_raw_scores(path, fs, tracks)
+        write_raw_scores(path, small_synth_manifest, tracks)
         return small_synth_manifest, tracks, path
 
     def test_round_trip(self, written):
         manifest, tracks, path = written
-        back = read_raw_scores(path, featurize(manifest))
+        back = read_raw_scores(path, manifest)
         assert [t.trial_id for t in back] == [t.trial_id for t in tracks]
         for got, want in zip(back, tracks):
             assert np.array_equal(got.raw_scores, want.raw_scores)
@@ -278,14 +276,18 @@ class TestScoreFiles:
         header, *rows = path.read_text().splitlines()
         order = np.random.default_rng(7).permutation(len(rows))
         path.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
-        back = read_raw_scores(path, featurize(manifest))
+        back = read_raw_scores(path, manifest)
         assert [t.trial_id for t in back] == [t.trial_id for t in tracks]
         for got, want in zip(back, tracks):
             assert np.array_equal(got.raw_scores, want.raw_scores)
 
     def test_reads_tracks_in_dataset_order(self, written):
         manifest, tracks, path = written
-        reversed_fs = featurize(replace(manifest, trials=manifest.trials[::-1]))
-        back = read_raw_scores(path, reversed_fs)
+        m = manifest
+        reversed_manifest = replace(
+            m, trial_ids=m.trial_ids[::-1], patient_ids=m.patient_ids[::-1],
+            sides=m.sides[::-1], frames=m.frames[::-1],
+            frame_labels=m.frame_labels[::-1])
+        back = read_raw_scores(path, reversed_manifest)
         assert [t.trial_id for t in back] == [t.trial_id for t in tracks[::-1]]
         assert np.array_equal(back[0].raw_scores, tracks[-1].raw_scores)

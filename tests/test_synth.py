@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framescore.data import DatasetManifest, JointLayout, featurize, save_dataset
+from framescore.data import JointLayout, featurize, save_dataset
 from framescore.errors import DataValidationError
 from framescore.synth import (
     SynthConfig,
@@ -10,13 +10,14 @@ from framescore.synth import (
     load_synth_config,
     trial_rng,
 )
+from tests.conftest import make_manifest
 
 LAYOUT = JointLayout()
 
 
 def trial_features(trial):
     """(frames, features) displacement block of one unpadded trial."""
-    return featurize(DatasetManifest(trials=(trial,), t_max=trial.length)).features[0]
+    return featurize(make_manifest(trial))[0]
 
 
 def comp_channel_indices(side):
@@ -118,32 +119,36 @@ class TestGenerateTrial:
             compensation_probability_affected=0.0,
             compensation_probability_unaffected=0.0,
         )
-        trial = generate_trial(config, "P00", "affected", trial_rng(0, 0, "affected", 0))
-        assert trial.trial_label == 1
-        assert np.all(trial.frame_labels == 1)
+        *_, labels = generate_trial(config, "P00", "affected",
+                                    trial_rng(0, 0, "affected", 0))
+        assert labels.min() == 1
+        assert np.all(labels == 1)
 
     def test_full_coverage_labels_every_frame(self):
         config = SynthConfig(
             compensation_probability_affected=1.0,
             compensation_coverage_range=(1.0, 1.0),
         )
-        trial = generate_trial(config, "P00", "affected", trial_rng(0, 0, "affected", 0))
-        assert np.all(trial.frame_labels == 0)
-        assert trial.trial_label == 0
+        *_, labels = generate_trial(config, "P00", "affected",
+                                    trial_rng(0, 0, "affected", 0))
+        assert np.all(labels == 0)
+        assert labels.min() == 0
 
     def test_length_in_range(self):
         config = SynthConfig(length_range=(50, 60), t_max=100)
         for k in range(5):
-            trial = generate_trial(config, "P00", "affected",
-                                   trial_rng(3, 0, "affected", k), trial_index=k)
-            assert 50 <= trial.length <= 60
+            *_, frames, labels = generate_trial(
+                config, "P00", "affected", trial_rng(3, 0, "affected", k),
+                trial_index=k)
+            assert 50 <= len(frames) == len(labels) <= 60
 
     def test_compensatory_segment_is_contiguous(self):
         config = SynthConfig(compensation_probability_affected=1.0)
         for k in range(8):
-            trial = generate_trial(config, "P00", "affected",
-                                   trial_rng(1, 0, "affected", k), trial_index=k)
-            comp = np.flatnonzero(trial.frame_labels == 0)
+            *_, labels = generate_trial(config, "P00", "affected",
+                                        trial_rng(1, 0, "affected", k),
+                                        trial_index=k)
+            comp = np.flatnonzero(labels == 0)
             assert len(comp) >= 1
             assert np.all(np.diff(comp) == 1)
 
@@ -169,7 +174,7 @@ class TestGenerateTrial:
         )
         trial = generate_trial(config, "P00", side, trial_rng(4, 0, side, 0))
         feats = trial_features(trial)
-        comp = np.flatnonzero(trial.frame_labels == 0)
+        comp = np.flatnonzero(trial[4] == 0)
         center = comp[len(comp) // 2]
         for f in comp_channel_indices(side):
             assert abs(feats[center, f]) > 5 * config.noise_std
@@ -184,29 +189,28 @@ class TestGenerateDataset:
     def test_default_trial_count(self):
         manifest = generate_dataset(SynthConfig(seed=0))
         assert len(manifest) == 300
-        assert manifest.provenance == "synthetic"
 
     def test_mean_length_near_160(self):
         manifest = generate_dataset(SynthConfig(seed=0))
-        mean_length = np.mean([t.length for t in manifest.trials])
+        mean_length = np.mean(manifest.lengths)
         assert 150 <= mean_length <= 170
 
     def test_aggregate_label_statistics(self):
         manifest = generate_dataset(SynthConfig(seed=0))
-        comp_trials = [t for t in manifest.trials if t.trial_label == 0]
-        assert 0.2 <= len(comp_trials) / len(manifest) <= 0.35
-        unpadded = sum(t.length for t in manifest.trials)
-        comp_frames = sum(int((t.frame_labels == 0).sum()) for t in manifest.trials)
+        comp_trials = manifest.trial_labels == 0
+        assert 0.2 <= comp_trials.sum() / len(manifest) <= 0.35
+        unpadded = manifest.lengths.sum()
+        comp_frames = (manifest.frame_labels == 0).sum()
         assert 0.15 <= comp_frames / unpadded <= 0.30
-        comp_unpadded = sum(t.length for t in comp_trials)
-        comp_comp = sum(int((t.frame_labels == 0).sum()) for t in comp_trials)
+        comp_unpadded = manifest.lengths[comp_trials].sum()
+        comp_comp = (manifest.frame_labels[comp_trials] == 0).sum()
         assert 0.55 <= comp_comp / comp_unpadded <= 0.75
 
     def test_unaffected_side_never_compensates_by_default(self):
         manifest = generate_dataset(SynthConfig(seed=0))
-        for trial in manifest.trials:
-            if trial.side == "unaffected":
-                assert trial.trial_label == 1
+        for side, trial_label in zip(manifest.sides, manifest.trial_labels):
+            if side == "unaffected":
+                assert trial_label == 1
 
     def test_seed_determinism_bytes(self, tmp_path):
         config = SynthConfig(patient_count=2, trials_per_patient_per_side=2,
@@ -223,16 +227,17 @@ class TestGenerateDataset:
         b = generate_dataset(SynthConfig(
             patient_count=1, trials_per_patient_per_side=1,
             length_range=(20, 30), t_max=40, seed=123))
-        assert not np.array_equal(a.trials[0].frames, b.trials[0].frames)
+        assert not np.array_equal(a.frames[0], b.frames[0])
 
     def test_trial_substreams_independent_of_iteration(self):
         """A trial regenerated from its keyed substream matches the dataset."""
         config = SynthConfig(patient_count=2, trials_per_patient_per_side=3,
                              length_range=(20, 30), t_max=40, seed=9)
         manifest = generate_dataset(config)
-        target = manifest.trials[4]  # P00, unaffected, index 1
-        rebuilt = generate_trial(config, "P00", "unaffected",
-                                 trial_rng(9, 0, "unaffected", 1), trial_index=1)
-        assert rebuilt.trial_id == target.trial_id
-        assert np.array_equal(rebuilt.frames, target.frames)
-        assert np.array_equal(rebuilt.frame_labels, target.frame_labels)
+        target = 4  # P00, unaffected, index 1
+        trial_id, _, _, frames, labels = generate_trial(
+            config, "P00", "unaffected", trial_rng(9, 0, "unaffected", 1),
+            trial_index=1)
+        assert trial_id == manifest.trial_ids[target]
+        assert np.array_equal(frames, manifest.frames[target])
+        assert np.array_equal(labels, manifest.frame_labels[target, :len(labels)])
