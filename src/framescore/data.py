@@ -9,13 +9,27 @@ these columns; `DatasetManifest.padded` is the one place that says which
 slots are padding. Featurization turns the keypoints into one
 (trials x t_max x features) block of signed per-coordinate displacements
 from each trial's first frame, zero on padding.
+
+A dataset file is one JSON header line and one JSON record per trial.
+When two CPUs are usable, `load_dataset` and `save_dataset` convert the
+records as two contiguous halves in two processes: the second half runs in
+one forked child and is joined back in file order. The file bytes, the
+checks and the error messages are the same either way, and nothing selects
+it but the CPU count.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import pickle
+import shutil
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NoReturn
 
 import numpy as np
 
@@ -195,30 +209,141 @@ def split_dataset(
     return subset(np.sort(perm[:n_train])), subset(np.sort(perm[n_train:]))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS; Windows, which has no os.fork either
+        return 1
+
+
+def _child_half(work, lo: int, hi: int, send, fd: int) -> NoReturn:
+    """Body of the forked child: pickle None and then `send(work(lo, hi))`,
+    or the exception it raised, to the pipe `fd`. It leaves only through
+    os._exit, so no exit handler or test runner of the parent runs twice."""
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as out:
+            try:
+                result = work(lo, hi)
+            except BaseException as exc:
+                pickle.dump(exc, out)
+                raise
+            pickle.dump(None, out)
+            send(result, out)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _exit_code(pid: int) -> int:
+    """Reap the child `pid`: its exit status, or -N after signal N."""
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _lost_child(code: int) -> ChildProcessError:
+    how = f"signal {-code}" if code < 0 else f"status {code}"
+    return ChildProcessError(f"dataset worker process ended with {how}")
+
+
+@contextmanager
+def _in_two_halves(count: int, work, send):
+    """Run `work(0, mid)` here and `work(mid, count)` in one forked child.
+
+    Yields (first, stream): this process's result, and a binary stream
+    holding what `send(result, stream)` wrote for the child's half. The
+    child computes its half while this process computes the other, then
+    writes it into a pipe that the caller reads as it goes, so the half is
+    never copied into one buffer. The first fault in record order is
+    raised: this process's own (after the child is killed and reaped), else
+    the child's exception, of whatever type. A child that dies or exits
+    non-zero raises ChildProcessError, never a short result. With one
+    record, one usable CPU or no working os.fork, both halves run here
+    through the same `work` and `send`.
+    """
+    mid = count // 2
+    pid = None
+    if count > 1 and _usable_cpus() > 1:
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+        else:
+            if pid == 0:
+                os.close(r)
+                _child_half(work, mid, count, send, w)
+            os.close(w)
+    if pid is None:
+        first = work(0, mid)
+        stream = io.BytesIO()
+        send(work(mid, count), stream)
+        stream.seek(0)
+        yield first, stream
+        return
+
+    with os.fdopen(r, "rb") as stream:
+        try:
+            first = work(0, mid)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            _exit_code(pid)
+            raise
+        try:
+            fault = pickle.load(stream)  # None, or the child's exception
+            if fault is None:
+                yield first, stream
+        except BaseException as exc:
+            # Drained, a child still writing can finish, and its exit code
+            # tells whether it failed on its own.
+            while stream.read(1 << 16):
+                pass
+            code = _exit_code(pid)
+            if code:
+                raise _lost_child(code) from exc
+            raise
+    # The read end is closed first, so a child still writing fails with
+    # EPIPE instead of blocking this wait.
+    code = _exit_code(pid)
+    if fault is not None:
+        raise fault
+    if code:
+        raise _lost_child(code)
+
+
+def _send_lines(lines, out) -> None:
+    out.writelines(lines)
+
+
 def save_dataset(manifest: DatasetManifest, path) -> None:
     """Write one header line plus one JSON record per trial."""
     m = manifest
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "t_max": m.t_max,
-            "joints": list(m.layout.joints),
-            "provenance": PROVENANCE,
-            "seed": m.seed,
-        }
-        fh.write(json.dumps(header) + "\n")
-        for tid, pid, side, frames, labels, trial_label in zip(
-            m.trial_ids, m.patient_ids, m.sides, m.frames, m.frame_labels,
-            m.trial_labels.tolist(),
-        ):
-            record = {
-                "trial_id": tid,
-                "patient_id": pid,
-                "side": side,
-                "frames": frames.tolist(),
-                "frame_labels": labels[: len(frames)].tolist(),
-                "trial_label": trial_label,
-            }
-            fh.write(json.dumps(record) + "\n")
+    trial_labels = m.trial_labels.tolist()
+
+    def records(lo: int, hi: int) -> list[bytes]:
+        return [
+            (json.dumps({
+                "trial_id": m.trial_ids[i],
+                "patient_id": m.patient_ids[i],
+                "side": m.sides[i],
+                "frames": m.frames[i].tolist(),
+                "frame_labels": m.frame_labels[i, : len(m.frames[i])].tolist(),
+                "trial_label": trial_labels[i],
+            }) + "\n").encode("utf-8")
+            for i in range(lo, hi)
+        ]
+
+    header = {
+        "t_max": m.t_max,
+        "joints": list(m.layout.joints),
+        "provenance": PROVENANCE,
+        "seed": m.seed,
+    }
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header) + "\n").encode("utf-8"))
+        with _in_two_halves(len(m), records, _send_lines) as (lines, child):
+            fh.writelines(lines)
+            shutil.copyfileobj(child, fh)
 
 
 _TRIAL_FIELDS = (
@@ -246,18 +371,26 @@ def _trial_row(rec: dict, layout: JointLayout, t_max: int) -> tuple:
     def bad(message) -> DataValidationError:
         return DataValidationError(f"trial {tid!r}: {message}")
 
+    # No dtype: JSON strings and booleans would convert to numbers, and
+    # must show as a non-numeric dtype instead.
     try:
-        frames = np.asarray(rec["frames"], dtype=np.float64)
-        labels = np.asarray(rec["frame_labels"], dtype=np.float64)
-        trial_label = float(rec["trial_label"])
+        frames = np.asarray(rec["frames"])
+        labels = np.asarray(rec["frame_labels"])
     except (ValueError, TypeError, OverflowError) as exc:
         raise bad(exc) from exc
+    for name, a in (("frames", frames), ("frame_labels", labels)):
+        if a.dtype.kind not in "iuf":
+            raise bad(f"{name} must hold only numbers, got {a.dtype} values")
+    trial_label = rec["trial_label"]
+    if type(trial_label) not in (int, float):
+        raise bad(f"trial_label must be a number, got {trial_label!r}")
     if frames.ndim != 3 or frames.shape[1:] != (layout.joint_count, 2):
         raise bad(f"frames must have shape (L, {layout.joint_count}, 2), "
                   f"got {frames.shape}")
     length = frames.shape[0]
     if not 1 <= length <= t_max:
         raise bad(f"{length} frames; a trial needs 1 to t_max {t_max}")
+    frames = frames.astype(np.float64, copy=False)
     if not np.isfinite(frames).all():
         raise bad("non-finite coordinate")
     if labels.shape != (length,):
@@ -273,25 +406,40 @@ def _trial_row(rec: dict, layout: JointLayout, t_max: int) -> tuple:
     return tid, pid, side, frames, labels.astype(np.int64)
 
 
+def _line_starts(fh) -> list[int]:
+    """Byte offsets of each line from the current position of the binary
+    file `fh` on, then the end of the file."""
+    starts = [fh.tell()]
+    end = starts[0]
+    while chunk := fh.read(1 << 16):
+        i = chunk.find(b"\n")
+        while i >= 0:
+            starts.append(end + i + 1)
+            i = chunk.find(b"\n", i + 1)
+        end += len(chunk)
+    if end > starts[-1]:  # a last line without a newline
+        starts.append(end)
+    return starts
+
+
 def load_dataset(path) -> DatasetManifest:
     """Parse a dataset file one line at a time; validation errors name the
     offending line."""
 
-    def parse(lineno: int, text: str) -> dict:
+    def parse(lineno: int, line: bytes) -> dict:
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError as exc:
             raise DataValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise DataValidationError(f"{path}:{lineno}: expected an object")
         return obj
 
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = enumerate((line.rstrip("\n") for line in fh), start=1)
-        first = next(lines, None)
-        if first is None:
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first:
             raise DataValidationError(f"{path}: empty dataset file")
-        header = parse(*first)
+        header = parse(1, first)
         for key in ("t_max", "joints", "provenance", "seed"):
             if key not in header:
                 raise DataValidationError(f"{path}:1: missing field {key!r}")
@@ -318,20 +466,30 @@ def load_dataset(path) -> DatasetManifest:
             layout = JointLayout(joints=tuple(joints))
         except DataValidationError as exc:
             raise DataValidationError(f"{path}:1: field 'joints': {exc}") from exc
+        starts = _line_starts(fh)
 
-        rows = []
-        for lineno, text in lines:
-            if not text.strip():
-                continue
-            rec = parse(lineno, text)
-            try:
-                rows.append(_trial_row(rec, layout, header["t_max"]))
-            except DataValidationError as exc:
-                raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
+    def rows(lo: int, hi: int) -> list[tuple]:
+        """Checked rows of the records on lines lo + 2 .. hi + 1."""
+        found = []
+        with open(path, "rb") as fh:
+            fh.seek(starts[lo])
+            for lineno in range(lo + 2, hi + 2):
+                line = fh.readline()
+                if not line.strip():
+                    continue
+                rec = parse(lineno, line)
+                try:
+                    found.append(_trial_row(rec, layout, header["t_max"]))
+                except DataValidationError as exc:
+                    raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
+        return found
+
+    with _in_two_halves(len(starts) - 1, rows, pickle.dump) as (found, child):
+        found += pickle.load(child)
+    if not found:
         raise DataValidationError(f"{path}: no trials")
     try:
-        return DatasetManifest.from_rows(rows, header["t_max"], layout,
+        return DatasetManifest.from_rows(found, header["t_max"], layout,
                                          header["seed"])
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from exc

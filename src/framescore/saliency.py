@@ -10,6 +10,7 @@ the experiment admits.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -175,39 +176,65 @@ _SCORE_COLUMNS = (
 )
 
 
+# One score row as csv.writer writes it, once the trial id is quoted; "{}"
+# formats a float exactly as repr does.
+_SCORE_ROW = "{},{},{},{},{},{}\r\n".format
+# Score rows are formatted and written a slice at a time (a trial of the
+# raw file, this many rows of a pool): whole columns as Python lists would
+# add megabytes to the peak RSS of explain and sweep.
+_ROWS_PER_WRITE = 16384
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it inside a row: quoted when it holds a
+    comma, a quote or a line break. A lone field is not used, because the
+    writer quotes a lone empty field."""
+    out = io.StringIO()
+    csv.writer(out).writerow((text, ""))
+    return out.getvalue()[:-3]
+
+
+def _write_score_file(path, chunks) -> None:
+    """The score header, then each chunk of score rows (strings)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(_SCORE_COLUMNS)
+        for rows in chunks:
+            fh.write("".join(rows))
+
+
 def write_raw_scores(path, manifest: DatasetManifest,
                      tracks: Sequence[FrameScoreTrack]) -> None:
     """One row per (trial, frame); normalized_score left empty."""
     padded = manifest.padded.astype(np.int64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SCORE_COLUMNS)
+
+    def chunks():
         for tid, labels, pad, track in zip(manifest.trial_ids,
                                            manifest.frame_labels, padded,
                                            tracks):
             n = len(track.raw_scores)
-            writer.writerows(
-                zip([tid] * n, range(n),
-                    map(repr, track.raw_scores.tolist()), [""] * n,
-                    labels.tolist(), pad.tolist())
-            )
+            yield map(_SCORE_ROW, [_csv_field(tid)] * n, range(n),
+                      track.raw_scores.tolist(), [""] * n, labels.tolist(),
+                      pad.tolist())
+
+    _write_score_file(path, chunks())
 
 
 def write_pooled_scores(path, pool: FramePool) -> None:
     """Pooled frames with their normalized scores filled in."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SCORE_COLUMNS)
-        writer.writerows(
-            zip(
-                pool.trial_id.tolist(),
-                pool.frame_index.tolist(),
-                map(repr, pool.raw.tolist()),
-                map(repr, pool.normalized.tolist()),
-                pool.label.tolist(),
-                pool.padded.astype(np.int64).tolist(),
-            )
-        )
+    quoted = {tid: _csv_field(tid) for tid in set(pool.trial_id.tolist())}
+
+    def chunks():
+        for lo in range(0, len(pool), _ROWS_PER_WRITE):
+            part = slice(lo, lo + _ROWS_PER_WRITE)
+            yield map(_SCORE_ROW,
+                      map(quoted.__getitem__, pool.trial_id[part].tolist()),
+                      pool.frame_index[part].tolist(),
+                      pool.raw[part].tolist(),
+                      pool.normalized[part].tolist(),
+                      pool.label[part].tolist(),
+                      pool.padded[part].astype(np.int64).tolist())
+
+    _write_score_file(path, chunks())
 
 
 def read_raw_scores(path, manifest: DatasetManifest

@@ -28,16 +28,24 @@ def make_manifest(*trials, t_max=None, layout=None):
     return DatasetManifest.from_rows(trials, t_max, layout or JointLayout())
 
 
-def edit_dataset(manifest, path, edit, line=2):
-    """Save the manifest, then rewrite one trial record of the file (line 2
-    is the first) with `edit(record)`, which changes it in place."""
-    save_dataset(manifest, path)
+def edit_lines(path, edits):
+    """Rewrite trial records of a saved dataset file: `edits` maps a line
+    number (line 2 is the first record) to a function that changes that
+    line's record in place."""
     lines = path.read_text().splitlines()
-    record = json.loads(lines[line - 1])
-    edit(record)
-    lines[line - 1] = json.dumps(record)
+    for line, edit in edits.items():
+        record = json.loads(lines[line - 1])
+        edit(record)
+        lines[line - 1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def edit_dataset(manifest, path, edit, line=2):
+    """Save the manifest, then rewrite one trial record of the file with
+    `edit(record)`, which changes it in place."""
+    save_dataset(manifest, path)
+    return edit_lines(path, {line: edit})
 
 
 @pytest.fixture

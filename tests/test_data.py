@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 import tempfile
 from pathlib import Path
 
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framescore import data
+from framescore.cli import main
 from framescore.data import (
     DatasetManifest,
     LABEL_NORMAL,
@@ -17,7 +21,8 @@ from framescore.data import (
     split_dataset,
 )
 from framescore.errors import DataValidationError
-from tests.conftest import edit_dataset, make_manifest, make_trial
+from tests.conftest import (edit_dataset, edit_lines, make_manifest,
+                            make_trial)
 
 
 class TestJointLayout:
@@ -354,3 +359,177 @@ class TestInvariants:
         X = featurize(tiny_manifest)
         with pytest.raises(ValueError):
             X[0, 0, 0] = 1.0
+
+
+def with_cpus(monkeypatch, count):
+    """Make the dataset codec see `count` usable CPUs; returns the list of
+    child pids it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def bad_side(record):
+    record["side"] = "left"
+
+
+class TestTwoProcessCodec:
+    """load_dataset and save_dataset run the second half of the records in
+    one forked child when two CPUs are usable."""
+
+    @pytest.fixture
+    def saved(self, small_synth_manifest, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_dataset(small_synth_manifest, path)
+        return small_synth_manifest, path
+
+    @pytest.fixture
+    def long_saved(self, tmp_path):
+        """12 trials of 300 frames: each half's rows overflow a pipe buffer."""
+        rng = np.random.default_rng(3)
+        manifest = make_manifest(*(make_trial(f"t{i}", length=300, rng=rng)
+                                   for i in range(12)))
+        path = tmp_path / "long.jsonl"
+        save_dataset(manifest, path)
+        return manifest, path
+
+    def test_two_half_load_equals_one_half_load(self, saved, monkeypatch):
+        _, path = saved
+        forks = with_cpus(monkeypatch, 2)
+        two = load_dataset(path)
+        assert len(forks) == 1
+        with_cpus(monkeypatch, 1)
+        one = load_dataset(path)
+        assert len(forks) == 1
+        for name in ("trial_ids", "patient_ids", "sides", "frame_labels",
+                     "lengths", "trial_labels", "padded"):
+            assert np.array_equal(getattr(two, name), getattr(one, name))
+        assert len(two.frames) == len(one.frames) == 12
+        for a, b in zip(two.frames, one.frames):
+            assert np.array_equal(a, b)
+        assert (two.t_max, two.layout, two.seed) == \
+            (one.t_max, one.layout, one.seed)
+        assert_no_child_left()
+
+    def test_save_writes_the_same_bytes_either_way(self, long_saved, tmp_path,
+                                                   monkeypatch):
+        manifest, path = long_saved
+        forks = with_cpus(monkeypatch, 1)
+        save_dataset(manifest, tmp_path / "one.jsonl")
+        assert not forks
+        forks = with_cpus(monkeypatch, 2)
+        save_dataset(manifest, tmp_path / "two.jsonl")
+        assert len(forks) == 1
+        assert (tmp_path / "two.jsonl").read_bytes() == \
+            (tmp_path / "one.jsonl").read_bytes() == path.read_bytes()
+        assert_no_child_left()
+
+    def test_last_record_without_a_newline_is_read(self, saved, monkeypatch):
+        manifest, path = saved
+        with_cpus(monkeypatch, 2)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        assert load_dataset(path).trial_ids == manifest.trial_ids
+
+    def test_fault_in_the_childs_half_names_its_line(self, saved, monkeypatch):
+        manifest, path = saved
+        with_cpus(monkeypatch, 2)
+        edit_lines(path, {13: bad_side})
+        with pytest.raises(DataValidationError,
+                           match=rf":13: trial '{manifest.trial_ids[-1]}': side"):
+            load_dataset(path)
+        assert_no_child_left()
+
+    # With the second half clean, its child blocks on a full pipe until it
+    # is killed.
+    @pytest.mark.parametrize("lines", [(3,), (3, 13)],
+                             ids=["first-half", "both-halves"])
+    def test_the_first_fault_in_file_order_is_raised(self, long_saved,
+                                                     monkeypatch, lines):
+        _, path = long_saved
+        forks = with_cpus(monkeypatch, 2)
+        edit_lines(path, dict.fromkeys(lines, bad_side))
+        with pytest.raises(DataValidationError, match=r":3: trial 't1': side"):
+            load_dataset(path)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_any_exception_in_the_child_reaches_the_caller(self, saved,
+                                                           monkeypatch):
+        manifest, path = saved
+        with_cpus(monkeypatch, 2)
+        real, last = data._trial_row, manifest.trial_ids[-1]
+
+        def trial_row(rec, *args):
+            if rec["trial_id"] == last:
+                raise RuntimeError(f"no row for {last}")
+            return real(rec, *args)
+
+        monkeypatch.setattr(data, "_trial_row", trial_row)
+        with pytest.raises(RuntimeError, match=f"no row for {last}"):
+            load_dataset(path)
+        assert_no_child_left()
+
+    def test_a_child_that_dies_fails_the_load(self, saved, monkeypatch):
+        manifest, path = saved
+        with_cpus(monkeypatch, 2)
+        real, last = data._trial_row, manifest.trial_ids[-1]
+
+        def trial_row(rec, *args):
+            if rec["trial_id"] == last:
+                os._exit(3)
+            return real(rec, *args)
+
+        monkeypatch.setattr(data, "_trial_row", trial_row)
+        with pytest.raises(ChildProcessError, match="status 3"):
+            load_dataset(path)
+        assert_no_child_left()
+
+    def test_a_child_that_dies_fails_the_save(self, long_saved, tmp_path,
+                                              monkeypatch):
+        manifest, _ = long_saved
+        with_cpus(monkeypatch, 2)
+        real = json.dumps
+
+        def dumps(obj, *args, **kwargs):
+            if obj.get("trial_id") == manifest.trial_ids[-1]:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        with pytest.raises(ChildProcessError, match="signal 9"):
+            save_dataset(manifest, tmp_path / "out.jsonl")
+        assert_no_child_left()
+
+    # Each fault gives trial 't' of a one-trial file a string or a boolean
+    # where a number belongs; json would hand these to numpy, which would
+    # convert them.
+    @pytest.mark.parametrize("edit", [
+        lambda r: r["frames"][0][0].__setitem__(0, str(r["frames"][0][0][0])),
+        lambda r: r["frame_labels"].__setitem__(0, "1"),
+        lambda r: r.update(trial_label=str(r["trial_label"])),
+        lambda r: r.update(frame_labels=[bool(v) for v in r["frame_labels"]]),
+        lambda r: r.update(trial_label=bool(r["trial_label"])),
+    ], ids=["string-coordinate", "string-frame-label", "string-trial-label",
+            "boolean-frame-labels", "boolean-trial-label"])
+    def test_non_numeric_field_rejected(self, tmp_path, capsys, edit):
+        path = edit_dataset(make_manifest(make_trial("t", comp_frames=(1,))),
+                            tmp_path / "data.jsonl", edit)
+        with pytest.raises(DataValidationError, match=r":2: trial 't': "):
+            load_dataset(path)
+        assert main(["sweep", "--scores", str(tmp_path / "none.csv"),
+                     "--data", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert f"{path}:2: trial 't': " in capsys.readouterr().err

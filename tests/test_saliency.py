@@ -1,10 +1,15 @@
+import csv
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from framescore import saliency
 from framescore.data import JointLayout, featurize
 from framescore.errors import ContractError
 from framescore.evaluation import FilterMode, select_frames
@@ -21,6 +26,7 @@ from framescore.saliency import (
     normalize_pool,
     read_raw_scores,
     windows_over_pool,
+    write_pooled_scores,
     write_raw_scores,
 )
 from tests.conftest import make_manifest, make_trial
@@ -291,3 +297,69 @@ class TestScoreFiles:
         back = read_raw_scores(path, reversed_manifest)
         assert [t.trial_id for t in back] == [t.trial_id for t in tracks[::-1]]
         assert np.array_equal(back[0].raw_scores, tracks[-1].raw_scores)
+
+
+# Trial ids that csv.writer must quote, or must not: commas, quotes, line
+# breaks, spaces, non-ASCII and the empty id.
+_AWKWARD_IDS = st.lists(
+    st.text(alphabet=st.sampled_from(list('ab,"\r\n é')), max_size=5),
+    min_size=1, max_size=4, unique=True)
+_SCORES = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+def csv_writer_bytes(path, rows):
+    """Reference score file: the header and `rows` through csv.writer."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(saliency._SCORE_COLUMNS)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+class TestScoreWritersMatchCsvWriter:
+    @given(ids=_AWKWARD_IDS, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_raw_scores(self, ids, data):
+        t_max = data.draw(st.integers(1, 5))
+        lengths = data.draw(st.lists(st.integers(1, t_max), min_size=len(ids),
+                                     max_size=len(ids)))
+        manifest = make_manifest(
+            *(make_trial(tid, length=L, comp_frames=(0,) * (i % 2))
+              for i, (tid, L) in enumerate(zip(ids, lengths))), t_max=t_max)
+        tracks = [FrameScoreTrack(tid, data.draw(st.lists(
+            _SCORES, min_size=t_max, max_size=t_max))) for tid in ids]
+        rows = [(tid, t, repr(float(track.raw_scores[t])), "",
+                 int(manifest.frame_labels[i, t]), int(manifest.padded[i, t]))
+                for i, (tid, track) in enumerate(zip(ids, tracks))
+                for t in range(t_max)]
+        with tempfile.TemporaryDirectory() as tmp:
+            got = Path(tmp, "scores.csv")
+            write_raw_scores(got, manifest, tracks)
+            assert got.read_bytes() == csv_writer_bytes(Path(tmp, "ref.csv"),
+                                                         rows)
+
+    @given(ids=_AWKWARD_IDS, data=st.data(), chunk=st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_pooled_scores(self, ids, data, chunk):
+        n = data.draw(st.integers(1, 12))
+        trial = sorted(data.draw(st.lists(st.integers(0, len(ids) - 1),
+                                          min_size=n, max_size=n)))
+        pool = normalize_pool(FramePool(
+            trial_id=np.array(ids, dtype=str)[trial],
+            frame_index=np.arange(n),
+            raw=np.array(data.draw(st.lists(
+                st.floats(0, 1e6), min_size=n, max_size=n))),
+            label=np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                              max_size=n))),
+            padded=np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                               max_size=n))),
+        ))
+        rows = [(ids[trial[k]], k, repr(float(pool.raw[k])),
+                 repr(float(pool.normalized[k])), int(pool.label[k]),
+                 int(pool.padded[k])) for k in range(n)]
+        with tempfile.TemporaryDirectory() as tmp:
+            got = Path(tmp, "pooled.csv")
+            with mock.patch.object(saliency, "_ROWS_PER_WRITE", chunk):
+                write_pooled_scores(got, pool)
+            assert got.read_bytes() == csv_writer_bytes(Path(tmp, "ref.csv"),
+                                                         rows)
