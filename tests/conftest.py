@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,14 @@ def make_manifest(*trials, t_max=None, layout=None):
     """Manifest of hand-built rows; t_max defaults to the longest trial."""
     t_max = t_max or max(len(t[3]) for t in trials)
     return DatasetManifest.from_rows(trials, t_max, layout or JointLayout())
+
+
+def cold(path):
+    """Delete the sidecar that `save_dataset` wrote next to the dataset
+    file `path`, so that loading the file runs the record parser; returns
+    the path."""
+    Path(f"{path}.npz").unlink()
+    return path
 
 
 def edit_lines(path, edits):

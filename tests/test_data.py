@@ -21,7 +21,7 @@ from framescore.data import (
     split_dataset,
 )
 from framescore.errors import DataValidationError
-from tests.conftest import (edit_dataset, edit_lines, make_manifest,
+from tests.conftest import (cold, edit_dataset, edit_lines, make_manifest,
                             make_trial)
 
 
@@ -258,7 +258,7 @@ class TestDatasetIO:
     def test_round_trip(self, tiny_manifest, tmp_path):
         path = tmp_path / "data.jsonl"
         save_dataset(tiny_manifest, path)
-        loaded = load_dataset(path)
+        loaded = load_dataset(cold(path))
         assert loaded.t_max == tiny_manifest.t_max
         assert loaded.layout == tiny_manifest.layout
         assert json.loads(path.read_text().splitlines()[0])["provenance"] \
@@ -393,9 +393,10 @@ class TestTwoProcessCodec:
 
     @pytest.fixture
     def saved(self, small_synth_manifest, tmp_path):
+        """A saved dataset without its sidecar, so that loads parse it."""
         path = tmp_path / "data.jsonl"
         save_dataset(small_synth_manifest, path)
-        return small_synth_manifest, path
+        return small_synth_manifest, cold(path)
 
     @pytest.fixture
     def long_saved(self, tmp_path):
@@ -523,8 +524,11 @@ class TestTwoProcessCodec:
         lambda r: r.update(trial_label=str(r["trial_label"])),
         lambda r: r.update(frame_labels=[bool(v) for v in r["frame_labels"]]),
         lambda r: r.update(trial_label=bool(r["trial_label"])),
+        lambda r: r["frames"][0][0].__setitem__(0, True),
+        lambda r: r["frame_labels"].__setitem__(-1, True),
     ], ids=["string-coordinate", "string-frame-label", "string-trial-label",
-            "boolean-frame-labels", "boolean-trial-label"])
+            "boolean-frame-labels", "boolean-trial-label",
+            "boolean-among-coordinates", "boolean-among-frame-labels"])
     def test_non_numeric_field_rejected(self, tmp_path, capsys, edit):
         path = edit_dataset(make_manifest(make_trial("t", comp_frames=(1,))),
                             tmp_path / "data.jsonl", edit)
@@ -533,3 +537,198 @@ class TestTwoProcessCodec:
         assert main(["sweep", "--scores", str(tmp_path / "none.csv"),
                      "--data", str(path), "--out", str(tmp_path / "r")]) == 2
         assert f"{path}:2: trial 't': " in capsys.readouterr().err
+
+
+def sidecar(path) -> Path:
+    return Path(f"{path}.npz")
+
+
+def assert_same_manifest(a, b):
+    """Equal columns, with the frames compared bit for bit."""
+    assert (a.trial_ids, a.patient_ids, a.sides) == \
+        (b.trial_ids, b.patient_ids, b.sides)
+    assert (a.t_max, a.layout, a.seed) == (b.t_max, b.layout, b.seed)
+    for name in ("frame_labels", "lengths", "trial_labels", "padded"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert len(a.frames) == len(b.frames)
+    for x, y in zip(a.frames, b.frames):
+        assert (x.dtype, x.shape) == (y.dtype, y.shape)
+        assert x.tobytes() == y.tobytes()
+        assert not x.flags.writeable
+
+
+def sidecar_and_parsed_loads(path):
+    """(load through the sidecar, load through the record parser) of a
+    saved dataset file; the sidecar is put back afterwards."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_line_starts", None)  # parsing would call it
+        warm = load_dataset(path)
+    blob = sidecar(path).read_bytes()
+    parsed = load_dataset(cold(path))
+    sidecar(path).write_bytes(blob)
+    return warm, parsed
+
+
+def rewrite_sidecar(path, edit):
+    """Rewrite the sidecar of `path` after `edit(members, header)` changes
+    its arrays or header in place; the fingerprint stays valid."""
+    with np.load(sidecar(path)) as z:
+        members = {k: z[k].copy() for k in z.files}
+    header = json.loads(members["header"].tobytes())
+    edit(members, header)
+    members["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+    with open(sidecar(path), "wb") as fh:
+        np.savez(fh, **members)
+
+
+def set_member(name, value):
+    return lambda members, header: members.__setitem__(name, value(members[name]))
+
+
+def nan_coordinate(frames):
+    frames[3, 1, 0] = np.nan
+    return frames
+
+
+def label_two(labels):
+    labels[0, 0] = 2
+    return labels
+
+
+def compensatory_padding(labels):
+    labels[0, -1] = 0  # trial t0 has 5 of 10 slots
+    return labels
+
+
+class TestSidecar:
+    """save_dataset writes `<path>.npz` next to the dataset file, and
+    load_dataset uses it only when it matches the file and passes the
+    record checks; otherwise it parses the file."""
+
+    @pytest.fixture
+    def saved(self, tiny_manifest, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_dataset(tiny_manifest, path)
+        return tiny_manifest, path
+
+    def test_sidecar_load_equals_parsed_load(self, saved,
+                                             small_synth_manifest, tmp_path):
+        manifest, path = saved
+        warm, parsed = sidecar_and_parsed_loads(path)
+        assert_same_manifest(warm, parsed)
+        assert_same_manifest(warm, manifest)
+        path = tmp_path / "synth.jsonl"
+        save_dataset(small_synth_manifest, path)
+        assert_same_manifest(*sidecar_and_parsed_loads(path))
+
+    @given(built=manifests())
+    @settings(max_examples=30, deadline=None)
+    def test_random_manifests_load_the_same_either_way(self, built):
+        _, manifest = built
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "data.jsonl")
+            save_dataset(manifest, path)
+            warm, parsed = sidecar_and_parsed_loads(path)
+        assert_same_manifest(warm, parsed)
+        assert_same_manifest(warm, manifest)
+
+    def test_string_columns_round_trip(self, tmp_path):
+        ids = ("t\x00", "a,b", 'say "hi"', "é")
+        manifest = make_manifest(*(
+            make_trial(tid, f"P{tid}", side)
+            for tid, side in zip(ids, ("affected", "unaffected") * 2)))
+        path = tmp_path / "data.jsonl"
+        save_dataset(manifest, path)
+        warm, parsed = sidecar_and_parsed_loads(path)
+        assert warm.trial_ids == ids
+        assert warm.patient_ids == tuple(f"P{tid}" for tid in ids)
+        assert_same_manifest(warm, parsed)
+
+    def test_two_saves_write_the_same_bytes(self, saved, tmp_path):
+        manifest, path = saved
+        first = sidecar(path).read_bytes()
+        save_dataset(manifest, tmp_path / "again.jsonl")
+        save_dataset(manifest, path)
+        assert sidecar(tmp_path / "again.jsonl").read_bytes() == \
+            sidecar(path).read_bytes() == first
+
+    def test_stale_sidecar_loads_as_the_file(self, saved, tmp_path):
+        manifest, path = saved
+
+        def unaffected(record):
+            record["side"] = "unaffected"
+
+        edit_lines(path, {2: unaffected})
+        assert sidecar(path).exists()
+        loaded = load_dataset(path)
+        assert loaded.sides[0] == "unaffected" != manifest.sides[0]
+        assert_same_manifest(loaded, load_dataset(cold(path)))
+
+    def test_stale_sidecar_fault_names_the_line(self, saved):
+        _, path = saved
+        edit_lines(path, {3: bad_side})
+        assert sidecar(path).exists()
+        with pytest.raises(DataValidationError) as stale:
+            load_dataset(path)
+        with pytest.raises(DataValidationError) as parsed:
+            load_dataset(cold(path))
+        assert str(stale.value) == str(parsed.value)
+        assert f"{path}:3: trial 't1': side" in str(stale.value)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda path: sidecar(path).write_bytes(sidecar(path).read_bytes()[:-100]),
+        lambda path: rewrite_sidecar(path, lambda m, h: m.pop("lengths")),
+        lambda path: rewrite_sidecar(path, set_member(
+            "lengths", lambda a: a.astype(object))),
+        lambda path: rewrite_sidecar(path, set_member("frames", nan_coordinate)),
+        lambda path: rewrite_sidecar(path, set_member("frame_labels", label_two)),
+        lambda path: rewrite_sidecar(path, set_member(
+            "frame_labels", compensatory_padding)),
+        lambda path: rewrite_sidecar(path, lambda m, h: h.update(
+            trial_ids=[h["trial_ids"][0]] * len(h["trial_ids"]))),
+        lambda path: rewrite_sidecar(path, set_member("frames", lambda a: a[:-1])),
+    ], ids=["truncated", "missing-member", "object-member", "nan-coordinate",
+            "label-two", "compensatory-padding", "duplicate-ids",
+            "lengths-not-frame-rows"])
+    def test_corrupt_sidecar_falls_back_to_the_file(self, saved, corrupt):
+        manifest, path = saved
+        corrupt(path)
+        assert_same_manifest(load_dataset(path), manifest)
+
+    @given(at=st.floats(0.0, 1.0, exclude_max=True),
+           bits=st.integers(1, 255))
+    @settings(max_examples=60, deadline=None)
+    def test_any_changed_byte_falls_back_to_the_file(
+            self, small_synth_manifest, at, bits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "data.jsonl")
+            save_dataset(small_synth_manifest, path)
+            blob = bytearray(sidecar(path).read_bytes())
+            blob[int(at * len(blob))] ^= bits
+            sidecar(path).write_bytes(blob)
+            assert_same_manifest(load_dataset(path), small_synth_manifest)
+
+    def test_read_commands_write_nothing_next_to_the_data(self, tmp_path):
+        data_dir, out = tmp_path / "data", tmp_path / "out"
+        data_dir.mkdir()
+        out.mkdir()
+        path = data_dir / "data.jsonl"
+        assert main(["synth", "--out", str(path), "--seed", "5",
+                     "--patient-count", "2", "--trials-per-patient-per-side",
+                     "2", "--length-range", "8", "12", "--t-max", "12"]) == 0
+        assert sorted(p.name for p in data_dir.iterdir()) == \
+            ["data.jsonl", "data.jsonl.npz"]
+        (out / "grid.json").write_text(
+            '{"hidden_layers": [[4]], "learning_rates": [0.001]}')
+        before = {p.name: p.read_bytes() for p in data_dir.iterdir()}
+        model, scores = str(out / "model.json"), str(out / "scores.csv")
+        for argv in (
+            ["train", "--data", str(path), "--out", model, "--split", "0.5",
+             "--grid", str(out / "grid.json"), "--epochs", "1"],
+            ["explain", "--model", model, "--data", str(path), "--out", scores],
+            ["sweep", "--scores", scores, "--data", str(path),
+             "--out", str(out / "reports")],
+        ):
+            assert main(argv) == 0
+            assert {p.name: p.read_bytes() for p in data_dir.iterdir()} == before
