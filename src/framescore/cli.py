@@ -309,8 +309,9 @@ def _cmd_sweep(args) -> int:
         raise DataValidationError("need at least one mode and one window size")
     if any(w < 1 for w in windows):
         raise DataValidationError("window sizes must be at least 1")
-    if args.beta <= 0:
-        raise DataValidationError("--beta must be positive")
+    if not 0.0 < args.beta < math.inf:
+        raise DataValidationError(
+            f"--beta must be positive and finite, got {args.beta}")
     if not 0.0 < args.step <= 1.0:
         raise DataValidationError("--step must be in (0, 1]")
 

@@ -11,11 +11,11 @@ slots are padding. Featurization turns the keypoints into one
 from each trial's first frame, zero on padding.
 
 A dataset file is one JSON header line and one JSON record per trial.
-When two CPUs are usable, `load_dataset` and `save_dataset` convert the
-records as two contiguous halves in two processes: the second half runs in
-one forked child and is joined back in file order. The file bytes, the
-checks and the error messages are the same either way, and nothing selects
-it but the CPU count.
+`load_dataset` reads the records in one process. When two CPUs are
+usable, `save_dataset` encodes them as two contiguous halves in two
+processes: the second half runs in one forked child and is copied in after
+the first. The file bytes are the same either way, and nothing selects it
+but the CPU count.
 
 `save_dataset` also writes a binary sidecar next to the file, named
 `<dataset path>.npz`: the frames of all trials concatenated into one
@@ -31,18 +31,15 @@ the sidecar may be deleted at any time, and only `save_dataset` (that is,
 
 from __future__ import annotations
 
-import io
 import json
 import os
-import pickle
 import shutil
 import signal
+import tokenize
 import zipfile
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NoReturn
 
 import numpy as np
 
@@ -229,108 +226,10 @@ def _usable_cpus() -> int:
         return 1
 
 
-def _child_half(work, lo: int, hi: int, send, fd: int) -> NoReturn:
-    """Body of the forked child: pickle None and then `send(work(lo, hi))`,
-    or the exception it raised, to the pipe `fd`. It leaves only through
-    os._exit, so no exit handler or test runner of the parent runs twice."""
-    code = 1
-    try:
-        with os.fdopen(fd, "wb") as out:
-            try:
-                result = work(lo, hi)
-            except BaseException as exc:
-                pickle.dump(exc, out)
-                raise
-            pickle.dump(None, out)
-            send(result, out)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _exit_code(pid: int) -> int:
-    """Reap the child `pid`: its exit status, or -N after signal N."""
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
-def _lost_child(code: int) -> ChildProcessError:
-    how = f"signal {-code}" if code < 0 else f"status {code}"
-    return ChildProcessError(f"dataset worker process ended with {how}")
-
-
-@contextmanager
-def _in_two_halves(count: int, work, send):
-    """Run `work(0, mid)` here and `work(mid, count)` in one forked child.
-
-    Yields (first, stream): this process's result, and a binary stream
-    holding what `send(result, stream)` wrote for the child's half. The
-    child computes its half while this process computes the other, then
-    writes it into a pipe that the caller reads as it goes, so the half is
-    never copied into one buffer. The first fault in record order is
-    raised: this process's own (after the child is killed and reaped), else
-    the child's exception, of whatever type. A child that dies or exits
-    non-zero raises ChildProcessError, never a short result. With one
-    record, one usable CPU or no working os.fork, both halves run here
-    through the same `work` and `send`.
-    """
-    mid = count // 2
-    pid = None
-    if count > 1 and _usable_cpus() > 1:
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-        else:
-            if pid == 0:
-                os.close(r)
-                _child_half(work, mid, count, send, w)
-            os.close(w)
-    if pid is None:
-        first = work(0, mid)
-        stream = io.BytesIO()
-        send(work(mid, count), stream)
-        stream.seek(0)
-        yield first, stream
-        return
-
-    with os.fdopen(r, "rb") as stream:
-        try:
-            first = work(0, mid)
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            _exit_code(pid)
-            raise
-        try:
-            fault = pickle.load(stream)  # None, or the child's exception
-            if fault is None:
-                yield first, stream
-        except BaseException as exc:
-            # Drained, a child still writing can finish, and its exit code
-            # tells whether it failed on its own.
-            while stream.read(1 << 16):
-                pass
-            code = _exit_code(pid)
-            if code:
-                raise _lost_child(code) from exc
-            raise
-    # The read end is closed first, so a child still writing fails with
-    # EPIPE instead of blocking this wait.
-    code = _exit_code(pid)
-    if fault is not None:
-        raise fault
-    if code:
-        raise _lost_child(code)
-
-
-def _send_lines(lines, out) -> None:
-    out.writelines(lines)
-
-
 def save_dataset(manifest: DatasetManifest, path) -> None:
     """Write one header line plus one JSON record per trial, then the
-    binary sidecar of the file."""
+    binary sidecar of the file. A child that encodes the second half of
+    the records and dies or exits non-zero raises ChildProcessError."""
     m = manifest
     trial_labels = m.trial_labels.tolist()
 
@@ -354,10 +253,48 @@ def save_dataset(manifest: DatasetManifest, path) -> None:
         "seed": m.seed,
     }
     with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        with _in_two_halves(len(m), records, _send_lines) as (lines, child):
-            fh.writelines(lines)
-            shutil.copyfileobj(child, fh)
+        pid = None
+        if len(m) > 1 and _usable_cpus() > 1:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+        mid = len(m) if pid is None else len(m) // 2
+        if pid == 0:
+            # The child encodes its whole half before writing, or it would
+            # stall on the full pipe until the parent's half was written.
+            # It leaves only through os._exit, so no exit handler or test
+            # runner of the parent runs twice.
+            code = 1
+            try:
+                os.close(r)
+                lines = records(mid, len(m))
+                with os.fdopen(w, "wb") as out:
+                    out.writelines(lines)
+                code = 0
+            finally:
+                os._exit(code)
+        if pid is not None:
+            os.close(w)
+            child = os.fdopen(r, "rb")
+        try:
+            fh.write((json.dumps(header) + "\n").encode("utf-8"))
+            fh.writelines(records(0, mid))
+            if pid is not None:
+                shutil.copyfileobj(child, fh)
+        except BaseException:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            if pid is not None:
+                child.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if pid is not None and code:
+        how = f"signal {-code}" if code < 0 else f"status {code}"
+        raise ChildProcessError(f"dataset worker process ended with {how}")
     _save_sidecar(m, path)
 
 
@@ -403,9 +340,11 @@ def _save_sidecar(m: DatasetManifest, path) -> None:
 
 # What reading a missing, stale or damaged sidecar raises. zipfile reports
 # damaged headers as EOFError, or as NotImplementedError and RuntimeError
-# (a compression method or an encryption flag it does not support).
+# (a compression method or an encryption flag it does not support). numpy
+# retries an array header that does not parse through tokenize, which
+# raises TokenError on unbalanced brackets.
 _UNTRUSTED = (OSError, ValueError, KeyError, TypeError, EOFError,
-              RuntimeError, zipfile.BadZipFile)
+              RuntimeError, zipfile.BadZipFile, tokenize.TokenError)
 
 
 def _sidecar_manifest(path) -> DatasetManifest:
@@ -525,22 +464,6 @@ def _trial_row(rec: dict, layout: JointLayout, t_max: int,
     return tid, pid, side, frames, labels.astype(np.int64)
 
 
-def _line_starts(fh) -> list[int]:
-    """Byte offsets of each line from the current position of the binary
-    file `fh` on, then the end of the file."""
-    starts = [fh.tell()]
-    end = starts[0]
-    while chunk := fh.read(1 << 16):
-        i = chunk.find(b"\n")
-        while i >= 0:
-            starts.append(end + i + 1)
-            i = chunk.find(b"\n", i + 1)
-        end += len(chunk)
-    if end > starts[-1]:  # a last line without a newline
-        starts.append(end)
-    return starts
-
-
 def load_dataset(path) -> DatasetManifest:
     """The dataset in a file: from its sidecar when that is trusted, else
     parsed one line at a time, with validation errors that name the
@@ -574,13 +497,11 @@ def load_dataset(path) -> DatasetManifest:
                 f"{path}:1: field 'joints' must be a list of names, got {joints!r}"
             )
         for key in ("t_max", "seed"):
-            try:
-                header[key] = int(header[key])
-            except (TypeError, ValueError) as exc:
+            if type(header[key]) is not int:
                 raise DataValidationError(
                     f"{path}:1: field {key!r} must be an integer, "
                     f"got {header[key]!r}"
-                ) from exc
+                )
         if header["provenance"] != PROVENANCE:
             raise DataValidationError(
                 f"{path}:1: provenance must be {PROVENANCE!r}, "
@@ -590,28 +511,16 @@ def load_dataset(path) -> DatasetManifest:
             layout = JointLayout(joints=tuple(joints))
         except DataValidationError as exc:
             raise DataValidationError(f"{path}:1: field 'joints': {exc}") from exc
-        starts = _line_starts(fh)
-
-    def rows(lo: int, hi: int) -> list[tuple]:
-        """Checked rows of the records on lines lo + 2 .. hi + 1."""
         found = []
-        with open(path, "rb") as fh:
-            fh.seek(starts[lo])
-            for lineno in range(lo + 2, hi + 2):
-                line = fh.readline()
-                if not line.strip():
-                    continue
-                rec = parse(lineno, line)
-                try:
-                    found.append(_trial_row(
-                        rec, layout, header["t_max"],
-                        b"true" in line or b"false" in line))
-                except DataValidationError as exc:
-                    raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
-        return found
-
-    with _in_two_halves(len(starts) - 1, rows, pickle.dump) as (found, child):
-        found += pickle.load(child)
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            rec = parse(lineno, line)
+            try:
+                found.append(_trial_row(rec, layout, header["t_max"],
+                                        b"true" in line or b"false" in line))
+            except DataValidationError as exc:
+                raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
     if not found:
         raise DataValidationError(f"{path}: no trials")
     try:

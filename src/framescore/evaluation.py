@@ -130,8 +130,8 @@ def recall(counts: ConfusionCounts):
 
 def fbeta(counts: ConfusionCounts, beta: float):
     """(1 + b^2) P R / (b^2 P + R), zero when both P and R are zero."""
-    if beta <= 0:
-        raise ContractError("beta must be positive")
+    if not 0.0 < beta < np.inf:
+        raise ContractError(f"beta must be positive and finite, got {beta}")
     p = precision(counts)
     r = recall(counts)
     b2 = beta * beta

@@ -232,8 +232,12 @@ class TestTrainCommand:
         assert f"{train} train / {test} test" in capsys.readouterr().err
         assert not model.exists()
 
+    # t_max and seed must be JSON integers, not floats, numeric strings or
+    # booleans.
     @pytest.mark.parametrize("field, value", [("t_max", "abc"), ("joints", 5),
-                                              ("joints", [])])
+                                              ("joints", []), ("t_max", 40.9),
+                                              ("t_max", "40"), ("seed", 5.7),
+                                              ("seed", True)])
     def test_malformed_header_names_line(self, tmp_path, capsys, field, value):
         data = make_dataset(tmp_path)
         lines = data.read_text().splitlines()
@@ -422,6 +426,16 @@ class TestSweepCommand:
                    "--beta", 2, "--windows", "1") == 0
         body = (out / "report-all-w1.csv").read_text().splitlines()
         assert body[1].split(",")[2] == "2.0"
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "0", "-1"])
+    def test_beta_outside_zero_to_infinity_rejected(self, prepared, tmp_path,
+                                                    capsys, beta):
+        data, scores = prepared
+        out = tmp_path / "reports-bad-beta"
+        assert run("sweep", "--scores", scores, "--data", data, "--out", out,
+                   "--beta", beta) == 2
+        assert "--beta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_coarse_step_grid(self, prepared, tmp_path):
         data, scores = prepared

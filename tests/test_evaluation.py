@@ -89,8 +89,9 @@ class TestFbeta:
         assert 5.0 * p * r / (4.0 * p + r) == pytest.approx(f2, rel=1e-12)
 
     def test_invalid_beta(self):
-        with pytest.raises(ContractError):
-            fbeta(ConfusionCounts(1, 1, 1, 1), 0.0)
+        for beta in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ContractError):
+                fbeta(ConfusionCounts(1, 1, 1, 1), beta)
 
     @given(
         tp=st.integers(0, 20), fp=st.integers(0, 20),
