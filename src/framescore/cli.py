@@ -89,9 +89,11 @@ def build_parser() -> _Parser:
                    help="grid report CSV path (default: <out>.grid.csv)")
     p.add_argument("--folds", type=int, default=3,
                    help="cross-validation folds for the grid search")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--epochs", type=int, default=network.TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int,
+                   default=network.TrainConfig.batch_size)
+    p.add_argument("--momentum", type=float,
+                   default=network.TrainConfig.momentum)
 
     p = sub.add_parser(
         "explain", formatter_class=fmt,
@@ -112,12 +114,14 @@ def build_parser() -> _Parser:
     p.add_argument("--scores", required=True, help="raw score CSV from explain")
     p.add_argument("--data", required=True, help="dataset file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--modes", default="all,no-pad,comp-no-pad",
+    p.add_argument("--modes",
+                   default=",".join(m.value for m in evaluation.FilterMode),
                    help="comma-separated filter modes")
-    p.add_argument("--windows", default="1,5,10,15,20",
+    p.add_argument("--windows",
+                   default=",".join(map(str, evaluation.DEFAULT_WINDOWS)),
                    help="comma-separated window sizes")
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--beta", type=float, default=evaluation.DEFAULT_BETA)
+    p.add_argument("--step", type=float, default=evaluation.DEFAULT_STEP)
     return parser
 
 

@@ -36,6 +36,7 @@ import os
 import shutil
 import signal
 import tokenize
+import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -342,9 +343,11 @@ def _save_sidecar(m: DatasetManifest, path) -> None:
 # damaged headers as EOFError, or as NotImplementedError and RuntimeError
 # (a compression method or an encryption flag it does not support). numpy
 # retries an array header that does not parse through tokenize, which
-# raises TokenError on unbalanced brackets.
+# raises TokenError on unbalanced brackets. The members are read with
+# warnings raised as errors (a header that numpy takes for one written on
+# Python 2 warns), so a damaged sidecar falls back without a word.
 _UNTRUSTED = (OSError, ValueError, KeyError, TypeError, EOFError,
-              RuntimeError, zipfile.BadZipFile, tokenize.TokenError)
+              RuntimeError, zipfile.BadZipFile, tokenize.TokenError, Warning)
 
 
 def _sidecar_manifest(path) -> DatasetManifest:
@@ -358,7 +361,8 @@ def _sidecar_manifest(path) -> DatasetManifest:
         def member(name: str) -> np.ndarray:
             if z.getinfo(name + ".npy").compress_type != zipfile.ZIP_STORED:
                 raise ValueError(f"compressed sidecar member {name!r}")
-            with z.open(name + ".npy") as fh:
+            with z.open(name + ".npy") as fh, warnings.catch_warnings():
+                warnings.simplefilter("error")
                 return np.lib.format.read_array(fh, allow_pickle=False)
 
         header = json.loads(member("header").tobytes())

@@ -75,13 +75,8 @@ def select_frames(
             )
         mask &= comp[:, None]
     trial, frame = np.nonzero(mask)
-    return FramePool(
-        trial_id=np.array(manifest.trial_ids, dtype=str)[trial],
-        frame_index=frame,
-        raw=raw[mask],
-        label=labels[mask],
-        padded=padded[mask],
-    )
+    return FramePool(trial=trial, trial_ids=manifest.trial_ids, frame_index=frame,
+                     raw=raw[mask], label=labels[mask], padded=padded[mask])
 
 
 @dataclass(frozen=True)

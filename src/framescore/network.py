@@ -557,10 +557,14 @@ def load_model(path) -> TrainedModel:
         mean=np.asarray(s["mean"], dtype=np.float64),
         scale=np.asarray(s["scale"], dtype=np.float64),
     ))
-    weights = read("weights", lambda ws: [
-        np.asarray(flat, dtype=np.float64).reshape(a, b)
-        for flat, a, b in zip(ws, dims[:-1], dims[1:])
-    ])
+
+    def matrices(ws):
+        if len(ws) != len(dims) - 1:
+            raise DataValidationError("layer count mismatch")
+        return [np.asarray(flat, dtype=np.float64).reshape(a, b)
+                for flat, a, b in zip(ws, dims[:-1], dims[1:])]
+
+    weights = read("weights", matrices)
     biases = read("biases", lambda bs: [np.asarray(b, dtype=np.float64) for b in bs])
     metadata = payload.get("metadata", {})
     if not isinstance(metadata, dict):

@@ -10,10 +10,10 @@ the experiment admits.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from array import array
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -41,10 +41,13 @@ class FrameScoreTrack:
 class FramePool:
     """Selected frames as parallel arrays, in trial order, then frame order.
 
+    Row k is frame `frame_index[k]` of trial `trial_ids[trial[k]]`, where
+    `trial_ids` is the manifest's id tuple, shared rather than copied.
     `normalized` is None until `normalize_pool` fills it.
     """
 
-    trial_id: np.ndarray
+    trial: np.ndarray
+    trial_ids: tuple[str, ...]
     frame_index: np.ndarray
     raw: np.ndarray
     label: np.ndarray
@@ -108,7 +111,7 @@ def windows_over_pool(pool: FramePool, window_size: int
     """
     if window_size < 1:
         raise ContractError("window_size must be at least 1")
-    first = np.flatnonzero(np.r_[True, pool.trial_id[1:] != pool.trial_id[:-1]])
+    first = np.flatnonzero(np.r_[True, pool.trial[1:] != pool.trial[:-1]])
     end = np.r_[first[1:], len(pool)]
     counts = -(-(end - first) // window_size)
     # Window k of a trial starts k * window_size frames into the trial.
@@ -179,62 +182,52 @@ _SCORE_COLUMNS = (
 # One score row as csv.writer writes it, once the trial id is quoted; "{}"
 # formats a float exactly as repr does.
 _SCORE_ROW = "{},{},{},{},{},{}\r\n".format
-# Score rows are formatted and written a slice at a time (a trial of the
-# raw file, this many rows of a pool): whole columns as Python lists would
-# add megabytes to the peak RSS of explain and sweep.
+# Score rows are formatted and written this many at a time: whole columns
+# as Python lists would add megabytes to the peak RSS of explain and sweep.
 _ROWS_PER_WRITE = 16384
 
 
 def _csv_field(text: str) -> str:
     """`text` as csv.writer writes it inside a row: quoted when it holds a
-    comma, a quote or a line break. A lone field is not used, because the
-    writer quotes a lone empty field."""
-    out = io.StringIO()
-    csv.writer(out).writerow((text, ""))
-    return out.getvalue()[:-3]
+    comma, a quote or a line break. Built by hand because the csv module
+    of Python 3.10 cannot write a NUL character."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _write_score_file(path, chunks) -> None:
-    """The score header, then each chunk of score rows (strings)."""
+def _write_pools(path, trial_ids: Sequence[str], pools) -> None:
+    """The score header, then the rows of each pool over `trial_ids`;
+    normalized_score is left empty where a pool has none."""
+    quoted = list(map(_csv_field, trial_ids))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(_SCORE_COLUMNS)
-        for rows in chunks:
-            fh.write("".join(rows))
+        for pool in pools:
+            for lo in range(0, len(pool), _ROWS_PER_WRITE):
+                part = slice(lo, lo + _ROWS_PER_WRITE)
+                normalized = repeat("") if pool.normalized is None \
+                    else pool.normalized[part].tolist()
+                fh.write("".join(map(
+                    _SCORE_ROW, map(quoted.__getitem__, pool.trial[part].tolist()),
+                    pool.frame_index[part].tolist(), pool.raw[part].tolist(),
+                    normalized, pool.label[part].tolist(),
+                    pool.padded[part].astype(np.int64).tolist())))
 
 
 def write_raw_scores(path, manifest: DatasetManifest,
                      tracks: Sequence[FrameScoreTrack]) -> None:
     """One row per (trial, frame); normalized_score left empty."""
-    padded = manifest.padded.astype(np.int64)
-
-    def chunks():
-        for tid, labels, pad, track in zip(manifest.trial_ids,
-                                           manifest.frame_labels, padded,
-                                           tracks):
-            n = len(track.raw_scores)
-            yield map(_SCORE_ROW, [_csv_field(tid)] * n, range(n),
-                      track.raw_scores.tolist(), [""] * n, labels.tolist(),
-                      pad.tolist())
-
-    _write_score_file(path, chunks())
+    ids, frames = manifest.trial_ids, np.arange(manifest.t_max)
+    _write_pools(path, ids, (
+        FramePool(np.full(len(frames), i), ids, frames, track.raw_scores,
+                  labels, padded)
+        for i, (track, labels, padded) in enumerate(zip(
+            tracks, manifest.frame_labels, manifest.padded))))
 
 
 def write_pooled_scores(path, pool: FramePool) -> None:
     """Pooled frames with their normalized scores filled in."""
-    quoted = {tid: _csv_field(tid) for tid in set(pool.trial_id.tolist())}
-
-    def chunks():
-        for lo in range(0, len(pool), _ROWS_PER_WRITE):
-            part = slice(lo, lo + _ROWS_PER_WRITE)
-            yield map(_SCORE_ROW,
-                      map(quoted.__getitem__, pool.trial_id[part].tolist()),
-                      pool.frame_index[part].tolist(),
-                      pool.raw[part].tolist(),
-                      pool.normalized[part].tolist(),
-                      pool.label[part].tolist(),
-                      pool.padded[part].astype(np.int64).tolist())
-
-    _write_score_file(path, chunks())
+    _write_pools(path, pool.trial_ids, [pool])
 
 
 def read_raw_scores(path, manifest: DatasetManifest
@@ -245,17 +238,23 @@ def read_raw_scores(path, manifest: DatasetManifest
     the slot's frame label and padding flag. Returns one track per trial,
     in the order of `manifest`.
     """
+    def records(reader):
+        try:
+            yield from reader
+        except csv.Error as exc:  # e.g. a field over the csv size limit
+            raise DataValidationError(f"{path}:{reader.line_num}: {exc}") from exc
+
     ids = manifest.trial_ids
     position = {tid: i for i, tid in enumerate(ids)}
     t_max = manifest.t_max
     # Typed buffers, not a tuple per row: they hold 8 bytes per field.
     ints, raws = array("q"), array("d")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = records(csv.reader(fh))
+        header = next(rows, None)
         if header is None or tuple(header) != _SCORE_COLUMNS:
             raise DataValidationError(f"{path}: unexpected score file header")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if not row:
                 continue
             if len(row) != len(_SCORE_COLUMNS):

@@ -153,8 +153,8 @@ def test_criterion_3_bookkeeping_oracle(pipeline):
     no_pad = select_frames(manifest, tracks, FilterMode.NO_PAD)
     assert len(no_pad) == manifest.lengths.sum()
     comp = select_frames(manifest, tracks, FilterMode.COMP_NO_PAD)
-    comp_keys = set(zip(comp.trial_id.tolist(), comp.frame_index.tolist()))
-    no_pad_keys = set(zip(no_pad.trial_id.tolist(), no_pad.frame_index.tolist()))
+    comp_keys = set(zip(comp.trial.tolist(), comp.frame_index.tolist()))
+    no_pad_keys = set(zip(no_pad.trial.tolist(), no_pad.frame_index.tolist()))
     assert comp_keys <= no_pad_keys
     print(f"\nACCEPTANCE PASS [3] bookkeeping: ALL=118200, "
           f"NO_PAD={len(no_pad)}, COMP_NO_PAD={len(comp)} (nested)")
@@ -169,7 +169,8 @@ def test_criterion_4_normalization_properties():
             continue
         def normalized(r):
             return normalize_pool(FramePool(
-                trial_id=np.full(n, "t"), frame_index=np.arange(n), raw=r,
+                trial=np.zeros(n, dtype=np.int64), trial_ids=("t",),
+                frame_index=np.arange(n), raw=r,
                 label=np.ones(n, dtype=np.int64), padded=np.zeros(n, dtype=bool),
             )).normalized
 

@@ -328,8 +328,9 @@ class TestExplainCommand:
         (lambda p: (p["architecture"].update(hidden_layers="32"), p)[1],
          "hidden_layers"),
         (lambda p: (p["weights"].pop(), p)[1], "layer count mismatch"),
+        (lambda p: (p["weights"].append([0.0]), p)[1], "layer count mismatch"),
     ], ids=["no-scaler", "short-weights", "list", "string-widths",
-            "missing-layer"])
+            "missing-layer", "extra-layer"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, corrupt,
                                           expected):
         data = make_dataset(tmp_path)
@@ -391,6 +392,9 @@ SCORE_FILE_FAULTS = {
     "wrong-header": (
         lambda ls: _set(ls, 1, 2, lambda _: "score"),
         "scores.csv: unexpected score file header"),
+    "field-over-csv-limit": (
+        lambda ls: _set(ls, 2, 0, lambda _: "x" * 200_000),
+        "scores.csv:2: field larger than field limit"),
 }
 
 

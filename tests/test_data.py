@@ -2,6 +2,7 @@ import json
 import os
 import signal
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -720,6 +721,22 @@ class TestSidecar:
         at = blob.index(b"'shape': (", blob.index(b"'descr': '<f8'")) + 9
         sidecar(path).write_bytes(blob[:at] + b")" + blob[at + 1:])
         assert_same_manifest(load_dataset(path), small_synth_manifest)
+
+    def test_python_2_array_header_falls_back_without_a_warning(
+            self, small_synth_manifest, tmp_path):
+        # numpy reads "(295, 8, 2)" changed to "(29L, 8, 2)" as a header
+        # written on Python 2, and warns while it parses it again.
+        path = tmp_path / "data.jsonl"
+        save_dataset(small_synth_manifest, path)
+        blob = sidecar(path).read_bytes()
+        shape = blob.index(b"'shape': (", blob.index(b"'descr': '<f8'"))
+        at = blob.index(b",", shape) - 1
+        sidecar(path).write_bytes(blob[:at] + b"L" + blob[at + 1:])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = load_dataset(path)
+        assert [str(w.message) for w in caught] == []
+        assert_same_manifest(loaded, small_synth_manifest)
 
     @given(at=st.floats(0.0, 1.0, exclude_max=True),
            bits=st.integers(1, 255))

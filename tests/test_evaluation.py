@@ -39,7 +39,8 @@ def tracks_for(manifest, seed=0):
 def pool_of(raws, labels):
     n = len(raws)
     return normalize_pool(FramePool(
-        trial_id=np.full(n, "t"),
+        trial=np.zeros(n, dtype=np.int64),
+        trial_ids=("t",),
         frame_index=np.arange(n),
         raw=np.asarray(raws, dtype=np.float64),
         label=np.asarray(labels, dtype=np.int64),
@@ -48,7 +49,8 @@ def pool_of(raws, labels):
 
 
 def frame_keys(pool):
-    return list(zip(pool.trial_id.tolist(), pool.frame_index.tolist()))
+    return [(pool.trial_ids[i], f) for i, f in
+            zip(pool.trial.tolist(), pool.frame_index.tolist())]
 
 
 class TestClassify:

@@ -33,13 +33,16 @@ from tests.conftest import make_manifest, make_trial
 
 
 def pool_of(raws, labels=None, trial_ids=None, normalized=None):
-    """A pool of hand-made frames; every frame is trial "t0" by default."""
+    """A pool of hand-made frames; `trial_ids` names each frame's trial,
+    and every frame is trial "t0" by default."""
     raws = np.asarray(raws, dtype=np.float64)
     n = len(raws)
     labels = np.ones(n, dtype=np.int64) if labels is None else labels
     trial_ids = ["t0"] * n if trial_ids is None else trial_ids
+    ids = tuple(dict.fromkeys(trial_ids))
     return FramePool(
-        trial_id=np.array(trial_ids, dtype=str),
+        trial=np.array([ids.index(t) for t in trial_ids], dtype=np.int64),
+        trial_ids=ids,
         frame_index=np.arange(n),
         raw=raws,
         label=np.asarray(labels, dtype=np.int64),
@@ -138,7 +141,8 @@ class TestNormalizePool:
 
         def normalized_by_key(mode):
             pool = normalize_pool(select_frames(manifest, tracks, mode))
-            keys = zip(pool.trial_id.tolist(), pool.frame_index.tolist())
+            keys = ((pool.trial_ids[i], f) for i, f in
+                    zip(pool.trial.tolist(), pool.frame_index.tolist()))
             return pool, dict(zip(keys, pool.normalized.tolist()))
 
         every, by_key_all = normalized_by_key(FilterMode.ALL)
@@ -299,6 +303,36 @@ class TestScoreFiles:
         assert np.array_equal(back[0].raw_scores, tracks[-1].raw_scores)
 
 
+class TestTrialsByPosition:
+    """Pool rows name their trial by its position in the manifest, so ids
+    that differ only in a trailing NUL, which numpy unicode arrays drop,
+    stay two trials."""
+
+    @pytest.fixture
+    def pool(self):
+        manifest = make_manifest(make_trial("a", length=3, comp_frames=(0,)),
+                                 make_trial("a\0", length=3, comp_frames=(0,)))
+        tracks = [FrameScoreTrack(tid, np.arange(3.0))
+                  for tid in manifest.trial_ids]
+        return normalize_pool(select_frames(manifest, tracks,
+                                            FilterMode.NO_PAD))
+
+    def test_rows_hold_trial_positions(self, pool):
+        assert pool.trial.tolist() == [0, 0, 0, 1, 1, 1]
+        assert pool.trial_ids == ("a", "a\0")
+
+    def test_windows_stop_at_the_trial_boundary(self, pool):
+        scores, labels = windows_over_pool(pool, 2)
+        assert len(scores) == len(labels) == 4
+
+    def test_pooled_file_keeps_the_trailing_nul(self, pool, tmp_path):
+        # Read as text: csv.reader handles NUL differently across versions.
+        path = tmp_path / "pooled.csv"
+        write_pooled_scores(path, pool)
+        rows = path.read_bytes().decode("utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["a"] * 3 + ["a\0"] * 3
+
+
 # Trial ids that csv.writer must quote, or must not: commas, quotes, line
 # breaks, spaces, non-ASCII and the empty id.
 _AWKWARD_IDS = st.lists(
@@ -345,7 +379,8 @@ class TestScoreWritersMatchCsvWriter:
         trial = sorted(data.draw(st.lists(st.integers(0, len(ids) - 1),
                                           min_size=n, max_size=n)))
         pool = normalize_pool(FramePool(
-            trial_id=np.array(ids, dtype=str)[trial],
+            trial=np.array(trial, dtype=np.int64),
+            trial_ids=tuple(ids),
             frame_index=np.arange(n),
             raw=np.array(data.draw(st.lists(
                 st.floats(0, 1e6), min_size=n, max_size=n))),
