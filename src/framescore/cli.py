@@ -320,12 +320,15 @@ def _cmd_sweep(args) -> int:
         raise DataValidationError("--step must be in (0, 1]")
 
     manifest = data.load_dataset(args.data)
-    tracks = saliency.read_raw_scores(args.scores, manifest)
+    raw = saliency.read_raw_scores(args.scores, manifest)
 
+    # Each usable mode is selected here, to skip one whose pool cannot be
+    # formed, and again in run_experiment_matrix: the benchmark's span tests
+    # pin that count (select_frames useful_ratio == 0.5) until they change.
     usable = []
     for mode in modes:
         try:
-            evaluation.select_frames(manifest, tracks, mode)
+            evaluation.select_frames(manifest, raw, mode)
         except ContractError as exc:
             _warn(f"skipping mode {mode.value!r}: {exc}")
             continue
@@ -334,11 +337,11 @@ def _cmd_sweep(args) -> int:
         _warn("no usable filter modes; nothing to report")
         return EXIT_OK
 
-    matrix = evaluation.run_experiment_matrix(
-        manifest, tracks, usable, windows, beta=args.beta, step=args.step
+    results = evaluation.run_experiment_matrix(
+        manifest, raw, usable, windows, beta=args.beta, step=args.step
     )
     os.makedirs(args.out, exist_ok=True)
-    for res in matrix.results:
+    for res in results:
         saliency.write_pooled_scores(
             os.path.join(args.out, f"pooled-scores-{res.mode.value}.csv"),
             res.pool,
@@ -354,11 +357,11 @@ def _cmd_sweep(args) -> int:
                     f"report-{res.mode.value}-w{report.window_size}.csv",
                 ),
             )
-    evaluation.write_summary(matrix, os.path.join(args.out, "summary.csv"))
+    evaluation.write_summary(results, os.path.join(args.out, "summary.csv"))
     print(f"beta {args.beta}, step {args.step}")
-    print(evaluation.format_pool_table(matrix))
+    print(evaluation.format_pool_table(results))
     print()
-    print(evaluation.format_summary(matrix))
+    print(evaluation.format_summary(results))
     print(f"reports -> {args.out}")
     return EXIT_OK
 

@@ -20,12 +20,7 @@ import numpy as np
 
 from .data import LABEL_COMPENSATORY, LABEL_NORMAL, DatasetManifest
 from .errors import ContractError
-from .saliency import (
-    FramePool,
-    FrameScoreTrack,
-    normalize_pool,
-    windows_over_pool,
-)
+from .saliency import FramePool, normalize_pool, windows_over_pool
 
 DEFAULT_BETA = 2.0
 DEFAULT_STEP = 0.01
@@ -51,20 +46,14 @@ class FilterMode(enum.Enum):
         )
 
 
-def select_frames(
-    manifest: DatasetManifest,
-    tracks: Sequence[FrameScoreTrack],
-    mode: FilterMode,
-) -> FramePool:
-    """Return the un-normalized pool of frames admitted by the mode."""
-    raw = np.array([t.raw_scores for t in tracks], dtype=np.float64)
+def select_frames(manifest: DatasetManifest, raw: np.ndarray,
+                  mode: FilterMode) -> FramePool:
+    """The un-normalized pool of the frames the mode admits from `raw`, the
+    (trials x t_max) raw-score block with rows in manifest order."""
     labels = manifest.frame_labels
-    if raw.shape != labels.shape or \
-            tuple(t.trial_id for t in tracks) != manifest.trial_ids:
+    if raw.shape != labels.shape:
         raise ContractError(
-            f"tracks {raw.shape} do not match trials {labels.shape} "
-            f"one for one, in order"
-        )
+            f"raw scores {raw.shape} do not match trials x frames {labels.shape}")
     padded = manifest.padded
     mask = np.ones_like(padded) if mode is FilterMode.ALL else ~padded
     if mode is FilterMode.COMP_NO_PAD:
@@ -255,37 +244,19 @@ class ModeResult:
     reports: tuple[ThresholdSweepReport, ...]
 
 
-@dataclass(frozen=True)
-class ExperimentMatrix:
-    """One sweep report per (mode, window size), plus per-mode pools."""
-
-    results: tuple[ModeResult, ...]
-
-    @property
-    def reports(self) -> list[ThresholdSweepReport]:
-        return [r for res in self.results for r in res.reports]
-
-    def report_for(self, mode: FilterMode, window_size: int
-                   ) -> ThresholdSweepReport:
-        for res in self.results:
-            for report in res.reports:
-                if res.mode is mode and report.window_size == window_size:
-                    return report
-        raise KeyError((mode, window_size))
-
-
 def run_experiment_matrix(
     manifest: DatasetManifest,
-    tracks: Sequence[FrameScoreTrack],
+    raw: np.ndarray,
     modes: Sequence[FilterMode] = tuple(FilterMode),
     windows: Sequence[int] = DEFAULT_WINDOWS,
     beta: float = DEFAULT_BETA,
     step: float = DEFAULT_STEP,
-) -> ExperimentMatrix:
-    """Select, normalize, window, and sweep for every (mode, window) cell."""
+) -> tuple[ModeResult, ...]:
+    """Select, normalize, window, and sweep for every (mode, window) cell
+    of the raw-score block; one result per mode, in the order given."""
     results = []
     for mode in modes:
-        pool = normalize_pool(select_frames(manifest, tracks, mode))
+        pool = normalize_pool(select_frames(manifest, raw, mode))
         reports = [
             sweep(*windows_over_pool(pool, w), beta=beta, step=step,
                   mode=mode, window_size=w)
@@ -294,7 +265,7 @@ def run_experiment_matrix(
         results.append(
             ModeResult(mode, pool, histogram(pool), tuple(reports))
         )
-    return ExperimentMatrix(tuple(results))
+    return tuple(results)
 
 
 def write_sweep_report(report: ThresholdSweepReport, path) -> None:
@@ -339,13 +310,13 @@ def write_histogram(hist: ScoreHistogram, path) -> None:
         writer.writerow(["# overlap_mass", hist.overlap_mass, "", ""])
 
 
-def format_summary(matrix: ExperimentMatrix) -> str:
+def format_summary(results: Sequence[ModeResult]) -> str:
     """Human-readable best-row table per (mode, window) cell."""
     lines = [
         f"{'mode':<14} {'window':>6} {'best_tau':>9} {'recall':>7} "
         f"{'fbeta':>7} {'group0':>8} {'group1':>8}"
     ]
-    for res in matrix.results:
+    for res in results:
         for report in res.reports:
             lines.append(
                 f"{report.mode.value:<14} {report.window_size:>6} "
@@ -355,13 +326,13 @@ def format_summary(matrix: ExperimentMatrix) -> str:
     return "\n".join(lines)
 
 
-def format_pool_table(matrix: ExperimentMatrix) -> str:
+def format_pool_table(results: Sequence[ModeResult]) -> str:
     """Per-pool group sizes and percentages (frame level, one row per mode)."""
     lines = [
         f"{'pool':<14} {'group0':>8} {'pct0':>7} {'group1':>8} {'pct1':>7} "
         f"{'total':>8}"
     ]
-    for res in matrix.results:
+    for res in results:
         labels = res.pool.label
         g0 = int(np.sum(labels == LABEL_COMPENSATORY))
         g1 = int(np.sum(labels == LABEL_NORMAL))
@@ -373,14 +344,14 @@ def format_pool_table(matrix: ExperimentMatrix) -> str:
     return "\n".join(lines)
 
 
-def write_summary(matrix: ExperimentMatrix, path) -> None:
+def write_summary(results: Sequence[ModeResult], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["mode", "window", "best_tau", "best_recall", "best_fbeta",
              "group0", "group1", "total"]
         )
-        for res in matrix.results:
+        for res in results:
             for report in res.reports:
                 writer.writerow(
                     [

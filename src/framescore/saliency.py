@@ -4,7 +4,8 @@ The saliency matrix of a trial is the loss gradient at the trial's true
 label, reshaped to frames x features. A frame's raw score is the sum of
 absolute gradient entries across features; normalized scores are min-max
 scaled over a pooled set of selected frames, so they depend on which frames
-the experiment admits.
+the experiment admits. A raw score file is read back as one read-only
+(trials x t_max) block, with rows in the dataset's trial order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from .network import TrainedModel, input_gradient
 
 @dataclass(frozen=True)
 class FrameScoreTrack:
-    """Per-frame aggregated saliency for one trial."""
+    """Per-frame aggregated saliency for one trial: explain's output. It is
+    kept, rather than a row of the score block, because the benchmark's span
+    counters (perfbench/spans.py) count written rows from each track."""
 
     trial_id: str
     raw_scores: np.ndarray
@@ -73,14 +76,12 @@ def compute_saliency(model: TrainedModel, manifest: DatasetManifest,
     return sal
 
 
-def frame_aggregate(trial_id: str, sal: np.ndarray) -> FrameScoreTrack:
-    """Raw frame score: sum of absolute gradient entries over features."""
-    return FrameScoreTrack(trial_id, np.abs(sal).sum(axis=1))
-
-
 def compute_tracks(model: TrainedModel, manifest: DatasetManifest,
                    X: np.ndarray) -> list[FrameScoreTrack]:
-    return [frame_aggregate(tid, compute_saliency(model, manifest, X, i))
+    """One track per trial, in manifest order. A frame's raw score is the
+    sum of its absolute saliency entries over features, sum |gradient|."""
+    return [FrameScoreTrack(
+                tid, np.abs(compute_saliency(model, manifest, X, i)).sum(axis=1))
             for i, tid in enumerate(manifest.trial_ids)]
 
 
@@ -230,13 +231,13 @@ def write_pooled_scores(path, pool: FramePool) -> None:
     _write_pools(path, pool.trial_ids, [pool])
 
 
-def read_raw_scores(path, manifest: DatasetManifest
-                    ) -> list[FrameScoreTrack]:
+def read_raw_scores(path, manifest: DatasetManifest) -> np.ndarray:
     """Read a raw score file written for these trials, in any row order.
 
     Every (trial, frame) slot of the block must appear exactly once, with
-    the slot's frame label and padding flag. Returns one track per trial,
-    in the order of `manifest`.
+    the slot's frame label and padding flag. Returns the read-only float64
+    (trials x t_max) raw-score block, with rows in the order of `manifest`.
+    Faults name the file line on which the offending record ends.
     """
     def records(reader):
         try:
@@ -250,13 +251,15 @@ def read_raw_scores(path, manifest: DatasetManifest
     # Typed buffers, not a tuple per row: they hold 8 bytes per field.
     ints, raws = array("q"), array("d")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = records(csv.reader(fh))
+        reader = csv.reader(fh)
+        rows = records(reader)
         header = next(rows, None)
         if header is None or tuple(header) != _SCORE_COLUMNS:
             raise DataValidationError(f"{path}: unexpected score file header")
-        for lineno, row in enumerate(rows, start=2):
+        for row in rows:
             if not row:
                 continue
+            lineno = reader.line_num  # a quoted id may hold line breaks
             if len(row) != len(_SCORE_COLUMNS):
                 raise DataValidationError(f"{path}:{lineno}: ragged score row")
             trial = position.get(row[0], -1)
@@ -302,5 +305,6 @@ def read_raw_scores(path, manifest: DatasetManifest
         )
     raw = np.empty(hits.size)
     raw[slot] = np.frombuffer(raws)
-    return [FrameScoreTrack(tid, r)
-            for tid, r in zip(ids, raw.reshape(hits.shape))]
+    raw = raw.reshape(hits.shape)
+    raw.flags.writeable = False
+    return raw

@@ -51,8 +51,8 @@ class PipelineRun:
     features: object
     model: object
     test_accuracy: float
-    tracks: list
-    matrix: object
+    raw: object
+    results: tuple
     elapsed_seconds: float
 
 
@@ -75,11 +75,12 @@ def pipeline():
         TrainConfig(seed=SEED),
     )
     test_accuracy = evaluate_accuracy(model, X_test, y_test)
-    tracks = compute_tracks(model, manifest, features)
-    matrix = run_experiment_matrix(manifest, tracks)
+    raw = np.array([t.raw_scores
+                    for t in compute_tracks(model, manifest, features)])
+    results = run_experiment_matrix(manifest, raw)
     elapsed = time.perf_counter() - start
-    return PipelineRun(manifest, features, model, test_accuracy, tracks,
-                       matrix, elapsed)
+    return PipelineRun(manifest, features, model, test_accuracy, raw,
+                       results, elapsed)
 
 
 def _kink_free_triple(base_seed):
@@ -145,14 +146,14 @@ def test_criterion_2_metric_oracle():
 
 
 def test_criterion_3_bookkeeping_oracle(pipeline):
-    manifest, tracks = pipeline.manifest, pipeline.tracks
+    manifest, raw = pipeline.manifest, pipeline.raw
     assert len(manifest) == 300
     assert pipeline.manifest.t_max == 394
-    all_entries = select_frames(manifest, tracks, FilterMode.ALL)
+    all_entries = select_frames(manifest, raw, FilterMode.ALL)
     assert len(all_entries) == 118_200
-    no_pad = select_frames(manifest, tracks, FilterMode.NO_PAD)
+    no_pad = select_frames(manifest, raw, FilterMode.NO_PAD)
     assert len(no_pad) == manifest.lengths.sum()
-    comp = select_frames(manifest, tracks, FilterMode.COMP_NO_PAD)
+    comp = select_frames(manifest, raw, FilterMode.COMP_NO_PAD)
     comp_keys = set(zip(comp.trial.tolist(), comp.frame_index.tolist()))
     no_pad_keys = set(zip(no_pad.trial.tolist(), no_pad.frame_index.tolist()))
     assert comp_keys <= no_pad_keys
@@ -194,7 +195,7 @@ def test_criterion_5_sweep_monotonicity(pipeline):
         assert all(a >= b for a, b in zip(recalls, recalls[1:]))
         assert np.all(report.counts.total == n)
         checked += 1
-    for report in pipeline.matrix.reports:
+    for report in [r for res in pipeline.results for r in res.reports]:
         recalls = report.recall.tolist()
         assert all(a >= b for a, b in zip(recalls, recalls[1:]))
         totals = set(report.counts.total.tolist())
@@ -207,8 +208,10 @@ def test_criterion_5_sweep_monotonicity(pipeline):
 def test_criterion_6_end_to_end_trends(pipeline):
     assert pipeline.elapsed_seconds < 300.0
     assert pipeline.test_accuracy >= 0.95
-    comp5 = pipeline.matrix.report_for(FilterMode.COMP_NO_PAD, 5)
-    all5 = pipeline.matrix.report_for(FilterMode.ALL, 5)
+    reports = {(res.mode, r.window_size): r
+               for res in pipeline.results for r in res.reports}
+    comp5 = reports[FilterMode.COMP_NO_PAD, 5]
+    all5 = reports[FilterMode.ALL, 5]
     assert comp5.best_fbeta >= 0.80
     assert comp5.best_recall >= 0.90
     assert comp5.best_fbeta > all5.best_fbeta
@@ -221,8 +224,10 @@ def test_criterion_6_end_to_end_trends(pipeline):
 
 
 def test_criterion_7_window_robustness(pipeline):
+    reports = {(res.mode, r.window_size): r
+               for res in pipeline.results for r in res.reports}
     scores = [
-        pipeline.matrix.report_for(FilterMode.COMP_NO_PAD, w).best_fbeta
+        reports[FilterMode.COMP_NO_PAD, w].best_fbeta
         for w in (5, 10, 15, 20)
     ]
     spread = max(scores) - min(scores)

@@ -24,16 +24,14 @@ from framescore.evaluation import (
     write_summary,
     write_sweep_report,
 )
-from framescore.saliency import FramePool, FrameScoreTrack, normalize_pool
+from framescore.saliency import FramePool, normalize_pool
 from tests.conftest import make_manifest, make_trial
 
 
-def tracks_for(manifest, seed=0):
+def raw_for(manifest, seed=0):
+    """A random (trials x t_max) raw-score block for the manifest."""
     rng = np.random.default_rng(seed)
-    return [
-        FrameScoreTrack(tid, rng.uniform(size=manifest.t_max))
-        for tid in manifest.trial_ids
-    ]
+    return rng.uniform(size=manifest.frame_labels.shape)
 
 
 def pool_of(raws, labels):
@@ -131,43 +129,44 @@ class TestThresholdGrid:
 class TestSelectFrames:
     def test_mode_nesting(self, small_synth_manifest):
         manifest = small_synth_manifest
-        tracks = tracks_for(manifest)
+        raw = raw_for(manifest)
         sets = {}
         for mode in FilterMode:
-            sets[mode] = set(frame_keys(select_frames(manifest, tracks, mode)))
+            sets[mode] = set(frame_keys(select_frames(manifest, raw, mode)))
         assert sets[FilterMode.COMP_NO_PAD] <= sets[FilterMode.NO_PAD]
         assert sets[FilterMode.NO_PAD] <= sets[FilterMode.ALL]
 
     def test_all_counts(self, small_synth_manifest):
         manifest = small_synth_manifest
-        entries = select_frames(manifest, tracks_for(manifest), FilterMode.ALL)
+        entries = select_frames(manifest, raw_for(manifest), FilterMode.ALL)
         assert len(entries) == len(manifest) * small_synth_manifest.t_max
 
     def test_no_pad_counts(self, small_synth_manifest):
         manifest = small_synth_manifest
-        entries = select_frames(manifest, tracks_for(manifest), FilterMode.NO_PAD)
+        entries = select_frames(manifest, raw_for(manifest), FilterMode.NO_PAD)
         assert len(entries) == manifest.lengths.sum()
         assert not entries.padded.any()
 
     def test_full_length_trial_identical_under_no_pad(self):
         manifest = make_manifest(make_trial("full", length=10), t_max=10)
-        tracks = tracks_for(manifest)
-        all_entries = select_frames(manifest, tracks, FilterMode.ALL)
-        nopad_entries = select_frames(manifest, tracks, FilterMode.NO_PAD)
+        raw = raw_for(manifest)
+        all_entries = select_frames(manifest, raw, FilterMode.ALL)
+        nopad_entries = select_frames(manifest, raw, FilterMode.NO_PAD)
         assert frame_keys(all_entries) == frame_keys(nopad_entries)
 
     def test_comp_mode_requires_compensatory_trials(self):
         manifest = make_manifest(make_trial("n", length=6), t_max=8)
         with pytest.raises(ContractError):
-            select_frames(manifest, tracks_for(manifest), FilterMode.COMP_NO_PAD)
+            select_frames(manifest, raw_for(manifest), FilterMode.COMP_NO_PAD)
 
     def test_track_alignment_checked(self, small_synth_manifest):
         manifest = small_synth_manifest
-        tracks = tracks_for(manifest)
+        raw = raw_for(manifest)
         with pytest.raises(ContractError):
-            select_frames(manifest, tracks[:-1], FilterMode.ALL)
+            select_frames(manifest, raw[:-1], FilterMode.ALL)
+        wide = np.c_[raw, np.zeros(len(raw))]
         with pytest.raises(ContractError):
-            select_frames(manifest, list(reversed(tracks)), FilterMode.ALL)
+            select_frames(manifest, wide, FilterMode.ALL)
 
     def test_parse_mode(self):
         assert FilterMode.parse("comp-no-pad") is FilterMode.COMP_NO_PAD
@@ -310,40 +309,40 @@ class TestHistogram:
 class TestExperimentMatrix:
     def test_full_matrix_shape(self, small_synth_manifest):
         manifest = small_synth_manifest
-        tracks = tracks_for(manifest)
-        matrix = run_experiment_matrix(manifest, tracks)
-        assert len(matrix.reports) == 15
-        pairs = {(r.mode, r.window_size) for r in matrix.reports}
+        results = run_experiment_matrix(manifest, raw_for(manifest))
+        reports = [r for res in results for r in res.reports]
+        assert len(reports) == 15
+        pairs = {(r.mode, r.window_size) for r in reports}
         assert len(pairs) == 15
-        report = matrix.report_for(FilterMode.ALL, 5)
+        [report] = [r for res in results if res.mode is FilterMode.ALL
+                    for r in res.reports if r.window_size == 5]
         assert report.window_size == 5
 
     def test_window_counts_match_ceil_arithmetic(self, small_synth_manifest):
         manifest = small_synth_manifest
-        tracks = tracks_for(manifest)
-        matrix = run_experiment_matrix(
-            manifest, tracks, modes=(FilterMode.NO_PAD,), windows=(5,)
+        results = run_experiment_matrix(
+            manifest, raw_for(manifest), modes=(FilterMode.NO_PAD,), windows=(5,)
         )
-        report = matrix.reports[0]
+        report = results[0].reports[0]
         expected = sum(math.ceil(L / 5) for L in manifest.lengths.tolist())
         assert report.total == expected
 
     def test_writers_produce_files(self, small_synth_manifest, tmp_path):
         manifest = small_synth_manifest
-        matrix = run_experiment_matrix(
-            manifest, tracks_for(manifest), windows=(1, 5)
+        results = run_experiment_matrix(
+            manifest, raw_for(manifest), windows=(1, 5)
         )
-        write_summary(matrix, tmp_path / "summary.csv")
-        write_sweep_report(matrix.reports[0], tmp_path / "report.csv")
-        write_histogram(matrix.results[0].histogram, tmp_path / "hist.csv")
+        write_summary(results, tmp_path / "summary.csv")
+        write_sweep_report(results[0].reports[0], tmp_path / "report.csv")
+        write_histogram(results[0].histogram, tmp_path / "hist.csv")
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(summary) == 1 + 6  # header + 3 modes x 2 windows
         report_lines = (tmp_path / "report.csv").read_text().splitlines()
         assert report_lines[0].startswith("mode,window,beta,tau")
         assert len([l for l in report_lines if l.startswith("all,")]) == 101
-        text = format_summary(matrix)
+        text = format_summary(results)
         assert "comp-no-pad" in text
-        pool_text = format_pool_table(matrix)
+        pool_text = format_pool_table(results)
         assert pool_text.count("\n") == 3  # header + one row per mode
         assert "%" in pool_text
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from framescore import saliency
 from framescore.data import JointLayout, featurize
-from framescore.errors import ContractError
+from framescore.errors import ContractError, DataValidationError
 from framescore.evaluation import FilterMode, select_frames
 from framescore.network import ModelArchitecture, TrainConfig, train
 from framescore.saliency import (
@@ -20,7 +20,6 @@ from framescore.saliency import (
     compute_saliency,
     compute_tracks,
     export_heatmap,
-    frame_aggregate,
     importance_matrix,
     load_heatmap,
     normalize_pool,
@@ -52,6 +51,12 @@ def pool_of(raws, labels=None, trial_ids=None, normalized=None):
     )
 
 
+def same_bits(a, b):
+    """Whether two arrays agree in dtype, shape and every bit."""
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
 def windows_of(scores, labels, window_size):
     """Windows over one trial whose normalized scores are given."""
     w_scores, w_labels = windows_over_pool(
@@ -60,10 +65,19 @@ def windows_of(scores, labels, window_size):
     return list(zip(w_scores.tolist(), w_labels.tolist()))
 
 
+def track_of(sal):
+    """The track compute_tracks makes for one trial "t" whose saliency
+    matrix, as compute_saliency returns it, is `sal`."""
+    manifest = make_manifest(make_trial("t", length=len(sal)))
+    with mock.patch.object(saliency, "compute_saliency", lambda *_: sal):
+        [track] = compute_tracks(None, manifest, None)
+    return track
+
+
 class TestFrameAggregate:
     def test_sum_of_absolute_values(self):
         sal = np.array([[0.1, -0.3, 0.2], [0.0, 0.0, 0.0]])
-        track = frame_aggregate("t", sal)
+        track = track_of(sal)
         assert track.trial_id == "t"
         assert track.raw_scores[0] == pytest.approx(0.6, abs=1e-12)
         assert track.raw_scores[1] == 0.0
@@ -73,8 +87,8 @@ class TestFrameAggregate:
     def test_positive_homogeneity(self, c):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(4, 3))
-        a = frame_aggregate("t", values).raw_scores
-        b = frame_aggregate("t", c * values).raw_scores
+        a = track_of(values).raw_scores
+        b = track_of(c * values).raw_scores
         assert np.allclose(b, c * a, rtol=1e-12)
 
     def test_matches_model_gradient_shape(self, small_synth_manifest):
@@ -90,6 +104,7 @@ class TestFrameAggregate:
         tracks = compute_tracks(model, m, block)
         assert len(tracks) == len(m)
         assert len(tracks[0].raw_scores) == small_synth_manifest.t_max
+        assert np.array_equal(tracks[0].raw_scores, np.abs(sal).sum(axis=1))
 
 
 class TestNormalizePool:
@@ -134,13 +149,10 @@ class TestNormalizePool:
         """Shared frames renormalize when the padded pool holds the max."""
         manifest = make_manifest(make_trial("a", length=2),
                                  make_trial("b", length=3), t_max=3)
-        tracks = [
-            FrameScoreTrack("a", np.array([1.0, 2.0, 9.0])),
-            FrameScoreTrack("b", np.array([0.0, 3.0, 0.5])),
-        ]
+        raw = np.array([[1.0, 2.0, 9.0], [0.0, 3.0, 0.5]])
 
         def normalized_by_key(mode):
-            pool = normalize_pool(select_frames(manifest, tracks, mode))
+            pool = normalize_pool(select_frames(manifest, raw, mode))
             keys = ((pool.trial_ids[i], f) for i, f in
                     zip(pool.trial.tolist(), pool.frame_index.tolist()))
             return pool, dict(zip(keys, pool.normalized.tolist()))
@@ -277,9 +289,7 @@ class TestScoreFiles:
     def test_round_trip(self, written):
         manifest, tracks, path = written
         back = read_raw_scores(path, manifest)
-        assert [t.trial_id for t in back] == [t.trial_id for t in tracks]
-        for got, want in zip(back, tracks):
-            assert np.array_equal(got.raw_scores, want.raw_scores)
+        assert same_bits(back, np.array([t.raw_scores for t in tracks]))
 
     def test_shuffled_rows_read_back_to_the_same_tracks(self, written):
         manifest, tracks, path = written
@@ -287,9 +297,7 @@ class TestScoreFiles:
         order = np.random.default_rng(7).permutation(len(rows))
         path.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
         back = read_raw_scores(path, manifest)
-        assert [t.trial_id for t in back] == [t.trial_id for t in tracks]
-        for got, want in zip(back, tracks):
-            assert np.array_equal(got.raw_scores, want.raw_scores)
+        assert same_bits(back, np.array([t.raw_scores for t in tracks]))
 
     def test_reads_tracks_in_dataset_order(self, written):
         manifest, tracks, path = written
@@ -299,8 +307,33 @@ class TestScoreFiles:
             sides=m.sides[::-1], frames=m.frames[::-1],
             frame_labels=m.frame_labels[::-1])
         back = read_raw_scores(path, reversed_manifest)
-        assert [t.trial_id for t in back] == [t.trial_id for t in tracks[::-1]]
-        assert np.array_equal(back[0].raw_scores, tracks[-1].raw_scores)
+        assert same_bits(back, np.array([t.raw_scores for t in tracks[::-1]]))
+
+    def test_block_is_read_only_float64(self, written):
+        manifest, _, path = written
+        back = read_raw_scores(path, manifest)
+        assert back.dtype == np.float64
+        assert back.shape == (len(manifest), manifest.t_max)
+        with pytest.raises(ValueError):
+            back[0, 0] = 1.0
+
+    def test_fault_names_the_file_line_where_the_record_ends(self, tmp_path):
+        """Trial "a\\nb" takes two file lines per row, so frame 1 of trial
+        "c" is record 6, counting the header, but ends on line 9."""
+        manifest = make_manifest(make_trial("a\nb", length=3),
+                                 make_trial("c", length=3))
+        path = tmp_path / "s.csv"
+        write_raw_scores(path, manifest, [FrameScoreTrack(tid, np.zeros(3))
+                                          for tid in manifest.trial_ids])
+        lines = path.read_bytes().decode("utf-8").split("\r\n")
+        fields = lines[5].split(",")
+        assert fields[:2] == ["c", "1"]
+        fields[4] = str(1 - int(fields[4]))
+        lines[5] = ",".join(fields)
+        path.write_bytes("\r\n".join(lines).encode("utf-8"))
+        with pytest.raises(DataValidationError,
+                           match=r"s\.csv:9: trial 'c' frame 1: frame_label"):
+            read_raw_scores(path, manifest)
 
 
 class TestTrialsByPosition:
@@ -312,10 +345,8 @@ class TestTrialsByPosition:
     def pool(self):
         manifest = make_manifest(make_trial("a", length=3, comp_frames=(0,)),
                                  make_trial("a\0", length=3, comp_frames=(0,)))
-        tracks = [FrameScoreTrack(tid, np.arange(3.0))
-                  for tid in manifest.trial_ids]
-        return normalize_pool(select_frames(manifest, tracks,
-                                            FilterMode.NO_PAD))
+        raw = np.tile(np.arange(3.0), (len(manifest), 1))
+        return normalize_pool(select_frames(manifest, raw, FilterMode.NO_PAD))
 
     def test_rows_hold_trial_positions(self, pool):
         assert pool.trial.tolist() == [0, 0, 0, 1, 1, 1]
