@@ -90,11 +90,6 @@ class JointLayout:
     def feature_count(self) -> int:
         return 2 * len(self.joints)
 
-    def feature_index(self, joint: str, coord: str) -> int:
-        """Index of a joint coordinate in the flattened feature axis."""
-        c = {"x": 0, "y": 1}[coord.lower()]
-        return 2 * self.joints.index(joint) + c
-
     def feature_names(self) -> list[str]:
         return [f"{j}{c}" for j in self.joints for c in ("X", "Y")]
 
@@ -412,6 +407,22 @@ def _holds_bool(value) -> bool:
     return isinstance(value, bool)
 
 
+def json_numbers(value, what: str, booleans: bool = True) -> np.ndarray:
+    """`value`, a parsed JSON number or nested list of numbers, as an array.
+
+    No dtype: JSON strings would convert to numbers, and must show as a
+    non-numeric dtype instead. np.asarray turns a boolean among numbers into
+    a number, so the lists are walked for one unless `booleans` is False,
+    which says that the JSON text holds no `true` or `false`."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":
+        raise DataValidationError(
+            f"{what} must hold only numbers, got {a.dtype} values")
+    if booleans and _holds_bool(value):
+        raise DataValidationError(f"{what} must hold only numbers, got a boolean")
+    return a
+
+
 def _trial_row(rec: dict, layout: JointLayout, t_max: int,
                booleans: bool = True) -> tuple:
     """The (trial_id, patient_id, side, frames, frame_labels) row of one
@@ -430,19 +441,11 @@ def _trial_row(rec: dict, layout: JointLayout, t_max: int,
     def bad(message) -> DataValidationError:
         return DataValidationError(f"trial {tid!r}: {message}")
 
-    # No dtype: JSON strings and booleans would convert to numbers, and
-    # must show as a non-numeric dtype instead.
     try:
-        frames = np.asarray(rec["frames"])
-        labels = np.asarray(rec["frame_labels"])
+        frames, labels = (json_numbers(rec[name], name, booleans)
+                          for name in ("frames", "frame_labels"))
     except (ValueError, TypeError, OverflowError) as exc:
         raise bad(exc) from exc
-    for name, a in (("frames", frames), ("frame_labels", labels)):
-        if a.dtype.kind not in "iuf":
-            raise bad(f"{name} must hold only numbers, got {a.dtype} values")
-        # np.asarray turns a boolean among numbers into a number.
-        if booleans and _holds_bool(rec[name]):
-            raise bad(f"{name} must hold only numbers, got a boolean")
     trial_label = rec["trial_label"]
     if type(trial_label) not in (int, float):
         raise bad(f"trial_label must be a number, got {trial_label!r}")

@@ -83,19 +83,17 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def confusion_at(scores: np.ndarray, labels: np.ndarray, tau
+def confusion_at(scores: np.ndarray, labels: np.ndarray, taus: np.ndarray
                  ) -> ConfusionCounts:
-    """Counts of `scores > tau` per label group, at one threshold or at each
-    of an array of thresholds."""
+    """Counts of `scores > tau` per label group at each threshold tau of
+    `taus`, as arrays with one entry per threshold."""
     scores = np.asarray(scores, dtype=np.float64)
     actual_comp = np.asarray(labels, dtype=np.int64) == LABEL_COMPENSATORY
     comp = np.sort(scores[actual_comp])
     normal = np.sort(scores[~actual_comp])
     # the scores above tau are those right of its rightmost insertion point
-    tp = len(comp) - np.searchsorted(comp, tau, side="right")
-    fp = len(normal) - np.searchsorted(normal, tau, side="right")
-    if np.ndim(tau) == 0:
-        tp, fp = int(tp), int(fp)
+    tp = len(comp) - np.searchsorted(comp, taus, side="right")
+    fp = len(normal) - np.searchsorted(normal, taus, side="right")
     return ConfusionCounts(tp=tp, fp=fp, tn=len(normal) - fp, fn=len(comp) - tp)
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import json_numbers
 from .errors import ContractError, DataValidationError, NumericFailure
 
 PROB_EPS = 1e-12
@@ -97,12 +98,12 @@ class InputScaler:
         scale = np.asarray(self.scale, dtype=np.float64)
         if mean.shape != scale.shape or mean.ndim != 1:
             raise DataValidationError("scaler mean/scale must be matching vectors")
+        if not (np.isfinite(mean).all() and np.isfinite(scale).all()
+                and (scale >= 0).all()):
+            raise DataValidationError(
+                "scaler mean and scale must be finite, and scale at least 0")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "scale", scale)
-
-    @classmethod
-    def identity(cls, dim: int) -> "InputScaler":
-        return cls(mean=np.zeros(dim), scale=np.ones(dim))
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "InputScaler":
@@ -147,14 +148,9 @@ class TrainedModel:
             raise DataValidationError("scaler dimension mismatch")
 
 
-def init_model(
-    architecture: ModelArchitecture,
-    rng: np.random.Generator,
-    scaler: InputScaler | None = None,
-) -> TrainedModel:
+def init_model(architecture: ModelArchitecture, rng: np.random.Generator,
+               scaler: InputScaler) -> TrainedModel:
     """Uniform(+-sqrt(6/(fan_in+fan_out))) weights, zero biases."""
-    if scaler is None:
-        scaler = InputScaler.identity(architecture.input_dim)
     weights, biases = [], []
     dims = architecture.layer_dims
     for a, b in zip(dims[:-1], dims[1:]):
@@ -215,24 +211,11 @@ def _forward_batch(model: TrainedModel, X: np.ndarray):
     return _forward(model.weights, model.biases, model.scaler.transform(X))
 
 
-def forward(model: TrainedModel, x: np.ndarray):
-    """Probability of the normal class for one flattened feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.architecture.input_dim,):
-        raise ContractError(
-            f"input shape {x.shape} does not match input_dim "
-            f"{model.architecture.input_dim}"
-        )
-    if not np.isfinite(x).all():
-        raise ContractError("input contains non-finite values")
-    probs, pre, post = _forward_batch(model, x[None, :])
-    return float(probs[0]), (pre, post)
-
-
-def bce_loss(probability: float, y: int) -> float:
-    """Binary cross-entropy in nats, probability clamped away from {0, 1}."""
-    p = min(max(float(probability), PROB_EPS), 1.0 - PROB_EPS)
-    return -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
+def bce_loss(probability, y):
+    """Binary cross-entropy in nats, elementwise, with the probability
+    clipped away from {0, 1}."""
+    p = np.clip(probability, PROB_EPS, 1.0 - PROB_EPS)
+    return -(y * np.log(p) + (1 - y) * np.log(1 - p))
 
 
 def loss_gradients(model: TrainedModel, X: np.ndarray, y: np.ndarray):
@@ -324,10 +307,7 @@ def train(
             yb = y[idx]
             probs, pre, post = _activate(A0[idx] + K[idx] @ S + biases[0],
                                          weights[1:], biases[1:])
-            clamped = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-            batch_loss = float(
-                -(yb * np.log(clamped) + (1 - yb) * np.log(1 - clamped)).mean()
-            )
+            batch_loss = float(bce_loss(probs, yb).mean())
             if not np.isfinite(batch_loss):
                 raise NumericFailure(
                     f"non-finite loss at epoch {epoch}, batch {bi}"
@@ -526,11 +506,16 @@ def _architecture(obj) -> ModelArchitecture:
 def load_model(path) -> TrainedModel:
     """Read a `save_model` checkpoint. A malformed one raises
     DataValidationError naming the path and the field."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataValidationError(f"{path}: invalid checkpoint JSON: {exc}") from exc
+    # Only the text true or false parses to a boolean; without either, the
+    # number lists are not walked for one.
+    booleans = "true" in text or "false" in text
+    del text
     if not isinstance(payload, dict):
         raise DataValidationError(
             f"{path}: checkpoint must be a JSON object, got "
@@ -551,21 +536,23 @@ def load_model(path) -> TrainedModel:
             raise DataValidationError(
                 f"{path}: checkpoint field {name!r}: {why}") from exc
 
+    def floats(value, what: str) -> np.ndarray:
+        return json_numbers(value, what, booleans).astype(np.float64, copy=False)
+
     arch = read("architecture", _architecture)
     dims = arch.layer_dims
     scaler = read("scaler", lambda s: InputScaler(
-        mean=np.asarray(s["mean"], dtype=np.float64),
-        scale=np.asarray(s["scale"], dtype=np.float64),
-    ))
+        mean=floats(s["mean"], "mean"), scale=floats(s["scale"], "scale")))
 
     def matrices(ws):
         if len(ws) != len(dims) - 1:
             raise DataValidationError("layer count mismatch")
-        return [np.asarray(flat, dtype=np.float64).reshape(a, b)
-                for flat, a, b in zip(ws, dims[:-1], dims[1:])]
+        return [floats(flat, f"layer {i}").reshape(a, b)
+                for i, (flat, a, b) in enumerate(zip(ws, dims[:-1], dims[1:]))]
 
     weights = read("weights", matrices)
-    biases = read("biases", lambda bs: [np.asarray(b, dtype=np.float64) for b in bs])
+    biases = read("biases", lambda bs: [floats(b, f"layer {i}")
+                                        for i, b in enumerate(bs)])
     metadata = payload.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DataValidationError(

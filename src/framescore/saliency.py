@@ -33,12 +33,6 @@ class FrameScoreTrack:
     trial_id: str
     raw_scores: np.ndarray
 
-    def __post_init__(self) -> None:
-        raw = np.asarray(self.raw_scores, dtype=np.float64)
-        if raw.ndim != 1:
-            raise DataValidationError("raw_scores must be 1-D")
-        object.__setattr__(self, "raw_scores", raw)
-
 
 @dataclass(frozen=True)
 class FramePool:
@@ -154,20 +148,6 @@ def export_heatmap(matrix: np.ndarray, path, feature_names: Sequence[str]) -> No
         writer.writerow(["frame", *feature_names])
         for t in range(matrix.shape[0]):
             writer.writerow([t, *(repr(float(v)) for v in matrix[t])])
-
-
-def load_heatmap(path) -> np.ndarray:
-    """Read a heatmap CSV back into an array (inverse of export_heatmap)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        width = len(header) - 1
-        rows = []
-        for row in reader:
-            if len(row) != width + 1:
-                raise DataValidationError(f"{path}: ragged heatmap row")
-            rows.append([float(v) for v in row[1:]])
-    return np.array(rows)
 
 
 _SCORE_COLUMNS = (

@@ -108,11 +108,6 @@ class SynthConfig:
             if getattr(self, name) < 0:
                 raise DataValidationError(f"{name} must be non-negative")
 
-    def compensation_probability(self, side: str) -> float:
-        if side == "affected":
-            return self.compensation_probability_affected
-        return self.compensation_probability_unaffected
-
 
 def load_synth_config(path=None, **overrides) -> SynthConfig:
     """A SynthConfig from a JSON file's fields (the defaults when path is
@@ -185,16 +180,18 @@ def generate_trial(
         wrist, elbow = _WRIST_R, _ELBOW_R
         shoulder_ipsi, shoulder_contra = _SHOULDER_R, _SHOULDER_L
         lat = -1.0
+        p_comp = config.compensation_probability_affected
     else:
         wrist, elbow = _WRIST_L, _ELBOW_L
         shoulder_ipsi, shoulder_contra = _SHOULDER_L, _SHOULDER_R
         lat = 1.0
+        p_comp = config.compensation_probability_unaffected
     amp = config.motion_amplitude
     pos[:, wrist] += amp * reach[:, None] * np.array([-0.35 * lat, -0.94])
     pos[:, elbow] += 0.55 * amp * reach[:, None] * np.array([-0.25 * lat, -0.97])
 
     labels = np.full(length, LABEL_NORMAL, dtype=np.int64)
-    if rng.random() < config.compensation_probability(side):
+    if rng.random() < p_comp:
         clo, chi = config.compensation_coverage_range
         coverage = rng.uniform(clo, chi)
         seg_len = int(np.clip(round(coverage * length), 1, length))

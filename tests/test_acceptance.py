@@ -22,13 +22,15 @@ from framescore.evaluation import (
     sweep,
 )
 from framescore.network import (
+    InputScaler,
     ModelArchitecture,
     TrainConfig,
+    _forward_batch,
     bce_loss,
     evaluate_accuracy,
-    forward,
     init_model,
     input_gradient,
+    predict_proba,
     train,
 )
 from framescore.saliency import (
@@ -37,7 +39,6 @@ from framescore.saliency import (
     compute_tracks,
     export_heatmap,
     importance_matrix,
-    load_heatmap,
     normalize_pool,
 )
 from framescore.synth import SynthConfig, generate_dataset
@@ -89,10 +90,11 @@ def _kink_free_triple(base_seed):
         rng = np.random.default_rng((base_seed, attempt))
         input_dim = int(rng.integers(6, 20))
         hidden = (int(rng.integers(4, 12)), int(rng.integers(3, 8)))
-        model = init_model(ModelArchitecture(input_dim, hidden), rng)
+        model = init_model(ModelArchitecture(input_dim, hidden), rng,
+                           InputScaler(np.zeros(input_dim), np.ones(input_dim)))
         x = rng.normal(size=input_dim)
         y = int(rng.integers(0, 2))
-        _, (pre, _) = forward(model, x)
+        _, pre, _ = _forward_batch(model, x[None])
         if min(float(np.abs(z).min()) for z in pre) > 1e-3:
             return model, x, y
     raise AssertionError("no kink-free triple found")
@@ -110,8 +112,9 @@ def test_criterion_1_gradient_oracle():
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            fd[i] = (bce_loss(forward(model, xp)[0], y)
-                     - bce_loss(forward(model, xm)[0], y)) / (2.0 * h)
+            lp, lm = (bce_loss(predict_proba(model, v[None])[0], y)
+                      for v in (xp, xm))
+            fd[i] = (lp - lm) / (2.0 * h)
         denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
         rel = np.abs(analytic - fd) / denom
         worst = max(worst, float(rel.max()))
@@ -301,7 +304,7 @@ def test_criterion_9_heatmap_contrast(pipeline):
                 lines = open(path).read().splitlines()
                 assert len(lines) == 395
                 assert all(len(l.split(",")) == 17 for l in lines)
-                grid = load_heatmap(path)
+                grid = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
             exported = True
         length = manifest.lengths[i]
         segment = manifest.frame_labels[i, :length] == 0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -329,8 +330,21 @@ class TestExplainCommand:
          "hidden_layers"),
         (lambda p: (p["weights"].pop(), p)[1], "layer count mismatch"),
         (lambda p: (p["weights"].append([0.0]), p)[1], "layer count mismatch"),
+        # json would hand these numbers to numpy, which would convert them.
+        (lambda p: (p["biases"][0].__setitem__(0, "0.25"), p)[1],
+         "checkpoint field 'biases': layer 0 must hold only numbers"),
+        (lambda p: (p["scaler"]["scale"].__setitem__(0, True), p)[1],
+         "checkpoint field 'scaler': scale must hold only numbers"),
+        # A scaler that no fit makes: the saliency would blame a trial.
+        (lambda p: (p["scaler"]["mean"].__setitem__(0, math.nan), p)[1],
+         "checkpoint field 'scaler': scaler mean and scale must be finite"),
+        (lambda p: (p["scaler"]["scale"].__setitem__(0, math.inf), p)[1],
+         "checkpoint field 'scaler': scaler mean and scale must be finite"),
+        (lambda p: (p["scaler"]["scale"].__setitem__(0, -1.0), p)[1],
+         "checkpoint field 'scaler': scaler mean and scale must be finite"),
     ], ids=["no-scaler", "short-weights", "list", "string-widths",
-            "missing-layer", "extra-layer"])
+            "missing-layer", "extra-layer", "string-bias", "boolean-scale",
+            "nan-mean", "inf-scale", "negative-scale"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, corrupt,
                                           expected):
         data = make_dataset(tmp_path)

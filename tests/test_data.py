@@ -2,6 +2,7 @@ import json
 import os
 import signal
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -26,6 +27,15 @@ from tests.conftest import (cold, edit_dataset, edit_lines, make_manifest,
                             make_trial)
 
 
+def moved_column(layout, joint, coord):
+    """The one feature column that moving one joint coordinate changes."""
+    frames = np.zeros((2, layout.joint_count, 2))
+    frames[1, layout.joints.index(joint), "xy".index(coord)] = 1.0
+    manifest = make_manifest(("t", "P", "affected", frames, np.ones(2)),
+                             layout=layout)
+    return int(np.flatnonzero(featurize(manifest)[0, 1]).item())
+
+
 class TestJointLayout:
     @pytest.mark.parametrize(
         "index,joint,coord",
@@ -41,7 +51,9 @@ class TestJointLayout:
         ],
     )
     def test_default_feature_indices(self, index, joint, coord):
-        assert JointLayout().feature_index(joint, coord) == index
+        layout = JointLayout()
+        assert layout.feature_names()[index] == joint + coord.upper()
+        assert moved_column(layout, joint, coord) == index
 
     def test_feature_count_and_names(self):
         layout = JointLayout()
@@ -53,9 +65,11 @@ class TestJointLayout:
 
     def test_formula_2j_plus_c(self):
         layout = JointLayout()
+        names = layout.feature_names()
         for j, joint in enumerate(layout.joints):
-            assert layout.feature_index(joint, "x") == 2 * j
-            assert layout.feature_index(joint, "y") == 2 * j + 1
+            assert names[2 * j : 2 * j + 2] == [joint + "X", joint + "Y"]
+            assert moved_column(layout, joint, "x") == 2 * j
+            assert moved_column(layout, joint, "y") == 2 * j + 1
 
     def test_empty_layout_rejected(self):
         with pytest.raises(DataValidationError):
@@ -499,8 +513,9 @@ class TestTwoProcessCodec:
 
     def test_a_fault_in_the_parents_half_kills_the_child(self, long_saved,
                                                         tmp_path, monkeypatch):
-        # The child's half overflows the pipe, so the child blocks on it
-        # until it is killed.
+        # The child takes a minute over its last record, so the parent's
+        # error arrives in time only if the parent kills the child rather
+        # than waiting for it to finish.
         manifest, _ = long_saved
         forks = with_cpus(monkeypatch, 2)
         real = json.dumps
@@ -508,11 +523,15 @@ class TestTwoProcessCodec:
         def dumps(obj, *args, **kwargs):
             if obj.get("trial_id") == manifest.trial_ids[0]:
                 raise RuntimeError("no record for t0")
+            if obj.get("trial_id") == manifest.trial_ids[-1]:
+                time.sleep(60)
             return real(obj, *args, **kwargs)
 
         monkeypatch.setattr(json, "dumps", dumps)
+        start = time.monotonic()
         with pytest.raises(RuntimeError, match="no record for t0"):
             save_dataset(manifest, tmp_path / "out.jsonl")
+        assert time.monotonic() - start < 10
         assert len(forks) == 1
         assert_no_child_left()
 

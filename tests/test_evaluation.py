@@ -53,16 +53,17 @@ def frame_keys(pool):
 
 class TestClassify:
     def test_boundary_is_normal(self):
-        counts = confusion_at(np.array([0.36]), np.array([1]), 0.36)
-        assert (counts.tn, counts.fp) == (1, 0)
+        counts = confusion_at(np.array([0.36]), np.array([1]), np.array([0.36]))
+        assert (counts.tn.tolist(), counts.fp.tolist()) == ([1], [0])
 
     def test_above_threshold_is_compensatory(self):
-        counts = confusion_at(np.array([0.37]), np.array([0]), 0.36)
-        assert (counts.tp, counts.fn) == (1, 0)
+        counts = confusion_at(np.array([0.37]), np.array([0]), np.array([0.36]))
+        assert (counts.tp.tolist(), counts.fn.tolist()) == ([1], [0])
 
     def test_max_threshold_flags_nothing(self):
-        counts = confusion_at(np.array([0.0, 0.5, 1.0]), np.array([0, 1, 0]), 1.0)
-        assert counts.tp + counts.fp == 0
+        counts = confusion_at(np.array([0.0, 0.5, 1.0]), np.array([0, 1, 0]),
+                              np.array([1.0]))
+        assert (counts.tp + counts.fp).tolist() == [0]
 
 
 class TestFbeta:
@@ -350,10 +351,14 @@ class TestExperimentMatrix:
         rng = np.random.default_rng(3)
         scores = rng.uniform(size=200)
         labels = rng.integers(0, 2, size=200)
-        counts = confusion_at(scores, labels, 0.4)
+        counts = confusion_at(scores, labels, np.array([0.4]))
         slow = [0 if s > 0.4 else 1 for s in scores]
-        assert counts.tp == sum(1 for p, l in zip(slow, labels) if p == 0 and l == 0)
-        assert counts.fp == sum(1 for p, l in zip(slow, labels) if p == 0 and l == 1)
-        assert counts.tn == sum(1 for p, l in zip(slow, labels) if p == 1 and l == 1)
-        assert counts.fn == sum(1 for p, l in zip(slow, labels) if p == 1 and l == 0)
-        assert counts.total == 200
+        assert counts.tp.tolist() == [
+            sum(1 for p, l in zip(slow, labels) if p == 0 and l == 0)]
+        assert counts.fp.tolist() == [
+            sum(1 for p, l in zip(slow, labels) if p == 0 and l == 1)]
+        assert counts.tn.tolist() == [
+            sum(1 for p, l in zip(slow, labels) if p == 1 and l == 1)]
+        assert counts.fn.tolist() == [
+            sum(1 for p, l in zip(slow, labels) if p == 1 and l == 0)]
+        assert counts.total.tolist() == [200]

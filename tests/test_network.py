@@ -13,10 +13,10 @@ from framescore.network import (
     ModelArchitecture,
     TrainConfig,
     TrainedModel,
+    _forward_batch,
     bce_loss,
     build_grid,
     evaluate_accuracy,
-    forward,
     grid_search,
     init_model,
     input_gradient,
@@ -36,17 +36,27 @@ def make_model(input_dim, hidden, weights=None, biases=None, scaler=None):
     if biases is None:
         biases = [np.zeros(b) for b in dims[1:]]
     if scaler is None:
-        scaler = InputScaler.identity(input_dim)
+        scaler = identity_scaler(input_dim)
     return TrainedModel(arch, scaler, weights, biases)
 
 
+def identity_scaler(input_dim):
+    return InputScaler(np.zeros(input_dim), np.ones(input_dim))
+
+
 def random_model(rng, input_dim, hidden):
-    return init_model(ModelArchitecture(input_dim, hidden), rng)
+    return init_model(ModelArchitecture(input_dim, hidden), rng,
+                      identity_scaler(input_dim))
+
+
+def probability(model, x):
+    """P(normal) for one flattened feature vector."""
+    return predict_proba(model, x[None])[0]
 
 
 def mean_loss(model, X, y):
     return float(
-        np.mean([bce_loss(forward(model, x)[0], yi) for x, yi in zip(X, y)])
+        np.mean([bce_loss(probability(model, x), yi) for x, yi in zip(X, y)])
     )
 
 
@@ -58,8 +68,8 @@ def fd_input_gradient(model, x, y, step_scale=1e-6):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        lp = bce_loss(forward(model, xp)[0], y)
-        lm = bce_loss(forward(model, xm)[0], y)
+        lp = bce_loss(probability(model, xp), y)
+        lm = bce_loss(probability(model, xm), y)
         grad[i] = (lp - lm) / (2.0 * h)
     return grad
 
@@ -74,7 +84,7 @@ def min_preactivation(model, X):
     """Smallest |pre-activation| over all hidden units and samples."""
     lo = np.inf
     for x in np.atleast_2d(X):
-        _, (pre, _) = forward(model, x)
+        _, pre, _ = _forward_batch(model, x[None])
         for z in pre:
             lo = min(lo, float(np.abs(z).min()))
     return lo
@@ -99,37 +109,22 @@ def kink_free_case(base_seed, input_dim, hidden, n_samples=1, margin=1e-3):
 class TestForward:
     def test_zero_parameters_give_half(self):
         model = make_model(4, (3, 2))
-        p, _ = forward(model, np.array([1.0, -2.0, 3.0, 0.5]))
-        assert p == 0.5
+        assert probability(model, np.array([1.0, -2.0, 3.0, 0.5])) == 0.5
 
     def test_orthogonal_linear_layer_gives_half(self):
         model = make_model(2, (), weights=[np.array([[1.0], [-1.0]])])
-        p, _ = forward(model, np.array([3.0, 3.0]))
-        assert p == 0.5
+        assert probability(model, np.array([3.0, 3.0])) == 0.5
 
     def test_single_unit_monotone_in_positive_weight(self):
         model = make_model(1, (), weights=[np.array([[2.0]])])
-        p1, _ = forward(model, np.array([0.1]))
-        p2, _ = forward(model, np.array([0.5]))
-        p3, _ = forward(model, np.array([2.0]))
+        p1, p2, p3 = predict_proba(model, np.array([[0.1], [0.5], [2.0]]))
         assert p1 < p2 < p3
 
     def test_probability_in_open_interval(self):
         rng = np.random.default_rng(0)
         model = random_model(rng, 6, (5, 4))
         for _ in range(10):
-            p, _ = forward(model, rng.normal(size=6))
-            assert 0.0 < p < 1.0
-
-    def test_dimension_mismatch(self):
-        model = make_model(4, (3,))
-        with pytest.raises(ContractError):
-            forward(model, np.zeros(5))
-
-    def test_non_finite_input(self):
-        model = make_model(2, ())
-        with pytest.raises(ContractError):
-            forward(model, np.array([np.nan, 0.0]))
+            assert 0.0 < probability(model, rng.normal(size=6)) < 1.0
 
 
 class TestBceLoss:
@@ -524,7 +519,8 @@ class TestCheckpoint:
         # 4 * input_dim first-layer floats: part of one write chunk, exactly
         # one, and two plus a partial third.
         model = init_model(ModelArchitecture(input_dim, (4, 2)),
-                           np.random.default_rng(input_dim))
+                           np.random.default_rng(input_dim),
+                           identity_scaler(input_dim))
         path = tmp_path / "model.json"
         save_model(model, path)
         text = path.read_text(encoding="utf-8")

@@ -21,7 +21,6 @@ from framescore.saliency import (
     compute_tracks,
     export_heatmap,
     importance_matrix,
-    load_heatmap,
     normalize_pool,
     read_raw_scores,
     windows_over_pool,
@@ -257,7 +256,7 @@ class TestHeatmap:
         lines = path.read_text().splitlines()
         assert len(lines) == 395
         assert all(len(line.split(",")) == 17 for line in lines)
-        back = load_heatmap(path)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
         assert np.array_equal(back, matrix)
 
     def test_name_count_mismatch_rejected(self, tmp_path):
@@ -391,8 +390,8 @@ class TestScoreWritersMatchCsvWriter:
         manifest = make_manifest(
             *(make_trial(tid, length=L, comp_frames=(0,) * (i % 2))
               for i, (tid, L) in enumerate(zip(ids, lengths))), t_max=t_max)
-        tracks = [FrameScoreTrack(tid, data.draw(st.lists(
-            _SCORES, min_size=t_max, max_size=t_max))) for tid in ids]
+        tracks = [FrameScoreTrack(tid, np.array(data.draw(st.lists(
+            _SCORES, min_size=t_max, max_size=t_max)))) for tid in ids]
         rows = [(tid, t, repr(float(track.raw_scores[t])), "",
                  int(manifest.frame_labels[i, t]), int(manifest.padded[i, t]))
                 for i, (tid, track) in enumerate(zip(ids, tracks))

@@ -12,7 +12,12 @@ from framescore.synth import (
 )
 from tests.conftest import make_manifest
 
-LAYOUT = JointLayout()
+FEATURES = JointLayout().feature_names()
+
+
+def feature_index(joint, coord):
+    """Column of a joint coordinate in the feature block."""
+    return FEATURES.index(joint + coord.upper())
 
 
 def trial_features(trial):
@@ -28,7 +33,7 @@ def comp_channel_indices(side):
     else:
         joints = [("Head", "x"), ("Neck", "x"), ("ShoulderRight", "x"),
                   ("ShoulderLeft", "y")]
-    return [LAYOUT.feature_index(j, c) for j, c in joints]
+    return [feature_index(j, c) for j, c in joints]
 
 
 def quiet_channel_indices(side):
@@ -36,8 +41,8 @@ def quiet_channel_indices(side):
     contra = "ShoulderLeft" if side == "affected" else "ShoulderRight"
     out = []
     for joint in ("Head", "Neck", contra):
-        out.append(LAYOUT.feature_index(joint, "x"))
-        out.append(LAYOUT.feature_index(joint, "y"))
+        out.append(feature_index(joint, "x"))
+        out.append(feature_index(joint, "y"))
     return out
 
 
