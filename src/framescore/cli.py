@@ -154,7 +154,7 @@ def _parse_grid(path):
             obj = json.load(fh)
     except FileNotFoundError as exc:
         raise DataValidationError(f"grid file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
         raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or \
             not {"hidden_layers", "learning_rates"} <= set(obj):

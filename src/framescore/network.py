@@ -506,11 +506,11 @@ def _architecture(obj) -> ModelArchitecture:
 def load_model(path) -> TrainedModel:
     """Read a `save_model` checkpoint. A malformed one raises
     DataValidationError naming the path and the field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
         raise DataValidationError(f"{path}: invalid checkpoint JSON: {exc}") from exc
     # Only the text true or false parses to a boolean; without either, the
     # number lists are not walked for one.

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+import warnings
 from array import array
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -217,8 +219,63 @@ def read_raw_scores(path, manifest: DatasetManifest) -> np.ndarray:
     Every (trial, frame) slot of the block must appear exactly once, with
     the slot's frame label and padding flag. Returns the read-only float64
     (trials x t_max) raw-score block, with rows in the order of `manifest`.
-    Faults name the file line on which the offending record ends.
+    numpy's tokenizer reads the file; `_read_score_rows` reads it again if
+    that fails, to name the first fault in file order or to read numbers
+    that only Python parses, such as `1_0`. Only trial ids are held to the
+    csv module's field size limit.
     """
+    ids, t_max = manifest.trial_ids, manifest.t_max
+    position = {tid: i for i, tid in enumerate(ids)}
+    try:
+        # Ids that the csv module cannot read (a NUL before Python 3.11, or
+        # one over its field size limit) take the row reader.
+        next(csv.reader([",".join(map(_csv_field, ids))]))
+        with open(path, "r", encoding="utf-8", newline="") as fh, \
+                warnings.catch_warnings():
+            # numpy before 2.0 reads "1.0" as an integer, with a warning.
+            warnings.simplefilter("error")
+            if tuple(next(csv.reader(fh), ())) != _SCORE_COLUMNS:
+                raise ValueError("unexpected score file header")
+            fh.seek(0)
+            rows = np.loadtxt(
+                fh, delimiter=",", quotechar='"', comments=None, skiprows=1,
+                ndmin=1, converters={0: lambda s: position.get(s, -1)},
+                # Every column typed, so that a seventh field fails the read;
+                # narrow, so that the rows take 22 bytes and a value out of
+                # range fails it too.
+                dtype=list(zip(_SCORE_COLUMNS, "i4 i4 f8 U1 i1 i1".split())))
+        # Raises on an unknown trial (-1) or a frame outside [0, t_max).
+        slot = np.ravel_multi_index((rows["trial_id"], rows["frame_index"]),
+                                    (len(ids), t_max))
+        block = np.full((len(ids), t_max), -1.0)
+        block.reshape(-1)[slot] = rows["raw_score"]
+        # With one row per slot, a slot left at -1 means another came twice.
+        if len(rows) == block.size and \
+                ((0 <= block) & (block < math.inf)).all() and \
+                (rows["frame_label"] == manifest.frame_labels.ravel()[slot]).all() \
+                and (rows["padded"] == manifest.padded.ravel()[slot]).all():
+            block.flags.writeable = False
+            return block
+    except (ValueError, csv.Error, Warning):  # UnicodeDecodeError included
+        pass
+    try:
+        return _read_score_rows(path, manifest)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            text = fh.read()
+        try:
+            text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Lines end at \r, \n or \r\n, as the csv reader counts them.
+            line = 1 + len(re.findall(rb"\r\n?|\n", text[:exc.start]))
+            raise DataValidationError(
+                f"{path}:{line}: invalid UTF-8 ({exc.reason})") from exc
+        raise
+
+
+def _read_score_rows(path, manifest: DatasetManifest) -> np.ndarray:
+    """`read_raw_scores` one csv record at a time. Faults name the file
+    line on which the offending record ends."""
     def records(reader):
         try:
             yield from reader

@@ -539,6 +539,47 @@ class TestSweepCommand:
                    "--out", tmp_path / "r", "--modes", "everything") == 2
 
 
+def _append_ff(path):
+    path.write_bytes(path.read_bytes() + b"\xff")
+
+
+def _ff_in_a_trial_id(path):
+    lines = path.read_bytes().split(b"\r\n")
+    lines[5] = lines[5].replace(b",", b"\xff,", 1)
+    path.write_bytes(b"\r\n".join(lines))
+
+
+class TestInvalidUtf8:
+    """One 0xff byte in an input file exits 2 with a message that names the
+    file, not with a UnicodeDecodeError traceback."""
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "grid", "scores"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, kind):
+        data = make_dataset(tmp_path)
+        model = train_small(tmp_path, data)
+        scores = tmp_path / "scores.csv"
+        assert run("explain", "--model", model, "--data", data,
+                   "--out", scores) == 0
+        out = tmp_path / "out"
+        grid = write_grid(tmp_path)
+        bad, edit, argv, message = {
+            "checkpoint": (model, _append_ff, (
+                "explain", "--model", model, "--data", data, "--out", out),
+                f"{model}: invalid checkpoint JSON: "),
+            "grid": (grid, _append_ff, (
+                "train", "--data", data, "--out", out, "--grid", grid),
+                f"{grid}: invalid JSON: "),
+            "scores": (scores, _ff_in_a_trial_id, (
+                "sweep", "--scores", scores, "--data", data, "--out", out),
+                f"{scores}:6: invalid UTF-8 (invalid start byte)"),
+        }[kind]
+        edit(bad)
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestUsageAndHelp:
     def test_help_lists_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -424,13 +424,6 @@ class TestTwoProcessCodec:
     this process."""
 
     @pytest.fixture
-    def saved(self, small_synth_manifest, tmp_path):
-        """A saved dataset without its sidecar, so that loads parse it."""
-        path = tmp_path / "data.jsonl"
-        save_dataset(small_synth_manifest, path)
-        return small_synth_manifest, cold(path)
-
-    @pytest.fixture
     def long_saved(self, tmp_path):
         """12 trials of 300 frames: each half's rows overflow a pipe buffer."""
         rng = np.random.default_rng(3)
@@ -453,21 +446,6 @@ class TestTwoProcessCodec:
             (tmp_path / "one.jsonl").read_bytes() == path.read_bytes()
         assert_no_child_left()
 
-    def test_last_record_without_a_newline_is_read(self, saved, monkeypatch):
-        manifest, path = saved
-        with_cpus(monkeypatch, 2)
-        path.write_bytes(path.read_bytes().rstrip(b"\n"))
-        assert load_dataset(path).trial_ids == manifest.trial_ids
-
-    def test_fault_in_the_childs_half_names_its_line(self, saved, monkeypatch):
-        manifest, path = saved
-        with_cpus(monkeypatch, 2)
-        edit_lines(path, {13: bad_side})
-        with pytest.raises(DataValidationError,
-                           match=rf":13: trial '{manifest.trial_ids[-1]}': side"):
-            load_dataset(path)
-        assert_no_child_left()
-
     @pytest.mark.parametrize("lines", [(3,), (3, 13)],
                              ids=["first-half", "both-halves"])
     def test_the_first_fault_in_file_order_is_raised(self, long_saved,
@@ -478,22 +456,6 @@ class TestTwoProcessCodec:
         with pytest.raises(DataValidationError, match=r":3: trial 't1': side"):
             load_dataset(path)
         assert not forks
-
-    def test_any_exception_in_the_child_reaches_the_caller(self, saved,
-                                                           monkeypatch):
-        manifest, path = saved
-        with_cpus(monkeypatch, 2)
-        real, last = data._trial_row, manifest.trial_ids[-1]
-
-        def trial_row(rec, *args):
-            if rec["trial_id"] == last:
-                raise RuntimeError(f"no row for {last}")
-            return real(rec, *args)
-
-        monkeypatch.setattr(data, "_trial_row", trial_row)
-        with pytest.raises(RuntimeError, match=f"no row for {last}"):
-            load_dataset(path)
-        assert_no_child_left()
 
     def test_a_child_that_dies_fails_the_save(self, long_saved, tmp_path,
                                               monkeypatch):
@@ -635,6 +597,45 @@ def compensatory_padding(labels):
     return labels
 
 
+class TestParsedLoad:
+    """load_dataset parses a file without a sidecar in this process."""
+
+    @pytest.fixture
+    def saved(self, small_synth_manifest, tmp_path):
+        """A saved dataset without its sidecar, so that loads parse it."""
+        path = tmp_path / "data.jsonl"
+        save_dataset(small_synth_manifest, path)
+        return small_synth_manifest, cold(path)
+
+    def test_last_record_without_a_newline_is_read(self, saved):
+        manifest, path = saved
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        assert load_dataset(path).trial_ids == manifest.trial_ids
+
+    def test_fault_in_the_last_record_names_its_line(self, saved):
+        manifest, path = saved
+        edit_lines(path, {13: bad_side})
+        with pytest.raises(DataValidationError,
+                           match=rf":13: trial '{manifest.trial_ids[-1]}': side"):
+            load_dataset(path)
+        assert_no_child_left()
+
+    def test_any_exception_from_a_record_reaches_the_caller(self, saved,
+                                                            monkeypatch):
+        manifest, path = saved
+        real, last = data._trial_row, manifest.trial_ids[-1]
+
+        def trial_row(rec, *args):
+            if rec["trial_id"] == last:
+                raise RuntimeError(f"no row for {last}")
+            return real(rec, *args)
+
+        monkeypatch.setattr(data, "_trial_row", trial_row)
+        with pytest.raises(RuntimeError, match=f"no row for {last}"):
+            load_dataset(path)
+        assert_no_child_left()
+
+
 class TestSidecar:
     """save_dataset writes `<path>.npz` next to the dataset file, and
     load_dataset uses it only when it matches the file and passes the
@@ -686,6 +687,20 @@ class TestSidecar:
         save_dataset(manifest, path)
         assert sidecar(tmp_path / "again.jsonl").read_bytes() == \
             sidecar(path).read_bytes() == first
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fingerprint_is_the_files(self, small_synth_manifest, tmp_path,
+                                      monkeypatch, cpus):
+        # Taken over the bytes as save_dataset writes them, the child's
+        # half included, it must equal one taken by reading the file.
+        forks = with_cpus(monkeypatch, cpus)
+        path = tmp_path / "data.jsonl"
+        save_dataset(small_synth_manifest, path)
+        assert len(forks) == cpus - 1
+        with np.load(sidecar(path)) as z:
+            header = json.loads(z["header"].tobytes())
+        assert header["fingerprint"] == data._fingerprint(path)
+        assert header["fingerprint"][0] == path.stat().st_size
 
     def test_stale_sidecar_loads_as_the_file(self, saved, tmp_path):
         manifest, path = saved

@@ -428,3 +428,138 @@ class TestScoreWritersMatchCsvWriter:
                 write_pooled_scores(got, pool)
             assert got.read_bytes() == csv_writer_bytes(Path(tmp, "ref.csv"),
                                                          rows)
+
+
+# Trial ids with every character on which numpy's tokenizer and the csv
+# module might split a row differently: comma, quote, both line breaks,
+# NUL, a leading "#" and spaces.
+_ODD_IDS = st.lists(st.text(alphabet=st.sampled_from(list('a,"\r\n\0# ')),
+                            max_size=4), min_size=1, max_size=4, unique=True)
+
+try:
+    next(csv.reader(["\0"]))
+    CSV_READS_NUL = True
+except csv.Error:  # Python 3.10
+    CSV_READS_NUL = False
+
+
+def reader_outcomes(path, manifest):
+    """What read_raw_scores and the row-by-row reader make of one file:
+    the block's bytes, or the error message. Also whether read_raw_scores
+    called the row reader."""
+    def outcome(read):
+        try:
+            return read(path, manifest).tobytes()
+        except DataValidationError as exc:
+            return str(exc)
+
+    rows = saliency._read_score_rows
+    with mock.patch.object(saliency, "_read_score_rows", wraps=rows) as spy:
+        got = outcome(read_raw_scores)
+    return got, outcome(rows), spy.called
+
+
+def score_file(path, manifest, raws, order=None, endings=None, blanks=(),
+               fault=None):
+    """Write a score file by hand: the data rows in `order`, row k ended by
+    `endings[k]` (CRLF by default) and followed by an empty line when k
+    is in `blanks`. `fault` = (k, column, text) puts `text` in one field of
+    the k-th row written."""
+    ids, t_max = manifest.trial_ids, manifest.t_max
+    rows = [[saliency._csv_field(tid), str(t), repr(float(raws[i, t])), "",
+             str(manifest.frame_labels[i, t]), str(int(manifest.padded[i, t]))]
+            for i, tid in enumerate(ids) for t in range(t_max)]
+    order = list(range(len(rows)) if order is None else order)
+    endings = endings or ["\r\n"] * len(rows)
+    if fault is not None:
+        k, column, value = fault
+        rows[order[k]][column] = value
+    text = ",".join(saliency._SCORE_COLUMNS) + endings[0]
+    for k, j in enumerate(order):
+        text += ",".join(rows[j]) + endings[k] + endings[k] * (k in blanks)
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+class TestFastAndRowReadersAgree:
+    """read_raw_scores parses with numpy and falls back to the row-by-row
+    reader; both must make the same of every file."""
+
+    @given(ids=_ODD_IDS, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_same_bits_in_any_row_order_and_line_ending(self, ids, data):
+        t_max = data.draw(st.integers(1, 4))
+        lengths = data.draw(st.lists(st.integers(1, t_max), min_size=len(ids),
+                                     max_size=len(ids)))
+        manifest = make_manifest(
+            *(make_trial(tid, length=L, comp_frames=(0,) * (i % 2))
+              for i, (tid, L) in enumerate(zip(ids, lengths))), t_max=t_max)
+        n = len(ids) * t_max
+        raws = np.array(data.draw(st.lists(
+            st.floats(0.0, 1e300) | st.just(-0.0), min_size=n, max_size=n)))
+        order = data.draw(st.permutations(range(n)))
+        endings = data.draw(st.lists(st.sampled_from(["\r\n", "\n"]),
+                                     min_size=n, max_size=n))
+        blanks = data.draw(st.sets(st.integers(0, n - 1)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = score_file(Path(tmp, "s.csv"), manifest,
+                              raws.reshape(-1, t_max), order, endings, blanks)
+            got, want, fell_back = reader_outcomes(path, manifest)
+        assert got == want == raws.tobytes()
+        # Only a NUL that the csv module cannot read sends a written file
+        # to the row reader.
+        assert fell_back == (not CSV_READS_NUL and any("\0" in i for i in ids))
+
+    @given(ids=_ODD_IDS, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_same_message_for_a_fault(self, ids, data):
+        manifest = make_manifest(*(make_trial(tid, length=2) for tid in ids),
+                                 t_max=3)
+        raws = np.arange(len(ids) * 3, dtype=np.float64).reshape(-1, 3)
+        fault = (data.draw(st.integers(0, raws.size - 1)),
+                 data.draw(st.integers(1, 5)),
+                 data.draw(st.sampled_from(["nan", "inf", "-1", "3", "1.0",
+                                            "x", "", "2", " 0 ", "1,1", "257",
+                                            "2147483648"])))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = score_file(Path(tmp, "s.csv"), manifest, raws, fault=fault)
+            got, want, _ = reader_outcomes(path, manifest)
+        assert got == want
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        manifest = make_manifest(make_trial("a", length=12, comp_frames=(3,)),
+                                 make_trial("b", length=9), t_max=12)
+        raws = np.arange(24, dtype=np.float64).reshape(2, 12) / 7
+        return manifest, raws, score_file(tmp_path / "s.csv", manifest, raws)
+
+    def edit_line(self, path, lineno, edit):
+        """Apply `edit` to one line, its CRLF ending left out."""
+        lines = path.read_bytes().decode("utf-8").split("\r\n")
+        line = lines[lineno - 1]
+        lines[lineno - 1] = edit(line)
+        assert lines[lineno - 1] != line
+        path.write_bytes("\r\n".join(lines).encode("utf-8"))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line + "\r\n  ", "s.csv:4: ragged score row"),
+        (lambda line: line + ",0", "s.csv:3: ragged score row"),
+        (lambda line: line.replace(",,1,", ",,1.0,"),
+         "s.csv:3: invalid literal for int() with base 10: '1.0'"),
+    ], ids=["whitespace-line", "seven-fields", "label-1.0"])
+    def test_both_reject(self, written, edit, message):
+        manifest, _, path = written
+        self.edit_line(path, 3, edit)
+        got, want, _ = reader_outcomes(path, manifest)
+        assert got == want == f"{path.parent}/{message}"
+
+    @pytest.mark.parametrize("lineno, edit, fell_back", [
+        (12, lambda line: line.replace("a,10,", "a,1_0,"), True),
+        (3, lambda line: line.replace(",,", ",0.5,"), False),
+    ], ids=["frame-1_0", "normalized-score"])
+    def test_both_accept(self, written, lineno, edit, fell_back):
+        manifest, raws, path = written
+        self.edit_line(path, lineno, edit)
+        got, want, called = reader_outcomes(path, manifest)
+        assert got == want == raws.tobytes()
+        assert called == fell_back
