@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import tokenize
 import warnings
@@ -247,16 +248,6 @@ def save_dataset(manifest: DatasetManifest, path) -> None:
         "provenance": PROVENANCE,
         "seed": m.seed,
     }
-    size = crc = 0
-
-    def write(chunk: bytes) -> None:
-        # The sidecar's fingerprint is taken over the bytes as they are
-        # written, rather than by reading the file back.
-        nonlocal size, crc
-        fh.write(chunk)
-        size += len(chunk)
-        crc = zlib.crc32(chunk, crc)
-
     with open(path, "wb") as fh:
         pid = None
         if len(m) > 1 and _usable_cpus() > 1:
@@ -285,11 +276,10 @@ def save_dataset(manifest: DatasetManifest, path) -> None:
             os.close(w)
             child = os.fdopen(r, "rb")
         try:
-            write((json.dumps(header) + "\n").encode("utf-8"))
-            for line in records(0, mid):
-                write(line)
-            while pid is not None and (chunk := child.read(1 << 20)):
-                write(chunk)
+            fh.write((json.dumps(header) + "\n").encode("utf-8"))
+            fh.writelines(records(0, mid))
+            if pid is not None:
+                shutil.copyfileobj(child, fh)
         except BaseException:
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
@@ -301,7 +291,7 @@ def save_dataset(manifest: DatasetManifest, path) -> None:
     if pid is not None and code:
         how = f"signal {-code}" if code < 0 else f"status {code}"
         raise ChildProcessError(f"dataset worker process ended with {how}")
-    _save_sidecar(m, path, [size, crc])
+    _save_sidecar(m, path)
 
 
 def _fingerprint(path) -> list[int]:
@@ -321,15 +311,14 @@ def _fingerprint(path) -> list[int]:
     return [size, crc]
 
 
-def _save_sidecar(m: DatasetManifest, path, fingerprint: list[int]) -> None:
-    """Write the sidecar of the dataset file `path`, just saved from `m`,
-    whose bytes have the `_fingerprint` given.
+def _save_sidecar(m: DatasetManifest, path) -> None:
+    """Write the sidecar of the dataset file `path`, just saved from `m`.
 
     The string columns go into the JSON header text, not into numpy string
     arrays, which drop trailing NUL characters.
     """
     header = {
-        "fingerprint": fingerprint,
+        "fingerprint": _fingerprint(path),
         "t_max": m.t_max,
         "joints": list(m.layout.joints),
         "seed": m.seed,

@@ -70,17 +70,13 @@ def select_frames(manifest: DatasetManifest, raw: np.ndarray,
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    """Counts with compensatory as the positive class: ints at one
-    threshold, or arrays with one entry per threshold."""
+    """Counts with compensatory as the positive class, as arrays with one
+    entry per threshold."""
 
-    tp: int | np.ndarray
-    fp: int | np.ndarray
-    tn: int | np.ndarray
-    fn: int | np.ndarray
-
-    @property
-    def total(self) -> int | np.ndarray:
-        return self.tp + self.fp + self.tn + self.fn
+    tp: np.ndarray
+    fp: np.ndarray
+    tn: np.ndarray
+    fn: np.ndarray
 
 
 def confusion_at(scores: np.ndarray, labels: np.ndarray, taus: np.ndarray

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import warnings
 from array import array
 from dataclasses import dataclass, replace
@@ -219,17 +218,14 @@ def read_raw_scores(path, manifest: DatasetManifest) -> np.ndarray:
     Every (trial, frame) slot of the block must appear exactly once, with
     the slot's frame label and padding flag. Returns the read-only float64
     (trials x t_max) raw-score block, with rows in the order of `manifest`.
-    numpy's tokenizer reads the file; `_read_score_rows` reads it again if
-    that fails, to name the first fault in file order or to read numbers
-    that only Python parses, such as `1_0`. Only trial ids are held to the
-    csv module's field size limit.
+    numpy's tokenizer is the only reader that accepts a file. When it or a
+    check rejects one, `_raise_score_fault` names the first fault in file
+    order; a file it finds no fault in, such as one with a frame written
+    `1_0`, is rejected with numpy's message.
     """
     ids, t_max = manifest.trial_ids, manifest.t_max
     position = {tid: i for i, tid in enumerate(ids)}
     try:
-        # Ids that the csv module cannot read (a NUL before Python 3.11, or
-        # one over its field size limit) take the row reader.
-        next(csv.reader([",".join(map(_csv_field, ids))]))
         with open(path, "r", encoding="utf-8", newline="") as fh, \
                 warnings.catch_warnings():
             # numpy before 2.0 reads "1.0" as an integer, with a warning.
@@ -250,44 +246,48 @@ def read_raw_scores(path, manifest: DatasetManifest) -> np.ndarray:
         block = np.full((len(ids), t_max), -1.0)
         block.reshape(-1)[slot] = rows["raw_score"]
         # With one row per slot, a slot left at -1 means another came twice.
-        if len(rows) == block.size and \
-                ((0 <= block) & (block < math.inf)).all() and \
-                (rows["frame_label"] == manifest.frame_labels.ravel()[slot]).all() \
-                and (rows["padded"] == manifest.padded.ravel()[slot]).all():
-            block.flags.writeable = False
-            return block
-    except (ValueError, csv.Error, Warning):  # UnicodeDecodeError included
-        pass
-    try:
-        return _read_score_rows(path, manifest)
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            text = fh.read()
-        try:
-            text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # Lines end at \r, \n or \r\n, as the csv reader counts them.
-            line = 1 + len(re.findall(rb"\r\n?|\n", text[:exc.start]))
-            raise DataValidationError(
-                f"{path}:{line}: invalid UTF-8 ({exc.reason})") from exc
-        raise
+        if len(rows) != block.size or \
+                not ((0 <= block) & (block < math.inf)).all() or \
+                (rows["frame_label"] != manifest.frame_labels.ravel()[slot]).any() \
+                or (rows["padded"] != manifest.padded.ravel()[slot]).any():
+            raise ValueError("score rows do not match the dataset")
+    except (ValueError, csv.Error, Warning) as exc:  # UnicodeDecodeError too
+        _raise_score_fault(path, manifest)
+        raise DataValidationError(f"{path}: {exc}") from exc
+    block.flags.writeable = False
+    return block
 
 
-def _read_score_rows(path, manifest: DatasetManifest) -> np.ndarray:
-    """`read_raw_scores` one csv record at a time. Faults name the file
-    line on which the offending record ends."""
+def _raise_score_fault(path, manifest: DatasetManifest) -> None:
+    """Raise the first fault of a score file, read one csv record at a
+    time: a fault within a record, in file order, then a missing or
+    repeated slot, then a label or padding flag that the dataset does not
+    have. Faults name the file line on which the offending record ends.
+    Returns if it finds none."""
     def records(reader):
         try:
-            yield from reader
+            for row in reader:
+                # The file is read with each byte that is not UTF-8 escaped
+                # to a lone surrogate; decoding the field's bytes again
+                # tells why it is not.
+                for field in row:
+                    try:
+                        field.encode("utf-8", "surrogateescape").decode()
+                    except UnicodeDecodeError as exc:
+                        raise DataValidationError(
+                            f"{path}:{reader.line_num}: invalid UTF-8 "
+                            f"({exc.reason})") from exc
+                yield row
         except csv.Error as exc:  # e.g. a field over the csv size limit
             raise DataValidationError(f"{path}:{reader.line_num}: {exc}") from exc
 
     ids = manifest.trial_ids
     position = {tid: i for i, tid in enumerate(ids)}
     t_max = manifest.t_max
-    # Typed buffers, not a tuple per row: they hold 8 bytes per field.
-    ints, raws = array("q"), array("d")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # A typed buffer, not a tuple per row: it holds 8 bytes per field.
+    ints = array("q")
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
         reader = csv.reader(fh)
         rows = records(reader)
         header = next(rows, None)
@@ -315,7 +315,6 @@ def _read_score_rows(path, manifest: DatasetManifest) -> np.ndarray:
                     f"{path}:{lineno}: trial {row[0]!r} frame {frame} is not "
                     f"in the dataset"
                 )
-            raws.append(raw)
     table = np.frombuffer(ints, dtype=np.int64).reshape(-1, 5)
     line, trial, frame = table[:, :3].T
 
@@ -340,8 +339,3 @@ def _read_score_rows(path, manifest: DatasetManifest) -> np.ndarray:
             f"frame_label, padded = {table[j, 3]}, {table[j, 4]}; the dataset "
             f"has {want[j, 0]}, {want[j, 1]}"
         )
-    raw = np.empty(hits.size)
-    raw[slot] = np.frombuffer(raws)
-    raw = raw.reshape(hits.shape)
-    raw.flags.writeable = False
-    return raw

@@ -196,12 +196,14 @@ def test_criterion_5_sweep_monotonicity(pipeline):
         report = sweep(rng.uniform(size=n), rng.integers(0, 2, size=n))
         recalls = report.recall.tolist()
         assert all(a >= b for a, b in zip(recalls, recalls[1:]))
-        assert np.all(report.counts.total == n)
+        c = report.counts
+        assert np.all(c.tp + c.fp + c.tn + c.fn == n)
         checked += 1
     for report in [r for res in pipeline.results for r in res.reports]:
         recalls = report.recall.tolist()
         assert all(a >= b for a, b in zip(recalls, recalls[1:]))
-        totals = set(report.counts.total.tolist())
+        c = report.counts
+        totals = set((c.tp + c.fp + c.tn + c.fn).tolist())
         assert totals == {report.total}
         checked += 1
     print(f"\nACCEPTANCE PASS [5] sweep monotonicity on {checked} sweeps "

@@ -409,6 +409,13 @@ SCORE_FILE_FAULTS = {
     "field-over-csv-limit": (
         lambda ls: _set(ls, 2, 0, lambda _: "x" * 200_000),
         "scores.csv:2: field larger than field limit"),
+    # Frames that only Python parses as numbers.
+    "frame-1_0": (
+        lambda ls: _set(ls, 12, 1, lambda _: "1_0"),
+        "scores.csv: could not convert string '1_0'"),
+    "frame-arabic-indic-digits": (
+        lambda ls: _set(ls, 12, 1, lambda _: "\u0661\u0660"),
+        "scores.csv: could not convert string '\u0661\u0660'"),
 }
 
 

@@ -202,7 +202,8 @@ class TestSweep:
             report = sweep(scores, labels, step=0.05)
             recalls = report.recall.tolist()
             assert all(a >= b - 1e-15 for a, b in zip(recalls, recalls[1:]))
-            assert np.all(report.counts.total == n)
+            c = report.counts
+            assert np.all(c.tp + c.fp + c.tn + c.fn == n)
 
     def test_endpoint_behavior(self):
         rng = np.random.default_rng(1)
@@ -361,4 +362,4 @@ class TestExperimentMatrix:
             sum(1 for p, l in zip(slow, labels) if p == 1 and l == 1)]
         assert counts.fn.tolist() == [
             sum(1 for p, l in zip(slow, labels) if p == 1 and l == 0)]
-        assert counts.total.tolist() == [200]
+        assert (counts.tp + counts.fp + counts.tn + counts.fn).tolist() == [200]

@@ -436,27 +436,17 @@ class TestScoreWritersMatchCsvWriter:
 _ODD_IDS = st.lists(st.text(alphabet=st.sampled_from(list('a,"\r\n\0# ')),
                             max_size=4), min_size=1, max_size=4, unique=True)
 
-try:
-    next(csv.reader(["\0"]))
-    CSV_READS_NUL = True
-except csv.Error:  # Python 3.10
-    CSV_READS_NUL = False
 
-
-def reader_outcomes(path, manifest):
-    """What read_raw_scores and the row-by-row reader make of one file:
-    the block's bytes, or the error message. Also whether read_raw_scores
-    called the row reader."""
-    def outcome(read):
+def reader_outcome(path, manifest):
+    """What read_raw_scores makes of one file: the block's bytes, or the
+    error message. Also whether it called the fault scan."""
+    scan = saliency._raise_score_fault
+    with mock.patch.object(saliency, "_raise_score_fault", wraps=scan) as spy:
         try:
-            return read(path, manifest).tobytes()
+            got = read_raw_scores(path, manifest).tobytes()
         except DataValidationError as exc:
-            return str(exc)
-
-    rows = saliency._read_score_rows
-    with mock.patch.object(saliency, "_read_score_rows", wraps=rows) as spy:
-        got = outcome(read_raw_scores)
-    return got, outcome(rows), spy.called
+            got = str(exc)
+    return got, spy.called
 
 
 def score_file(path, manifest, raws, order=None, endings=None, blanks=(),
@@ -482,8 +472,9 @@ def score_file(path, manifest, raws, order=None, endings=None, blanks=(),
 
 
 class TestFastAndRowReadersAgree:
-    """read_raw_scores parses with numpy and falls back to the row-by-row
-    reader; both must make the same of every file."""
+    """numpy is the one reader that accepts a score file; the row scan only
+    names the fault in a file that numpy or a check rejects. The two must
+    agree on which files hold a fault."""
 
     @given(ids=_ODD_IDS, data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -504,11 +495,10 @@ class TestFastAndRowReadersAgree:
         with tempfile.TemporaryDirectory() as tmp:
             path = score_file(Path(tmp, "s.csv"), manifest,
                               raws.reshape(-1, t_max), order, endings, blanks)
-            got, want, fell_back = reader_outcomes(path, manifest)
-        assert got == want == raws.tobytes()
-        # Only a NUL that the csv module cannot read sends a written file
-        # to the row reader.
-        assert fell_back == (not CSV_READS_NUL and any("\0" in i for i in ids))
+            got, scanned = reader_outcome(path, manifest)
+        # Every written file, NUL ids included, is read without the scan.
+        assert got == raws.tobytes()
+        assert not scanned
 
     @given(ids=_ODD_IDS, data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -523,8 +513,18 @@ class TestFastAndRowReadersAgree:
                                             "2147483648"])))
         with tempfile.TemporaryDirectory() as tmp:
             path = score_file(Path(tmp, "s.csv"), manifest, raws, fault=fault)
-            got, want, _ = reader_outcomes(path, manifest)
-        assert got == want
+            got, scanned = reader_outcome(path, manifest)
+            if scanned:
+                with pytest.raises(DataValidationError) as scan:
+                    saliency._raise_score_fault(path, manifest)
+        # A rejected file gets the scan's message; an accepted one holds
+        # the value that the fault wrote, if it wrote a raw score.
+        if scanned:
+            assert got == str(scan.value)
+        else:
+            if fault[1] == 2:
+                raws.flat[fault[0]] = float(fault[2])
+            assert got == raws.tobytes()
 
     @pytest.fixture
     def written(self, tmp_path):
@@ -535,31 +535,40 @@ class TestFastAndRowReadersAgree:
 
     def edit_line(self, path, lineno, edit):
         """Apply `edit` to one line, its CRLF ending left out."""
-        lines = path.read_bytes().decode("utf-8").split("\r\n")
+        lines = path.read_bytes().split(b"\r\n")
         line = lines[lineno - 1]
         lines[lineno - 1] = edit(line)
         assert lines[lineno - 1] != line
-        path.write_bytes("\r\n".join(lines).encode("utf-8"))
+        path.write_bytes(b"\r\n".join(lines))
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda line: line + "\r\n  ", "s.csv:4: ragged score row"),
-        (lambda line: line + ",0", "s.csv:3: ragged score row"),
-        (lambda line: line.replace(",,1,", ",,1.0,"),
+    @pytest.mark.parametrize("edits, message", [
+        ({3: lambda line: line + b"\r\n  "}, "s.csv:4: ragged score row"),
+        ({3: lambda line: line + b",0"}, "s.csv:3: ragged score row"),
+        ({3: lambda line: line.replace(b",,1,", b",,1.0,")},
          "s.csv:3: invalid literal for int() with base 10: '1.0'"),
-    ], ids=["whitespace-line", "seven-fields", "label-1.0"])
-    def test_both_reject(self, written, edit, message):
+        # A row fault is named before a later byte that is not UTF-8.
+        ({2: lambda line: line + b",0", 5: lambda line: b"\xff" + line},
+         "s.csv:2: ragged score row"),
+        ({1: lambda line: line.replace(b"raw", b"r\xe9w")},
+         "s.csv:1: invalid UTF-8 (invalid continuation byte)"),
+    ], ids=["whitespace-line", "seven-fields", "label-1.0",
+            "seven-fields-before-a-bad-byte", "bad-byte-in-the-header"])
+    def test_both_reject(self, written, edits, message):
         manifest, _, path = written
-        self.edit_line(path, 3, edit)
-        got, want, _ = reader_outcomes(path, manifest)
-        assert got == want == f"{path.parent}/{message}"
+        for lineno, edit in edits.items():
+            self.edit_line(path, lineno, edit)
+        got, scanned = reader_outcome(path, manifest)
+        assert got == f"{path.parent}/{message}"
+        assert scanned
 
-    @pytest.mark.parametrize("lineno, edit, fell_back", [
-        (12, lambda line: line.replace("a,10,", "a,1_0,"), True),
-        (3, lambda line: line.replace(",,", ",0.5,"), False),
-    ], ids=["frame-1_0", "normalized-score"])
-    def test_both_accept(self, written, lineno, edit, fell_back):
+    @pytest.mark.parametrize("lineno, edit", [
+        (3, lambda line: line.replace(b",,", b",0.5,")),
+        (3, lambda line: line.replace(b",,", b"," + b"9" * 200_000 + b",")),
+        (12, lambda line: line.replace(b"a,10,", b"a," + b"0" * 4999 + b"10,")),
+    ], ids=["normalized-score", "long-normalized-score", "frame-4999-zeros"])
+    def test_both_accept(self, written, lineno, edit):
         manifest, raws, path = written
         self.edit_line(path, lineno, edit)
-        got, want, called = reader_outcomes(path, manifest)
-        assert got == want == raws.tobytes()
-        assert called == fell_back
+        got, scanned = reader_outcome(path, manifest)
+        assert got == raws.tobytes()
+        assert not scanned
