@@ -8,7 +8,6 @@ before writing any output file.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -149,15 +148,9 @@ def _cmd_synth(args) -> int:
 
 def _parse_grid(path):
     """Hidden-layer options and learning rates of a JSON grid file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataValidationError(f"grid file not found: {path}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
-        raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or \
-            not {"hidden_layers", "learning_rates"} <= set(obj):
+    with open(path, "rb") as fh:
+        obj = data.json_object(fh.read(), path)
+    if not {"hidden_layers", "learning_rates"} <= set(obj):
         raise DataValidationError(
             f"{path}: grid file needs 'hidden_layers' and 'learning_rates'"
         )

@@ -11,6 +11,9 @@ slots are padding. Featurization turns the keypoints into one
 from each trial's first frame, zero on padding.
 
 A dataset file is one JSON header line and one JSON record per trial.
+`json_object` parses each line, and every other JSON input of the package
+too (the sidecar's header, the checkpoint, the grid file and the synth
+config), with errors that name the file or line.
 `load_dataset` reads the records in one process. When two CPUs are
 usable, `save_dataset` encodes them as two contiguous halves in two
 processes: the second half runs in one forked child and is copied in after
@@ -360,7 +363,7 @@ def _sidecar_manifest(path) -> DatasetManifest:
                 warnings.simplefilter("error")
                 return np.lib.format.read_array(fh, allow_pickle=False)
 
-        header = json.loads(member("header").tobytes())
+        header = json_object(member("header").tobytes(), f"{path}.npz")
         if header["fingerprint"] != _fingerprint(path):
             raise ValueError("stale sidecar")
         frames, lengths, labels = map(member,
@@ -400,11 +403,30 @@ _TRIAL_FIELDS = (
 )
 
 
+def json_object(raw: bytes, where) -> dict:
+    """The JSON object that the UTF-8 bytes `raw` hold. Anything else
+    raises DataValidationError naming `where`, a file or one of its lines."""
+    try:
+        # The bytes are let go before the parse, so that a checkpoint read
+        # as `json_object(fh.read(), path)` is not held twice over while it
+        # parses (CPython 3.11 and later hand a call its arguments).
+        text, raw = raw.decode("utf-8"), None
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # or nested too deep
+        raise DataValidationError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataValidationError(
+            f"{where}: must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _holds_bool(value) -> bool:
-    """Whether a parsed JSON value is a boolean or a list nesting one."""
-    if isinstance(value, list):
-        return any(map(_holds_bool, value))
-    return isinstance(value, bool)
+    """Whether a parsed JSON value is a boolean or a list nesting one. A
+    list is checked by the set of its items' types, at C speed."""
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    kinds = set(map(type, value))
+    return bool in kinds or list in kinds and any(map(_holds_bool, value))
 
 
 def json_numbers(value, what: str, booleans: bool = True) -> np.ndarray:
@@ -480,20 +502,11 @@ def load_dataset(path) -> DatasetManifest:
     except _UNTRUSTED:
         pass
 
-    def parse(lineno: int, line: bytes) -> dict:
-        try:
-            obj = json.loads(line.decode("utf-8"))
-        except ValueError as exc:
-            raise DataValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise DataValidationError(f"{path}:{lineno}: expected an object")
-        return obj
-
     with open(path, "rb") as fh:
         first = fh.readline()
         if not first:
             raise DataValidationError(f"{path}: empty dataset file")
-        header = parse(1, first)
+        header = json_object(first, f"{path}:1")
         for key in ("t_max", "joints", "provenance", "seed"):
             if key not in header:
                 raise DataValidationError(f"{path}:1: missing field {key!r}")
@@ -522,7 +535,7 @@ def load_dataset(path) -> DatasetManifest:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            rec = parse(lineno, line)
+            rec = json_object(line, f"{path}:{lineno}")
             try:
                 found.append(_trial_row(rec, layout, header["t_max"],
                                         b"true" in line or b"false" in line))

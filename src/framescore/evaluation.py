@@ -140,7 +140,6 @@ class ThresholdSweepReport:
     mode: FilterMode
     window_size: int
     beta: float
-    step: float
     taus: np.ndarray
     counts: ConfusionCounts
     precision: np.ndarray
@@ -196,7 +195,6 @@ def sweep(
         mode=mode,
         window_size=window_size,
         beta=beta,
-        step=step,
         taus=taus,
         counts=counts,
         precision=precision(counts),

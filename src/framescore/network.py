@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import json_numbers
+from .data import json_numbers, json_object
 from .errors import ContractError, DataValidationError, NumericFailure
 
 PROB_EPS = 1e-12
@@ -506,21 +506,8 @@ def _architecture(obj) -> ModelArchitecture:
 def load_model(path) -> TrainedModel:
     """Read a `save_model` checkpoint. A malformed one raises
     DataValidationError naming the path and the field."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        payload = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
-        raise DataValidationError(f"{path}: invalid checkpoint JSON: {exc}") from exc
-    # Only the text true or false parses to a boolean; without either, the
-    # number lists are not walked for one.
-    booleans = "true" in text or "false" in text
-    del text
-    if not isinstance(payload, dict):
-        raise DataValidationError(
-            f"{path}: checkpoint must be a JSON object, got "
-            f"{type(payload).__name__}"
-        )
+    with open(path, "rb") as fh:
+        payload = json_object(fh.read(), path)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise DataValidationError(
             f"{path}: unsupported checkpoint format {payload.get('format')!r}"
@@ -537,7 +524,7 @@ def load_model(path) -> TrainedModel:
                 f"{path}: checkpoint field {name!r}: {why}") from exc
 
     def floats(value, what: str) -> np.ndarray:
-        return json_numbers(value, what, booleans).astype(np.float64, copy=False)
+        return json_numbers(value, what).astype(np.float64, copy=False)
 
     arch = read("architecture", _architecture)
     dims = arch.layer_dims

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from array import array
 from dataclasses import dataclass, replace
@@ -220,8 +221,7 @@ def read_raw_scores(path, manifest: DatasetManifest) -> np.ndarray:
     (trials x t_max) raw-score block, with rows in the order of `manifest`.
     numpy's tokenizer is the only reader that accepts a file. When it or a
     check rejects one, `_raise_score_fault` names the first fault in file
-    order; a file it finds no fault in, such as one with a frame written
-    `1_0`, is rejected with numpy's message.
+    order; a file it finds no fault in is rejected with numpy's message.
     """
     ids, t_max = manifest.trial_ids, manifest.t_max
     position = {tid: i for i, tid in enumerate(ids)}
@@ -264,6 +264,12 @@ def _raise_score_fault(path, manifest: DatasetManifest) -> None:
     repeated slot, then a label or padding flag that the dataset does not
     have. Faults name the file line on which the offending record ends.
     Returns if it finds none."""
+    def number(text: str, kind):
+        # numpy's tokenizer reads no underscore and no non-ASCII digit.
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"could not convert string {text!r}")
+        return kind(text)
+
     def records(reader):
         try:
             for row in reader:
@@ -278,7 +284,7 @@ def _raise_score_fault(path, manifest: DatasetManifest) -> None:
                             f"{path}:{reader.line_num}: invalid UTF-8 "
                             f"({exc.reason})") from exc
                 yield row
-        except csv.Error as exc:  # e.g. a field over the csv size limit
+        except csv.Error as exc:  # e.g. a NUL on Python 3.10
             raise DataValidationError(f"{path}:{reader.line_num}: {exc}") from exc
 
     ids = manifest.trial_ids
@@ -286,35 +292,42 @@ def _raise_score_fault(path, manifest: DatasetManifest) -> None:
     t_max = manifest.t_max
     # A typed buffer, not a tuple per row: it holds 8 bytes per field.
     ints = array("q")
-    with open(path, "r", encoding="utf-8", errors="surrogateescape",
-              newline="") as fh:
-        reader = csv.reader(fh)
-        rows = records(reader)
-        header = next(rows, None)
-        if header is None or tuple(header) != _SCORE_COLUMNS:
-            raise DataValidationError(f"{path}: unexpected score file header")
-        for row in rows:
-            if not row:
-                continue
-            lineno = reader.line_num  # a quoted id may hold line breaks
-            if len(row) != len(_SCORE_COLUMNS):
-                raise DataValidationError(f"{path}:{lineno}: ragged score row")
-            trial = position.get(row[0], -1)
-            try:
-                frame, raw = int(row[1]), float(row[2])
-                ints.extend((lineno, trial, frame, int(row[4]), int(row[5])))
-            except (ValueError, OverflowError) as exc:
-                raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
-            if not 0.0 <= raw < math.inf:
-                raise DataValidationError(
-                    f"{path}:{lineno}: raw score {row[2]!r} is not a finite, "
-                    f"non-negative number"
-                )
-            if trial < 0 or not 0 <= frame < t_max:
-                raise DataValidationError(
-                    f"{path}:{lineno}: trial {row[0]!r} frame {frame} is not "
-                    f"in the dataset"
-                )
+    limit = csv.field_size_limit()
+    try:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape",
+                  newline="") as fh:
+            # Like numpy, the scan holds no field to a size limit.
+            csv.field_size_limit(max(limit, os.fstat(fh.fileno()).st_size))
+            reader = csv.reader(fh)
+            rows = records(reader)
+            header = next(rows, None)
+            if header is None or tuple(header) != _SCORE_COLUMNS:
+                raise DataValidationError(f"{path}: unexpected score file header")
+            for row in rows:
+                if not row:
+                    continue
+                lineno = reader.line_num  # a quoted id may hold line breaks
+                if len(row) != len(_SCORE_COLUMNS):
+                    raise DataValidationError(f"{path}:{lineno}: ragged score row")
+                trial = position.get(row[0], -1)
+                try:
+                    frame, raw = number(row[1], int), number(row[2], float)
+                    ints.extend((lineno, trial, frame, number(row[4], int),
+                                 number(row[5], int)))
+                except (ValueError, OverflowError) as exc:
+                    raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
+                if not 0.0 <= raw < math.inf:
+                    raise DataValidationError(
+                        f"{path}:{lineno}: raw score {row[2]!r} is not a finite, "
+                        f"non-negative number"
+                    )
+                if trial < 0 or not 0 <= frame < t_max:
+                    raise DataValidationError(
+                        f"{path}:{lineno}: trial {row[0]!r} frame {frame} is not "
+                        f"in the dataset"
+                    )
+    finally:
+        csv.field_size_limit(limit)
     table = np.frombuffer(ints, dtype=np.int64).reshape(-1, 5)
     line, trial, frame = table[:, :3].T
 

@@ -9,7 +9,6 @@ over a few frames. Frame labels mark exactly the injected segment.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -22,6 +21,7 @@ from .data import (
     LABEL_NORMAL,
     DatasetManifest,
     JointLayout,
+    json_object,
 )
 from .errors import DataValidationError
 
@@ -115,13 +115,8 @@ def load_synth_config(path=None, **overrides) -> SynthConfig:
     config is validated."""
     obj = {}
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise DataValidationError(f"{path}: config must be a JSON object")
+        with open(path, "rb") as fh:
+            obj = json_object(fh.read(), path)
         unknown = sorted(set(obj) - {f.name for f in fields(SynthConfig)})
         if unknown:
             raise DataValidationError(

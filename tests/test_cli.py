@@ -194,6 +194,16 @@ class TestTrainCommand:
         assert not model.exists()
         assert not (tmp_path / "model.json.grid.csv").exists()
 
+    def test_missing_grid_file_exits_2(self, tmp_path, capsys):
+        data = make_dataset(tmp_path)
+        grid = tmp_path / "no-grid.json"
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert run("train", "--data", data, "--out", model,
+                   "--grid", grid) == 2
+        assert str(grid) in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("fault", RECORD_FAULTS)
     def test_record_fault_rejected(self, tmp_path, capsys, fault):
         data = make_dataset(tmp_path)
@@ -335,6 +345,8 @@ class TestExplainCommand:
          "checkpoint field 'biases': layer 0 must hold only numbers"),
         (lambda p: (p["scaler"]["scale"].__setitem__(0, True), p)[1],
          "checkpoint field 'scaler': scale must hold only numbers"),
+        (lambda p: (p["weights"][0].__setitem__(-1, False), p)[1],
+         "checkpoint field 'weights': layer 0 must hold only numbers"),
         # A scaler that no fit makes: the saliency would blame a trial.
         (lambda p: (p["scaler"]["mean"].__setitem__(0, math.nan), p)[1],
          "checkpoint field 'scaler': scaler mean and scale must be finite"),
@@ -344,7 +356,7 @@ class TestExplainCommand:
          "checkpoint field 'scaler': scaler mean and scale must be finite"),
     ], ids=["no-scaler", "short-weights", "list", "string-widths",
             "missing-layer", "extra-layer", "string-bias", "boolean-scale",
-            "nan-mean", "inf-scale", "negative-scale"])
+            "boolean-last-weight", "nan-mean", "inf-scale", "negative-scale"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, corrupt,
                                           expected):
         data = make_dataset(tmp_path)
@@ -408,14 +420,14 @@ SCORE_FILE_FAULTS = {
         "scores.csv: unexpected score file header"),
     "field-over-csv-limit": (
         lambda ls: _set(ls, 2, 0, lambda _: "x" * 200_000),
-        "scores.csv:2: field larger than field limit"),
+        "scores.csv:2: trial 'xxx"),
     # Frames that only Python parses as numbers.
     "frame-1_0": (
         lambda ls: _set(ls, 12, 1, lambda _: "1_0"),
-        "scores.csv: could not convert string '1_0'"),
+        "scores.csv:12: could not convert string '1_0'"),
     "frame-arabic-indic-digits": (
         lambda ls: _set(ls, 12, 1, lambda _: "\u0661\u0660"),
-        "scores.csv: could not convert string '\u0661\u0660'"),
+        "scores.csv:12: could not convert string '\u0661\u0660'"),
 }
 
 
@@ -560,7 +572,8 @@ class TestInvalidUtf8:
     """One 0xff byte in an input file exits 2 with a message that names the
     file, not with a UnicodeDecodeError traceback."""
 
-    @pytest.mark.parametrize("kind", ["checkpoint", "grid", "scores"])
+    @pytest.mark.parametrize("kind", ["checkpoint", "grid", "scores",
+                                      "config"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, kind):
         data = make_dataset(tmp_path)
         model = train_small(tmp_path, data)
@@ -569,16 +582,21 @@ class TestInvalidUtf8:
                    "--out", scores) == 0
         out = tmp_path / "out"
         grid = write_grid(tmp_path)
+        config = tmp_path / "synth.json"
+        config.write_text('{"seed": 1}')
         bad, edit, argv, message = {
             "checkpoint": (model, _append_ff, (
                 "explain", "--model", model, "--data", data, "--out", out),
-                f"{model}: invalid checkpoint JSON: "),
+                f"{model}: invalid JSON: "),
             "grid": (grid, _append_ff, (
                 "train", "--data", data, "--out", out, "--grid", grid),
                 f"{grid}: invalid JSON: "),
             "scores": (scores, _ff_in_a_trial_id, (
                 "sweep", "--scores", scores, "--data", data, "--out", out),
                 f"{scores}:6: invalid UTF-8 (invalid start byte)"),
+            "config": (config, _append_ff, (
+                "synth", "--config", config, "--out", out),
+                f"{config}: invalid JSON: "),
         }[kind]
         edit(bad)
         capsys.readouterr()

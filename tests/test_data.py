@@ -340,6 +340,38 @@ class TestDatasetIO:
         with pytest.raises(DataValidationError, match=message):
             load_dataset(path)
 
+    def test_record_that_is_not_an_object_names_its_line(self, tiny_manifest,
+                                                         tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_dataset(tiny_manifest, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"[" + lines[2] + b"]"
+        cold(path).write_bytes(b"\n".join(lines))
+        with pytest.raises(DataValidationError,
+                           match=r":3: must be a JSON object, got list"):
+            load_dataset(path)
+
+
+class TestJsonObject:
+    """json_object is the one JSON parse of the package."""
+
+    def test_object(self):
+        assert data.json_object('{"a": [1, "\u00e9"]}'.encode(), "f") == \
+            {"a": [1, "\u00e9"]}
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"[1]", "f.json: must be a JSON object, got list"),
+        (b"null", "f.json: must be a JSON object, got NoneType"),
+        (b"{", "f.json: invalid JSON: Expecting property name"),
+        (b'{"a": "\xff"}', "f.json: invalid JSON: 'utf-8' codec"),
+        (b"\xef\xbb\xbf{}", "f.json: invalid JSON: Unexpected UTF-8 BOM"),
+        (b"[" * 100_000, "f.json: invalid JSON: maximum recursion depth"),
+    ], ids=["list", "null", "unclosed", "bad-utf-8", "bom", "nested-too-deep"])
+    def test_anything_else_names_where(self, raw, message):
+        with pytest.raises(DataValidationError) as exc:
+            data.json_object(raw, "f.json")
+        assert str(exc.value).startswith(message)
+
 
 class TestInvariants:
     def test_trial_label_consistency_enforced(self, tmp_path):

@@ -510,7 +510,8 @@ class TestFastAndRowReadersAgree:
                  data.draw(st.integers(1, 5)),
                  data.draw(st.sampled_from(["nan", "inf", "-1", "3", "1.0",
                                             "x", "", "2", " 0 ", "1,1", "257",
-                                            "2147483648"])))
+                                            "2147483648", "1_0",
+                                            "\u0661"])))
         with tempfile.TemporaryDirectory() as tmp:
             path = score_file(Path(tmp, "s.csv"), manifest, raws, fault=fault)
             got, scanned = reader_outcome(path, manifest)
@@ -551,8 +552,13 @@ class TestFastAndRowReadersAgree:
          "s.csv:2: ragged score row"),
         ({1: lambda line: line.replace(b"raw", b"r\xe9w")},
          "s.csv:1: invalid UTF-8 (invalid continuation byte)"),
+        # numpy has no field size limit, so the scan has none either.
+        ({2: lambda line: line.replace(b",,", b"," + b"9" * 200_000 + b","),
+          10: lambda line: line + b",0"},
+         "s.csv:10: ragged score row"),
     ], ids=["whitespace-line", "seven-fields", "label-1.0",
-            "seven-fields-before-a-bad-byte", "bad-byte-in-the-header"])
+            "seven-fields-before-a-bad-byte", "bad-byte-in-the-header",
+            "seven-fields-after-a-long-field"])
     def test_both_reject(self, written, edits, message):
         manifest, _, path = written
         for lineno, edit in edits.items():
@@ -560,6 +566,14 @@ class TestFastAndRowReadersAgree:
         got, scanned = reader_outcome(path, manifest)
         assert got == f"{path.parent}/{message}"
         assert scanned
+
+    def test_scan_restores_the_csv_field_limit(self, written):
+        manifest, _, path = written
+        self.edit_line(path, 2, lambda line: b"x" * 200_000 + line)
+        limit = csv.field_size_limit()
+        with pytest.raises(DataValidationError, match=r"s\.csv:2: trial 'xxx"):
+            saliency.read_raw_scores(path, manifest)
+        assert csv.field_size_limit() == limit
 
     @pytest.mark.parametrize("lineno, edit", [
         (3, lambda line: line.replace(b",,", b",0.5,")),
