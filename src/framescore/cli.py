@@ -1,7 +1,8 @@
 """Batch pipeline driver: synthesize, train, explain, sweep.
 
 Exit codes: 0 success, 1 usage error, 2 data or configuration validation
-error, 3 numeric failure during training. Commands validate their inputs
+error, 3 numeric failure during training. Commands check their output
+paths before they read or compute anything, and validate their inputs
 before writing any output file.
 """
 
@@ -124,7 +125,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_outputs(*files, directory=None) -> None:
+    """Reject an output file path that is a directory or whose directory
+    does not exist, and an output directory at or below an existing file.
+    Nothing is created, so a rejected run leaves no file behind."""
+    for path in files:
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise DataValidationError(f"output {path} is a directory")
+        if not os.path.isdir(parent):
+            raise DataValidationError(
+                f"output {path}: {parent} is not an existing directory")
+    if directory is not None:
+        # sweep makes the directory and any missing parents
+        head = os.path.abspath(directory)
+        while not os.path.exists(head):
+            head = os.path.dirname(head)
+        if not os.path.isdir(head):
+            raise DataValidationError(
+                f"output {directory}: {head} is not a directory")
+
+
 def _cmd_synth(args) -> int:
+    _check_outputs(args.out)
     # each flag's dest is the name of the generator field it overrides
     config = synth.load_synth_config(args.config, **{
         f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)
@@ -174,27 +197,16 @@ def _parse_grid(path):
 
 
 def _write_grid_report(result: network.GridSearchResult, path) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["hidden_layers", "learning_rate", "mean_val_accuracy",
-             "fold_accuracies", "parameters", "selected"]
-        )
-        for i, cell in enumerate(result.cells):
-            writer.writerow(
-                [
-                    "x".join(str(w) for w in cell.architecture.hidden_layers),
-                    repr(cell.config.learning_rate),
-                    repr(cell.mean_val_accuracy),
-                    ";".join(repr(a) for a in cell.fold_accuracies),
-                    cell.architecture.parameter_count,
-                    int(i == result.best_index),
-                ]
-            )
-        for note in result.warnings:
-            writer.writerow([f"# warning: {note}"])
+    data.write_csv(path, [
+        ["hidden_layers", "learning_rate", "mean_val_accuracy",
+         "fold_accuracies", "parameters", "selected"],
+        *(["x".join(map(str, cell.architecture.hidden_layers)),
+           cell.config.learning_rate, cell.mean_val_accuracy,
+           ";".join(map(str, cell.fold_accuracies)),
+           cell.architecture.parameter_count, int(i == result.best_index)]
+          for i, cell in enumerate(result.cells)),
+        *([f"# warning: {note}"] for note in result.warnings),
+    ])
 
 
 def _layout(manifest: data.DatasetManifest) -> dict:
@@ -207,6 +219,8 @@ def _layout(manifest: data.DatasetManifest) -> dict:
 
 
 def _cmd_train(args) -> int:
+    grid_report = args.grid_report or f"{args.out}.grid.csv"
+    _check_outputs(args.out, grid_report)
     manifest = data.load_dataset(args.data)
     train_set, test_set = data.split_dataset(manifest, args.split, args.seed)
     print(f"{len(train_set)} train / {len(test_set)} test trials "
@@ -254,7 +268,6 @@ def _cmd_train(args) -> int:
     model.metadata.update(_layout(manifest))
 
     network.save_model(model, args.out)
-    grid_report = args.grid_report or f"{args.out}.grid.csv"
     _write_grid_report(result, grid_report)
     print(
         f"train accuracy {model.metadata['train_accuracy']:.4f}, "
@@ -264,6 +277,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    heatmap = args.heatmap_out or os.path.join(
+        os.path.dirname(os.path.abspath(args.out)), f"heatmap-{args.heatmap}.csv")
+    _check_outputs(args.out, *([heatmap] if args.heatmap is not None else []))
     model = network.load_model(args.model)
     manifest = data.load_dataset(args.data)
     for key, value in _layout(manifest).items():
@@ -285,16 +301,13 @@ def _cmd_explain(args) -> int:
         grid = saliency.importance_matrix(saliency.compute_saliency(
             model, manifest, X, manifest.trial_ids.index(args.heatmap)
         ))
-        out = args.heatmap_out or os.path.join(
-            os.path.dirname(os.path.abspath(args.out)),
-            f"heatmap-{args.heatmap}.csv",
-        )
-        saliency.export_heatmap(grid, out, manifest.layout.feature_names())
-        print(f"heatmap for {args.heatmap} -> {out}")
+        saliency.export_heatmap(grid, heatmap, manifest.layout.feature_names())
+        print(f"heatmap for {args.heatmap} -> {heatmap}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
+    _check_outputs(directory=args.out)
     try:
         modes = list(dict.fromkeys(evaluation.FilterMode.parse(m.strip())
                                    for m in args.modes.split(",") if m.strip()))

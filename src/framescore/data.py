@@ -13,7 +13,8 @@ from each trial's first frame, zero on padding.
 A dataset file is one JSON header line and one JSON record per trial.
 `json_object` parses each line, and every other JSON input of the package
 too (the sidecar's header, the checkpoint, the grid file and the synth
-config), with errors that name the file or line.
+config), with errors that name the file or line. `write_csv` writes every
+report table.
 `load_dataset` reads the records in one process. When two CPUs are
 usable, `save_dataset` encodes them as two contiguous halves in two
 processes: the second half runs in one forked child and is copied in after
@@ -34,6 +35,7 @@ the sidecar may be deleted at any time, and only `save_dataset` (that is,
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import shutil
@@ -418,6 +420,13 @@ def json_object(raw: bytes, where) -> dict:
         raise DataValidationError(
             f"{where}: must be a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def write_csv(path, rows) -> None:
+    """Write `rows`, each a sequence of cells, to `path` as a UTF-8 CSV table
+    with CRLF line endings: the one writer of the package's report tables."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _holds_bool(value) -> bool:

@@ -11,14 +11,13 @@ resolved toward the smallest threshold.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data import LABEL_COMPENSATORY, LABEL_NORMAL, DatasetManifest
+from .data import LABEL_COMPENSATORY, LABEL_NORMAL, DatasetManifest, write_csv
 from .errors import ContractError
 from .saliency import FramePool, normalize_pool, windows_over_pool
 
@@ -260,46 +259,35 @@ def run_experiment_matrix(
     return tuple(results)
 
 
+def _best_row(report: ThresholdSweepReport) -> list:
+    """The best threshold's tau, recall and F-beta, then the group sizes."""
+    return [report.best_tau, report.best_recall, report.best_fbeta,
+            report.group0, report.group1]
+
+
 def write_sweep_report(report: ThresholdSweepReport, path) -> None:
     """One row per threshold plus a best-row summary block."""
     c = report.counts
     columns = (report.taus, c.tp, c.fp, c.tn, c.fn,
                report.precision, report.recall, report.fbeta)
-    lead = [report.mode.value, report.window_size, repr(report.beta)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["mode", "window", "beta", "tau", "tp", "fp", "tn", "fn",
-             "precision", "recall", "fbeta"]
-        )
-        writer.writerows(
-            lead + [repr(v) for v in row]
-            for row in zip(*(col.tolist() for col in columns))
-        )
-        writer.writerow([])
-        writer.writerow(["# best", "tau", "recall", "fbeta", "group0", "group1"])
-        writer.writerow(
-            ["# best",
-             repr(report.best_tau),
-             repr(report.best_recall),
-             repr(report.best_fbeta),
-             report.group0,
-             report.group1]
-        )
+    lead = [report.mode.value, report.window_size, report.beta]
+    write_csv(path, [
+        ["mode", "window", "beta", "tau", "tp", "fp", "tn", "fn",
+         "precision", "recall", "fbeta"],
+        *([*lead, *row] for row in zip(*(col.tolist() for col in columns))),
+        [],
+        ["# best", "tau", "recall", "fbeta", "group0", "group1"],
+        ["# best", *_best_row(report)],
+    ])
 
 
 def write_histogram(hist: ScoreHistogram, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count_group0", "count_group1"])
-        for i in range(len(hist.counts0)):
-            writer.writerow(
-                [repr(float(hist.bin_edges[i])),
-                 repr(float(hist.bin_edges[i + 1])),
-                 int(hist.counts0[i]),
-                 int(hist.counts1[i])]
-            )
-        writer.writerow(["# overlap_mass", hist.overlap_mass, "", ""])
+    edges = hist.bin_edges.tolist()
+    write_csv(path, [
+        ["bin_lo", "bin_hi", "count_group0", "count_group1"],
+        *zip(edges[:-1], edges[1:], hist.counts0.tolist(), hist.counts1.tolist()),
+        ["# overlap_mass", hist.overlap_mass, "", ""],
+    ])
 
 
 def format_summary(results: Sequence[ModeResult]) -> str:
@@ -310,10 +298,10 @@ def format_summary(results: Sequence[ModeResult]) -> str:
     ]
     for res in results:
         for report in res.reports:
+            tau, recall, f, group0, group1 = _best_row(report)
             lines.append(
                 f"{report.mode.value:<14} {report.window_size:>6} "
-                f"{report.best_tau:>9.2f} {report.best_recall:>7.3f} "
-                f"{report.best_fbeta:>7.3f} {report.group0:>8} {report.group1:>8}"
+                f"{tau:>9.2f} {recall:>7.3f} {f:>7.3f} {group0:>8} {group1:>8}"
             )
     return "\n".join(lines)
 
@@ -337,23 +325,9 @@ def format_pool_table(results: Sequence[ModeResult]) -> str:
 
 
 def write_summary(results: Sequence[ModeResult], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["mode", "window", "best_tau", "best_recall", "best_fbeta",
-             "group0", "group1", "total"]
-        )
-        for res in results:
-            for report in res.reports:
-                writer.writerow(
-                    [
-                        report.mode.value,
-                        report.window_size,
-                        repr(report.best_tau),
-                        repr(report.best_recall),
-                        repr(report.best_fbeta),
-                        report.group0,
-                        report.group1,
-                        report.total,
-                    ]
-                )
+    write_csv(path, [
+        ["mode", "window", "best_tau", "best_recall", "best_fbeta",
+         "group0", "group1", "total"],
+        *([report.mode.value, report.window_size, *_best_row(report),
+           report.total] for res in results for report in res.reports),
+    ])

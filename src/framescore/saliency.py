@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LABEL_NORMAL, DatasetManifest
+from .data import LABEL_NORMAL, DatasetManifest, write_csv
 from .errors import ContractError, DataValidationError
 from .network import TrainedModel, input_gradient
 
@@ -145,11 +145,8 @@ def export_heatmap(matrix: np.ndarray, path, feature_names: Sequence[str]) -> No
             f"matrix shape {matrix.shape} does not match "
             f"{len(feature_names)} feature names"
         )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", *feature_names])
-        for t in range(matrix.shape[0]):
-            writer.writerow([t, *(repr(float(v)) for v in matrix[t])])
+    write_csv(path, [["frame", *feature_names],
+                     *([t, *row] for t, row in enumerate(matrix.tolist()))])
 
 
 _SCORE_COLUMNS = (

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import framescore
-from framescore.cli import main
+from framescore.cli import _write_grid_report, main
+from framescore.network import (GridCell, GridSearchResult, ModelArchitecture,
+                                TrainConfig)
 
 
 def run(*argv):
@@ -140,6 +142,23 @@ class TestTrainCommand:
         stdout = capsys.readouterr().out
         assert "6 train / 6 test" in stdout
         assert "test accuracy" in stdout
+
+    def test_grid_report_exact_text(self, tmp_path):
+        result = GridSearchResult(
+            (GridCell(ModelArchitecture(3, (4,)), TrainConfig(learning_rate=1),
+                      0.5, (0.25, 0.75)),
+             GridCell(ModelArchitecture(3, (8, 4)),
+                      TrainConfig(learning_rate=0.001), 2 / 3, (1 / 3, 1.0))),
+            1, ("fold 0: validation split contains a single class, again",))
+        _write_grid_report(result, tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == (
+            b"hidden_layers,learning_rate,mean_val_accuracy,fold_accuracies,"
+            b"parameters,selected\r\n"
+            b"4,1,0.5,0.25;0.75,21,0\r\n"
+            b"8x4,0.001,0.6666666666666666,0.3333333333333333;1.0,73,1\r\n"
+            b'"# warning: fold 0: validation split contains a single class, '
+            b'again"\r\n'
+        )
 
     def test_default_grid_has_eight_cells(self, tmp_path):
         data = make_dataset(tmp_path)
@@ -603,6 +622,55 @@ class TestInvalidUtf8:
         assert run(*argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+# Command lines that name one output path that cannot be written, relative
+# to a directory holding the file `taken` and the directory `heatmap-t0.csv`:
+# (argv, the path the error must name). The input files do not exist, since
+# a command that checks its outputs first never reads them.
+_EXPLAIN = ["explain", "--model", "in.json", "--data", "in.jsonl"]
+_BAD_OUTPUTS = {
+    "synth-out": (["synth", "--out", "nodir/x.jsonl"], "nodir/x.jsonl"),
+    "train-out": (["train", "--data", "in.jsonl", "--out", "nodir/m.json"],
+                  "nodir/m.json"),
+    "train-out-is-a-directory": (
+        ["train", "--data", "in.jsonl", "--out", "heatmap-t0.csv"],
+        "heatmap-t0.csv"),
+    "train-grid-report": (["train", "--data", "in.jsonl", "--out", "m.json",
+                           "--grid-report", "nodir/g.csv"], "nodir/g.csv"),
+    "explain-out": ([*_EXPLAIN, "--out", "nodir/s.csv"], "nodir/s.csv"),
+    "explain-heatmap-out": ([*_EXPLAIN, "--out", "s.csv", "--heatmap", "t0",
+                             "--heatmap-out", "nodir/h.csv"], "nodir/h.csv"),
+    "explain-default-heatmap": ([*_EXPLAIN, "--out", "s.csv", "--heatmap", "t0"],
+                                "heatmap-t0.csv"),
+    "sweep-out-is-a-file": (["sweep", "--scores", "in.csv", "--data", "in.jsonl",
+                             "--out", "taken"], "taken"),
+    "sweep-out-below-a-file": (["sweep", "--scores", "in.csv", "--data",
+                                "in.jsonl", "--out", "taken/reports"],
+                               "taken/reports"),
+}
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("case", _BAD_OUTPUTS)
+    def test_rejected_before_any_work(self, case, tmp_path, monkeypatch,
+                                      capsys):
+        argv, bad = _BAD_OUTPUTS[case]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        (tmp_path / "heatmap-t0.csv").mkdir()
+
+        def work(*args, **kwargs):
+            raise AssertionError("the command did work before it checked "
+                                 "its output paths")
+
+        for name in ("synth.load_synth_config", "data.load_dataset",
+                     "network.load_model", "network.grid_search"):
+            monkeypatch.setattr(f"framescore.{name}", work)
+        listing = sorted(tmp_path.rglob("*"))
+        assert run(*argv) == 2
+        assert bad in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == listing
 
 
 class TestUsageAndHelp:

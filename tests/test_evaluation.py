@@ -9,6 +9,8 @@ from framescore.errors import ContractError
 from framescore.evaluation import (
     ConfusionCounts,
     FilterMode,
+    ModeResult,
+    ScoreHistogram,
     confusion_at,
     fbeta,
     format_pool_table,
@@ -306,6 +308,60 @@ class TestHistogram:
         assert hist.counts0.sum() == int((labels == 0).sum())
         assert hist.counts1.sum() == int((labels == 1).sum())
         assert len(hist.counts0) == 50
+
+
+class TestTableBytes:
+    """The whole text of each evaluation table, on hand-built inputs:
+    csv's \r\n line endings, repr-exact floats and the comment rows."""
+
+    SCORES = np.array([0.1, 0.6, 0.8, 0.3, 0.55])
+    LABELS = np.array([0, 0, 1, 1, 0])
+
+    def test_sweep_report(self, tmp_path):
+        report = sweep(self.SCORES, self.LABELS, beta=2.0, step=0.5,
+                       mode=FilterMode.NO_PAD, window_size=5)
+        write_sweep_report(report, tmp_path / "report.csv")
+        assert (tmp_path / "report.csv").read_bytes() == (
+            b"mode,window,beta,tau,tp,fp,tn,fn,precision,recall,fbeta\r\n"
+            b"no-pad,5,2.0,0.0,3,2,0,0,0.6,1.0,0.8823529411764706\r\n"
+            b"no-pad,5,2.0,0.5,2,1,1,1,0.6666666666666666,0.6666666666666666,"
+            b"0.6666666666666666\r\n"
+            b"no-pad,5,2.0,1.0,0,0,2,3,0.0,0.0,0.0\r\n"
+            b"\r\n"
+            b"# best,tau,recall,fbeta,group0,group1\r\n"
+            b"# best,0.0,1.0,0.8823529411764706,3,2\r\n"
+        )
+
+    def test_histogram(self, tmp_path):
+        hist = ScoreHistogram(np.linspace(0.0, 1.0, 3), np.array([2, 1]),
+                              np.array([1, 3]))
+        write_histogram(hist, tmp_path / "hist.csv")
+        assert (tmp_path / "hist.csv").read_bytes() == (
+            b"bin_lo,bin_hi,count_group0,count_group1\r\n"
+            b"0.0,0.5,2,1\r\n"
+            b"0.5,1.0,1,3\r\n"
+            b"# overlap_mass,2,,\r\n"
+        )
+
+    def test_summary_file_and_table(self, tmp_path):
+        reports = (
+            sweep(self.SCORES, self.LABELS, step=0.5, window_size=1),
+            sweep([0.1, 0.8, 0.9, 0.2, 0.3], [1, 0, 0, 1, 1], step=0.5,
+                  window_size=5),
+        )
+        results = [ModeResult(FilterMode.ALL, None, None, reports)]
+        write_summary(results, tmp_path / "summary.csv")
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            b"mode,window,best_tau,best_recall,best_fbeta,group0,group1,total"
+            b"\r\n"
+            b"all,1,0.0,1.0,0.8823529411764706,3,2,5\r\n"
+            b"all,5,0.5,1.0,1.0,2,3,5\r\n"
+        )
+        assert format_summary(results).split("\n") == [
+            "mode           window  best_tau  recall   fbeta   group0   group1",
+            "all                 1      0.00   1.000   0.882        3        2",
+            "all                 5      0.50   1.000   1.000        2        3",
+        ]
 
 
 class TestExperimentMatrix:

@@ -259,6 +259,16 @@ class TestHeatmap:
         back = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
         assert np.array_equal(back, matrix)
 
+    def test_exact_text(self, tmp_path):
+        path = tmp_path / "heat.csv"
+        export_heatmap(np.array([[0.0, 0.25], [1.0, 1 / 3]]), path,
+                       ("Head_x", "Head_y"))
+        assert path.read_bytes() == (
+            b"frame,Head_x,Head_y\r\n"
+            b"0,0.0,0.25\r\n"
+            b"1,1.0,0.3333333333333333\r\n"
+        )
+
     def test_name_count_mismatch_rejected(self, tmp_path):
         with pytest.raises(ContractError):
             export_heatmap(np.zeros((4, 3)), tmp_path / "x.csv", ["a", "b"])
