@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data or configuration validation
 error, 3 numeric failure during training. Commands check their output
-paths before they read or compute anything, and validate their inputs
+paths before they read or compute anything, an output that names the same
+file as an input or another output included, and validate their inputs
 before writing any output file.
 """
 
@@ -125,10 +126,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_outputs(*files, directory=None) -> None:
-    """Reject an output file path that is a directory or whose directory
-    does not exist, and an output directory at or below an existing file.
-    Nothing is created, so a rejected run leaves no file behind."""
+def _check_outputs(*files, directory=None, inputs=()) -> None:
+    """Reject an output file path that is a directory, whose directory does
+    not exist, or that names the same file as an input or another output;
+    and an output directory at or below an existing file. Nothing is
+    created, so a rejected run leaves no file behind."""
+    seen = {os.path.realpath(p): f"input {p}" for p in inputs if p is not None}
     for path in files:
         parent = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path):
@@ -136,6 +139,11 @@ def _check_outputs(*files, directory=None) -> None:
         if not os.path.isdir(parent):
             raise DataValidationError(
                 f"output {path}: {parent} is not an existing directory")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise DataValidationError(
+                f"output {path} is the same file as {seen[real]}")
+        seen[real] = f"output {path}"
     if directory is not None:
         # sweep makes the directory and any missing parents
         head = os.path.abspath(directory)
@@ -147,7 +155,7 @@ def _check_outputs(*files, directory=None) -> None:
 
 
 def _cmd_synth(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=[args.config])
     # each flag's dest is the name of the generator field it overrides
     config = synth.load_synth_config(args.config, **{
         f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)
@@ -220,24 +228,23 @@ def _layout(manifest: data.DatasetManifest) -> dict:
 
 def _cmd_train(args) -> int:
     grid_report = args.grid_report or f"{args.out}.grid.csv"
-    _check_outputs(args.out, grid_report)
+    _check_outputs(args.out, grid_report, inputs=[args.data, args.grid])
     manifest = data.load_dataset(args.data)
-    train_set, test_set = data.split_dataset(manifest, args.split, args.seed)
-    print(f"{len(train_set)} train / {len(test_set)} test trials "
+    train_rows, test_rows = data.split_dataset(manifest, args.split, args.seed)
+    print(f"{len(train_rows)} train / {len(test_rows)} test trials "
           f"(split {args.split}, seed {args.seed})")
 
-    def flatten(m: data.DatasetManifest):
-        return (data.featurize(m).reshape(len(m), -1),
-                m.trial_labels.astype(np.float64))
-
-    X_train, y_train = flatten(train_set)
-    X_test, y_test = flatten(test_set)
+    X = data.featurize(manifest).reshape(len(manifest), -1)
+    y = manifest.trial_labels.astype(np.float64)
+    X_train, y_train = X[train_rows], y[train_rows]
+    X_test, y_test = X[test_rows], y[test_rows]
+    del X
     input_dim = X_train.shape[1]
 
     base_config = network.TrainConfig(
         momentum=args.momentum,
         epochs=args.epochs,
-        batch_size=min(args.batch_size, len(train_set)),
+        batch_size=args.batch_size,
         seed=args.seed,
     )
     if args.grid is None:
@@ -262,8 +269,8 @@ def _cmd_train(args) -> int:
     model.metadata["test_accuracy"] = network.evaluate_accuracy(
         model, X_test, y_test
     )
-    model.metadata["train_trials"] = len(train_set)
-    model.metadata["test_trials"] = len(test_set)
+    model.metadata["train_trials"] = len(train_rows)
+    model.metadata["test_trials"] = len(test_rows)
     model.metadata["split"] = args.split
     model.metadata.update(_layout(manifest))
 
@@ -279,7 +286,8 @@ def _cmd_train(args) -> int:
 def _cmd_explain(args) -> int:
     heatmap = args.heatmap_out or os.path.join(
         os.path.dirname(os.path.abspath(args.out)), f"heatmap-{args.heatmap}.csv")
-    _check_outputs(args.out, *([heatmap] if args.heatmap is not None else []))
+    _check_outputs(args.out, *([heatmap] if args.heatmap is not None else []),
+                   inputs=[args.model, args.data])
     model = network.load_model(args.model)
     manifest = data.load_dataset(args.data)
     for key, value in _layout(manifest).items():

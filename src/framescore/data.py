@@ -192,8 +192,8 @@ def featurize(manifest: DatasetManifest) -> np.ndarray:
 
 def split_dataset(
     manifest: DatasetManifest, train_fraction: float, seed: int
-) -> tuple[DatasetManifest, DatasetManifest]:
-    """Trial-level split, deterministic for a fixed (manifest, fraction, seed)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trial-level split as sorted (train, test) row indices, fixed by seed."""
     if not 0.0 < train_fraction < 1.0:
         raise DataValidationError(
             f"train_fraction must be in (0, 1), got {train_fraction}"
@@ -207,17 +207,7 @@ def split_dataset(
             f"train fraction {train_fraction} of {n} trials leaves {n_train} "
             f"train / {n - n_train} test trials; each side needs at least one"
         )
-
-    def subset(idx: np.ndarray) -> DatasetManifest:
-        def pick(column):
-            return tuple(column[i] for i in idx)
-
-        m = manifest
-        return DatasetManifest(pick(m.trial_ids), pick(m.patient_ids),
-                               pick(m.sides), pick(m.frames),
-                               m.frame_labels[idx], m.layout, m.seed)
-
-    return subset(np.sort(perm[:n_train])), subset(np.sort(perm[n_train:]))
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
 def _usable_cpus() -> int:

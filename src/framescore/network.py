@@ -261,8 +261,9 @@ def train(
     """Mini-batch SGD with momentum; deterministic for a fixed seed.
 
     X holds one flattened feature trial per row; y holds trial labels with
-    1 = normal. The fitted input scaler, per-epoch loss trace, and final
-    training accuracy are stored on the returned model.
+    1 = normal. A batch_size above the row count trains on whole-set
+    batches. The fitted input scaler, per-epoch loss trace, final training
+    accuracy and the batch size used are stored on the returned model.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -274,10 +275,7 @@ def train(
             f"training matrix shape {X.shape} does not match input_dim "
             f"{architecture.input_dim}"
         )
-    if config.batch_size > n:
-        raise DataValidationError(
-            f"batch_size {config.batch_size} exceeds training-set size {n}"
-        )
+    batch_size = min(config.batch_size, n)
 
     scaler = InputScaler.fit(X)
     model = init_model(architecture, _init_rng(config.seed), scaler)
@@ -302,8 +300,8 @@ def train(
     for epoch in range(config.epochs):
         order = shuffle.permutation(n)
         epoch_loss = 0.0
-        for bi, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start : start + config.batch_size]
+        for bi, start in enumerate(range(0, n, batch_size)):
+            idx = order[start : start + batch_size]
             yb = y[idx]
             probs, pre, post = _activate(A0[idx] + K[idx] @ S + biases[0],
                                          weights[1:], biases[1:])
@@ -337,7 +335,7 @@ def train(
             "learning_rate": config.learning_rate,
             "momentum": config.momentum,
             "epochs": config.epochs,
-            "batch_size": config.batch_size,
+            "batch_size": batch_size,
         },
         "train_accuracy": _accuracy(probs, y),
         "loss_trace": trace,
@@ -440,10 +438,7 @@ def grid_search(
         for val_idx in fold_indices:
             mask = np.ones(n, dtype=bool)
             mask[val_idx] = False
-            fold_config = config
-            if config.batch_size > mask.sum():
-                fold_config = replace(config, batch_size=int(mask.sum()))
-            fold_model = train(X[mask], y[mask], arch, fold_config)
+            fold_model = train(X[mask], y[mask], arch, config)
             accs.append(evaluate_accuracy(fold_model, X[val_idx], y[val_idx]))
         cells.append(
             GridCell(arch, config, float(np.mean(accs)), tuple(accs))

@@ -89,12 +89,15 @@ def normalize_pool(entries: FramePool) -> FramePool:
     """
     if not len(entries):
         raise ContractError("cannot normalize an empty pool")
-    lo, hi = float(entries.raw.min()), float(entries.raw.max())
+    return replace(entries, normalized=_min_max(entries.raw))
+
+
+def _min_max(a: np.ndarray) -> np.ndarray:
+    """(a - min) / (max - min), or all zeros when max == min."""
+    lo, hi = float(a.min()), float(a.max())
     if hi > lo:
-        normalized = (entries.raw - lo) / (hi - lo)
-    else:
-        normalized = np.zeros_like(entries.raw)
-    return replace(entries, normalized=normalized)
+        return (a - lo) / (hi - lo)
+    return np.zeros_like(a)
 
 
 def windows_over_pool(pool: FramePool, window_size: int
@@ -130,11 +133,7 @@ def windows_over_pool(pool: FramePool, window_size: int
 
 def importance_matrix(sal: np.ndarray) -> np.ndarray:
     """Absolute gradients min-max normalized over the whole matrix."""
-    mag = np.abs(sal)
-    lo, hi = float(mag.min()), float(mag.max())
-    if hi > lo:
-        return (mag - lo) / (hi - lo)
-    return np.zeros_like(mag)
+    return _min_max(np.abs(sal))
 
 
 def export_heatmap(matrix: np.ndarray, path, feature_names: Sequence[str]) -> None:

@@ -63,13 +63,11 @@ def pipeline():
     start = time.perf_counter()
     manifest = generate_dataset(SynthConfig(seed=SEED))
     features = featurize(manifest)
-    train_set, test_set = split_dataset(manifest, 0.8, seed=SEED)
-
-    def flatten(m):
-        return featurize(m).reshape(len(m), -1), m.trial_labels.astype(np.float64)
-
-    X_train, y_train = flatten(train_set)
-    X_test, y_test = flatten(test_set)
+    train_rows, test_rows = split_dataset(manifest, 0.8, seed=SEED)
+    X = features.reshape(len(manifest), -1)
+    y = manifest.trial_labels.astype(np.float64)
+    X_train, y_train = X[train_rows], y[train_rows]
+    X_test, y_test = X[test_rows], y[test_rows]
     model = train(
         X_train, y_train,
         ModelArchitecture(input_dim=X_train.shape[1]),

@@ -160,6 +160,16 @@ class TestTrainCommand:
             b'again"\r\n'
         )
 
+    def test_batch_size_above_training_rows_records_rows(self, tmp_path):
+        data = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        assert run("train", "--data", data, "--out", model, "--split", 0.5,
+                   "--seed", 0, "--grid", write_grid(tmp_path), "--epochs", 1,
+                   "--batch-size", 16) == 0
+        metadata = json.loads(model.read_text())["metadata"]
+        assert metadata["train_trials"] == 6
+        assert metadata["config"]["batch_size"] == 6
+
     def test_default_grid_has_eight_cells(self, tmp_path):
         data = make_dataset(tmp_path)
         model = tmp_path / "model8.json"
@@ -625,9 +635,10 @@ class TestInvalidUtf8:
 
 
 # Command lines that name one output path that cannot be written, relative
-# to a directory holding the file `taken` and the directory `heatmap-t0.csv`:
-# (argv, the path the error must name). The input files do not exist, since
-# a command that checks its outputs first never reads them.
+# to a directory holding the files `taken`, `in.json` and `in.jsonl`, the
+# link `link.jsonl` to `in.jsonl` and the directory `heatmap-t0.csv`: (argv,
+# the path the error must name). A command that checks its outputs first
+# never reads its inputs, so they need not be valid.
 _EXPLAIN = ["explain", "--model", "in.json", "--data", "in.jsonl"]
 _BAD_OUTPUTS = {
     "synth-out": (["synth", "--out", "nodir/x.jsonl"], "nodir/x.jsonl"),
@@ -648,6 +659,27 @@ _BAD_OUTPUTS = {
     "sweep-out-below-a-file": (["sweep", "--scores", "in.csv", "--data",
                                 "in.jsonl", "--out", "taken/reports"],
                                "taken/reports"),
+    "train-out-is-grid-report": (
+        ["train", "--data", "in.jsonl", "--out", "m.json", "--grid-report",
+         "m.json"], "output m.json is the same file as output m.json"),
+    "train-out-is-data": (
+        ["train", "--data", "in.jsonl", "--out", "in.jsonl"],
+        "output in.jsonl is the same file as input in.jsonl"),
+    "train-out-is-a-link-to-data": (
+        ["train", "--data", "in.jsonl", "--out", "link.jsonl"],
+        "output link.jsonl is the same file as input in.jsonl"),
+    "explain-out-is-data": (
+        [*_EXPLAIN, "--out", "in.jsonl"],
+        "output in.jsonl is the same file as input in.jsonl"),
+    "explain-out-is-model": (
+        [*_EXPLAIN, "--out", "in.json"],
+        "output in.json is the same file as input in.json"),
+    "explain-heatmap-out-is-out": (
+        [*_EXPLAIN, "--out", "s.csv", "--heatmap", "t0", "--heatmap-out",
+         "s.csv"], "output s.csv is the same file as output s.csv"),
+    "synth-out-is-config": (
+        ["synth", "--out", "in.json", "--config", "in.json"],
+        "output in.json is the same file as input in.json"),
 }
 
 
@@ -658,6 +690,9 @@ class TestOutputPaths:
         argv, bad = _BAD_OUTPUTS[case]
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("")
+        (tmp_path / "in.json").write_text("{}")
+        (tmp_path / "in.jsonl").write_text("{}\n")
+        (tmp_path / "link.jsonl").symlink_to("in.jsonl")
         (tmp_path / "heatmap-t0.csv").mkdir()
 
         def work(*args, **kwargs):
@@ -667,10 +702,14 @@ class TestOutputPaths:
         for name in ("synth.load_synth_config", "data.load_dataset",
                      "network.load_model", "network.grid_search"):
             monkeypatch.setattr(f"framescore.{name}", work)
-        listing = sorted(tmp_path.rglob("*"))
+        def contents():
+            return {p: p.is_file() and p.read_bytes()
+                    for p in tmp_path.rglob("*")}
+
+        before = contents()
         assert run(*argv) == 2
         assert bad in capsys.readouterr().err
-        assert sorted(tmp_path.rglob("*")) == listing
+        assert contents() == before
 
 
 class TestUsageAndHelp:

@@ -272,11 +272,16 @@ class TestTrain:
             train(np.zeros((0, 2)), np.zeros(0), ModelArchitecture(2, ()),
                   TrainConfig())
 
-    def test_batch_size_larger_than_set_rejected(self):
+    def test_batch_size_larger_than_set_is_whole_set(self):
         X, y = separable_toy(n=8)
-        with pytest.raises(DataValidationError):
-            train(X, y, ModelArchitecture(2, ()),
-                  TrainConfig(batch_size=16, epochs=1))
+        arch = ModelArchitecture(2, (4,))
+        big = train(X, y, arch, TrainConfig(batch_size=16, epochs=3, seed=1))
+        whole = train(X, y, arch, TrainConfig(batch_size=8, epochs=3, seed=1))
+        for got, want in zip(big.weights + big.biases,
+                             whole.weights + whole.biases):
+            assert got.tobytes() == want.tobytes()
+        assert big.metadata == whole.metadata
+        assert big.metadata["config"]["batch_size"] == 8
 
     def test_non_finite_loss_raises_with_location(self):
         X = np.array([[1.0, -1.0], [2.0, 1.0], [0.5, 0.3], [-1.0, 2.0]])
