@@ -155,7 +155,7 @@ def _check_outputs(*files, directory=None, inputs=()) -> None:
 
 
 def _cmd_synth(args) -> int:
-    _check_outputs(args.out, inputs=[args.config])
+    _check_outputs(args.out, data.sidecar_path(args.out), inputs=[args.config])
     # each flag's dest is the name of the generator field it overrides
     config = synth.load_synth_config(args.config, **{
         f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)
@@ -228,7 +228,11 @@ def _layout(manifest: data.DatasetManifest) -> dict:
 
 def _cmd_train(args) -> int:
     grid_report = args.grid_report or f"{args.out}.grid.csv"
-    _check_outputs(args.out, grid_report, inputs=[args.data, args.grid])
+    _check_outputs(args.out, grid_report, inputs=[
+        args.data, data.sidecar_path(args.data), args.grid])
+    hidden, rates = ((network.DEFAULT_GRID_HIDDEN,
+                      network.DEFAULT_GRID_LEARNING_RATES)
+                     if args.grid is None else _parse_grid(args.grid))
     manifest = data.load_dataset(args.data)
     train_rows, test_rows = data.split_dataset(manifest, args.split, args.seed)
     print(f"{len(train_rows)} train / {len(test_rows)} test trials "
@@ -239,24 +243,17 @@ def _cmd_train(args) -> int:
     X_train, y_train = X[train_rows], y[train_rows]
     X_test, y_test = X[test_rows], y[test_rows]
     del X
-    input_dim = X_train.shape[1]
 
-    base_config = network.TrainConfig(
+    config = network.TrainConfig(
         momentum=args.momentum,
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    if args.grid is None:
-        grid = network.build_grid(input_dim, base_config=base_config)
-    else:
-        hidden, rates = _parse_grid(args.grid)
-        grid = network.build_grid(input_dim, hidden, rates, base_config)
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = network.grid_search(X_train, y_train, grid,
-                                     folds=args.folds, seed=args.seed)
+        result = network.grid_search(X_train, y_train, config, hidden, rates,
+                                     args.folds)
     for message in dict.fromkeys(str(w.message) for w in caught):
         _warn(message)
     best = result.best
@@ -287,7 +284,7 @@ def _cmd_explain(args) -> int:
     heatmap = args.heatmap_out or os.path.join(
         os.path.dirname(os.path.abspath(args.out)), f"heatmap-{args.heatmap}.csv")
     _check_outputs(args.out, *([heatmap] if args.heatmap is not None else []),
-                   inputs=[args.model, args.data])
+                   inputs=[args.model, args.data, data.sidecar_path(args.data)])
     model = network.load_model(args.model)
     manifest = data.load_dataset(args.data)
     for key, value in _layout(manifest).items():

@@ -306,6 +306,11 @@ def _fingerprint(path) -> list[int]:
     return [size, crc]
 
 
+def sidecar_path(path) -> str:
+    """The path of the binary sidecar of the dataset file `path`."""
+    return f"{path}.npz"
+
+
 def _save_sidecar(m: DatasetManifest, path) -> None:
     """Write the sidecar of the dataset file `path`, just saved from `m`.
 
@@ -322,7 +327,7 @@ def _save_sidecar(m: DatasetManifest, path) -> None:
         "sides": list(m.sides),
     }
     empty = np.empty((0, m.layout.joint_count, 2))
-    with open(f"{path}.npz", "wb") as fh:
+    with open(sidecar_path(path), "wb") as fh:
         np.savez(fh,
                  header=np.frombuffer(json.dumps(header).encode(), np.uint8),
                  frames=np.concatenate(m.frames or (empty,)),
@@ -347,7 +352,7 @@ def _sidecar_manifest(path) -> DatasetManifest:
     file's fingerprint, opens without pickles and holds columns that the
     record parser would accept from the file.
     """
-    with zipfile.ZipFile(f"{path}.npz") as z:
+    with zipfile.ZipFile(sidecar_path(path)) as z:
         def member(name: str) -> np.ndarray:
             if z.getinfo(name + ".npy").compress_type != zipfile.ZIP_STORED:
                 raise ValueError(f"compressed sidecar member {name!r}")
@@ -355,7 +360,7 @@ def _sidecar_manifest(path) -> DatasetManifest:
                 warnings.simplefilter("error")
                 return np.lib.format.read_array(fh, allow_pickle=False)
 
-        header = json_object(member("header").tobytes(), f"{path}.npz")
+        header = json_object(member("header").tobytes(), sidecar_path(path))
         if header["fingerprint"] != _fingerprint(path):
             raise ValueError("stale sidecar")
         frames, lengths, labels = map(member,

@@ -10,4 +10,4 @@ class ContractError(ValueError):
 
 
 class NumericFailure(ArithmeticError):
-    """Raised when training produces a non-finite loss or weights."""
+    """Raised when training produces a non-finite loss."""

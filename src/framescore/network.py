@@ -244,12 +244,11 @@ def input_gradient(model: TrainedModel, x: np.ndarray, y: int) -> np.ndarray:
     return (d0 @ model.weights[0].T)[0]
 
 
-def _shuffle_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-
-
-def _init_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    """One of a seed's three independent random streams: 0 draws the
+    initial weights, 1 the batch order of every epoch, 2 the grid search's
+    folds."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
 def train(
@@ -278,7 +277,7 @@ def train(
     batch_size = min(config.batch_size, n)
 
     scaler = InputScaler.fit(X)
-    model = init_model(architecture, _init_rng(config.seed), scaler)
+    model = init_model(architecture, _rng(config.seed, 0), scaler)
     # Dead inputs are zero after standardizing and their first-layer rows
     # stay zero, so only the live columns of Z and rows of W0 take part.
     live = scaler.live_mask
@@ -294,7 +293,7 @@ def train(
     weights, biases = model.weights, model.biases
     params = weights[1:] + biases
     velocities = [np.zeros_like(p) for p in params]
-    shuffle = _shuffle_rng(config.seed)
+    shuffle = _rng(config.seed, 1)
 
     trace = []
     for epoch in range(config.epochs):
@@ -362,25 +361,6 @@ DEFAULT_GRID_HIDDEN = ((32,), (64,), (64, 32), (128, 64))
 DEFAULT_GRID_LEARNING_RATES = (1e-3, 1e-4)
 
 
-def build_grid(
-    input_dim: int,
-    hidden_options=DEFAULT_GRID_HIDDEN,
-    learning_rates=DEFAULT_GRID_LEARNING_RATES,
-    base_config: TrainConfig = TrainConfig(),
-) -> list[tuple[ModelArchitecture, TrainConfig]]:
-    """Cross product of architectures and learning rates."""
-    grid = []
-    for hidden in hidden_options:
-        for lr in learning_rates:
-            grid.append(
-                (
-                    ModelArchitecture(input_dim, tuple(hidden)),
-                    replace(base_config, learning_rate=lr),
-                )
-            )
-    return grid
-
-
 @dataclass(frozen=True)
 class GridCell:
     architecture: ModelArchitecture
@@ -403,16 +383,18 @@ class GridSearchResult:
 def grid_search(
     X: np.ndarray,
     y: np.ndarray,
-    grid: list[tuple[ModelArchitecture, TrainConfig]],
+    config: TrainConfig,
+    hidden_options=DEFAULT_GRID_HIDDEN,
+    learning_rates=DEFAULT_GRID_LEARNING_RATES,
     folds: int = 3,
-    seed: int = 0,
 ) -> GridSearchResult:
-    """K-fold cross-validated selection over (architecture, config) cells.
-
-    The best cell maximizes mean validation accuracy; ties prefer fewer
-    parameters, then a lower learning rate, then earlier grid position.
+    """K-fold cross-validated selection over hidden widths x learning rates,
+    hidden-major, each cell training `config` at its rate; `config.seed`
+    also draws the folds. The best cell maximizes mean validation accuracy;
+    ties prefer fewer parameters, then a lower learning rate, then earlier
+    grid position.
     """
-    if not grid:
+    if not hidden_options or not learning_rates:
         raise ContractError("grid must not be empty")
     if folds < 2:
         raise ContractError("folds must be at least 2")
@@ -422,8 +404,7 @@ def grid_search(
     if n < folds:
         raise ContractError(f"{n} samples cannot form {folds} folds")
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-    fold_indices = np.array_split(rng.permutation(n), folds)
+    fold_indices = np.array_split(_rng(config.seed, 2).permutation(n), folds)
 
     notes: list[str] = []
     for fi, val_idx in enumerate(fold_indices):
@@ -433,16 +414,23 @@ def grid_search(
             warnings.warn(msg, stacklevel=2)
 
     cells = []
-    for arch, config in grid:
-        accs = []
-        for val_idx in fold_indices:
-            mask = np.ones(n, dtype=bool)
-            mask[val_idx] = False
-            fold_model = train(X[mask], y[mask], arch, config)
-            accs.append(evaluate_accuracy(fold_model, X[val_idx], y[val_idx]))
-        cells.append(
-            GridCell(arch, config, float(np.mean(accs)), tuple(accs))
-        )
+    for hidden in hidden_options:
+        arch = ModelArchitecture(X.shape[1], tuple(hidden))
+        for lr in learning_rates:
+            cell_config = replace(config, learning_rate=lr)
+            accs = []
+            for fi, val_idx in enumerate(fold_indices):
+                mask = np.ones(n, dtype=bool)
+                mask[val_idx] = False
+                try:
+                    fold_model = train(X[mask], y[mask], arch, cell_config)
+                except NumericFailure as exc:
+                    raise NumericFailure(
+                        f"grid cell {len(cells)} (hidden {list(hidden)}, lr {lr}), "
+                        f"fold {fi}: {exc}") from exc
+                accs.append(evaluate_accuracy(fold_model, X[val_idx], y[val_idx]))
+            cells.append(GridCell(arch, cell_config, float(np.mean(accs)),
+                                  tuple(accs)))
 
     best_index = min(
         range(len(cells)),

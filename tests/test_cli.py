@@ -210,16 +210,25 @@ class TestTrainCommand:
         ({"hidden_layers": [[4]], "learning_rates": ["fast"]}, "learning_rates"),
         ({"hidden_layers": [[4.5]], "learning_rates": [0.001]}, "hidden_layers"),
     ])
-    def test_malformed_grid_file_exits_2(self, tmp_path, capsys, grid, field):
+    def test_malformed_grid_file_exits_2(self, tmp_path, capsys, monkeypatch,
+                                         grid, field):
         data = make_dataset(tmp_path)
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(grid))
         model = tmp_path / "model.json"
+        capsys.readouterr()
+
+        def load(*args, **kwargs):
+            raise AssertionError("the dataset was loaded before the grid file "
+                                 "was parsed")
+
+        monkeypatch.setattr("framescore.data.load_dataset", load)
         code = run("train", "--data", data, "--out", model, "--split", 0.5,
                    "--grid", path, "--epochs", 1, "--batch-size", 4)
         assert code == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert str(path) in err and field in err
+        assert out == ""
         assert not model.exists()
         assert not (tmp_path / "model.json.grid.csv").exists()
 
@@ -680,6 +689,15 @@ _BAD_OUTPUTS = {
     "synth-out-is-config": (
         ["synth", "--out", "in.json", "--config", "in.json"],
         "output in.json is the same file as input in.json"),
+    "explain-out-is-sidecar": (
+        [*_EXPLAIN, "--out", "in.jsonl.npz"],
+        "output in.jsonl.npz is the same file as input in.jsonl.npz"),
+    "train-grid-report-is-sidecar": (
+        ["train", "--data", "in.jsonl", "--out", "m.json", "--grid-report",
+         "in.jsonl.npz"],
+        "output in.jsonl.npz is the same file as input in.jsonl.npz"),
+    "synth-sidecar-is-a-directory": (["synth", "--out", "d.jsonl"],
+                                     "output d.jsonl.npz is a directory"),
 }
 
 
@@ -694,6 +712,7 @@ class TestOutputPaths:
         (tmp_path / "in.jsonl").write_text("{}\n")
         (tmp_path / "link.jsonl").symlink_to("in.jsonl")
         (tmp_path / "heatmap-t0.csv").mkdir()
+        (tmp_path / "d.jsonl.npz").mkdir()
 
         def work(*args, **kwargs):
             raise AssertionError("the command did work before it checked "

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 from framescore.errors import ContractError, DataValidationError, NumericFailure
 from framescore.network import (
     _JSON_CHUNK,
+    DEFAULT_GRID_HIDDEN,
+    DEFAULT_GRID_LEARNING_RATES,
     InputScaler,
     ModelArchitecture,
     TrainConfig,
     TrainedModel,
     _forward_batch,
     bce_loss,
-    build_grid,
     evaluate_accuracy,
     grid_search,
     init_model,
@@ -422,37 +424,29 @@ class TestConfigValidation:
 class TestGridSearch:
     def test_singleton_grid_selected(self):
         X, y = separable_toy()
-        grid = [(ModelArchitecture(2, (4,)), TrainConfig(epochs=5, batch_size=8))]
-        result = grid_search(X, y, grid, folds=3, seed=0)
+        result = grid_search(X, y, TrainConfig(epochs=5, batch_size=8),
+                             [[4]], [1e-3], folds=3)
         assert result.best_index == 0
         assert len(result.cells) == 1
 
     def test_identical_cells_tie_break_to_first(self):
         X, y = separable_toy()
-        cell = (ModelArchitecture(2, (4,)), TrainConfig(epochs=5, batch_size=8))
-        result = grid_search(X, y, [cell, cell], folds=3, seed=0)
+        result = grid_search(X, y, TrainConfig(epochs=5, batch_size=8),
+                             [[4], [4]], [1e-3], folds=3)
         assert result.best_index == 0
 
     def test_tie_break_prefers_fewer_parameters(self):
         X, y = separable_toy()
-        grid = [
-            (ModelArchitecture(2, (8,)), TrainConfig(epochs=60, batch_size=8)),
-            (ModelArchitecture(2, (4,)), TrainConfig(epochs=60, batch_size=8)),
-        ]
-        result = grid_search(X, y, grid, folds=3, seed=0)
+        result = grid_search(X, y, TrainConfig(epochs=60, batch_size=8),
+                             [[8], [4]], [1e-3], folds=3)
         accs = [c.mean_val_accuracy for c in result.cells]
         if accs[0] == accs[1]:
             assert result.best_index == 1
 
     def test_tie_break_prefers_lower_learning_rate(self):
         X, y = separable_toy()
-        grid = [
-            (ModelArchitecture(2, (4,)),
-             TrainConfig(learning_rate=1e-2, epochs=60, batch_size=8)),
-            (ModelArchitecture(2, (4,)),
-             TrainConfig(learning_rate=1e-3, epochs=60, batch_size=8)),
-        ]
-        result = grid_search(X, y, grid, folds=3, seed=0)
+        result = grid_search(X, y, TrainConfig(epochs=60, batch_size=8),
+                             [[4]], [1e-2, 1e-3], folds=3)
         accs = [c.mean_val_accuracy for c in result.cells]
         if accs[0] == accs[1]:
             assert result.cells[result.best_index].config.learning_rate == 1e-3
@@ -462,30 +456,83 @@ class TestGridSearch:
         X = rng.normal(size=(9, 2))
         y = np.zeros(9)
         y[0] = 1.0
-        grid = [(ModelArchitecture(2, (2,)), TrainConfig(epochs=2, batch_size=3))]
         with pytest.warns(UserWarning, match="single class"):
-            result = grid_search(X, y, grid, folds=3, seed=0)
+            result = grid_search(X, y, TrainConfig(epochs=2, batch_size=3),
+                                 [[2]], [1e-3], folds=3)
         assert result.warnings
         assert np.isfinite(result.best.mean_val_accuracy)
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ContractError):
-            grid_search(np.zeros((4, 2)), np.zeros(4), [], folds=2)
+        for hidden, rates in (([], [1e-3]), ([[4]], [])):
+            with pytest.raises(ContractError, match="grid must not be empty"):
+                grid_search(np.zeros((4, 2)), np.zeros(4), TrainConfig(),
+                            hidden, rates, folds=2)
 
     def test_default_grid_shape(self):
-        grid = build_grid(10)
-        assert len(grid) == 8
-        hidden = {tuple(a.hidden_layers) for a, _ in grid}
-        assert hidden == {(32,), (64,), (64, 32), (128, 64)}
-        rates = {c.learning_rate for _, c in grid}
-        assert rates == {1e-3, 1e-4}
+        X, y = separable_toy()
+        config = TrainConfig(momentum=0.5, epochs=1, batch_size=8, seed=3)
+        result = grid_search(X, y, config)
+        assert [(c.architecture, c.config) for c in result.cells] == [
+            (ModelArchitecture(2, hidden), replace(config, learning_rate=lr))
+            for hidden in DEFAULT_GRID_HIDDEN
+            for lr in DEFAULT_GRID_LEARNING_RATES]
+        assert len(result.cells) == 8
+        assert all(len(c.fold_accuracies) == 3 for c in result.cells)
 
     def test_deterministic(self):
         X, y = separable_toy()
-        grid = [(ModelArchitecture(2, (4,)), TrainConfig(epochs=3, batch_size=8))]
-        r1 = grid_search(X, y, grid, folds=3, seed=5)
-        r2 = grid_search(X, y, grid, folds=3, seed=5)
+        config = TrainConfig(epochs=3, batch_size=8, seed=5)
+        r1 = grid_search(X, y, config, [[4]], [1e-3], folds=3)
+        r2 = grid_search(X, y, config, [[4]], [1e-3], folds=3)
         assert r1.cells[0].fold_accuracies == r2.cells[0].fold_accuracies
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_cells_equal_a_per_cell_reference_loop(self, data):
+        folds = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(folds + 1, 20).filter(lambda n: n % folds))
+        hidden = data.draw(st.lists(
+            st.lists(st.integers(1, 5), min_size=1, max_size=2),
+            min_size=1, max_size=3))
+        rates = data.draw(st.lists(st.sampled_from([1e-3, 1e-2, 0.1]),
+                                   min_size=1, max_size=2))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        config = TrainConfig(epochs=2, batch_size=data.draw(st.integers(1, 8)),
+                             seed=seed)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, data.draw(st.integers(1, 3))))
+        y = rng.integers(0, 2, size=n).astype(np.float64)
+
+        result = grid_search(X, y, config, hidden, rates, folds)
+
+        # Folds from the seed's stream 2, then every (cell, fold) fit apart.
+        order = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(2,))).permutation(n)
+        expected = []
+        for widths in hidden:
+            arch = ModelArchitecture(X.shape[1], tuple(widths))
+            for lr in rates:
+                cell_config = replace(config, learning_rate=lr)
+                accs = []
+                for val_idx in np.array_split(order, folds):
+                    mask = np.ones(n, dtype=bool)
+                    mask[val_idx] = False
+                    model = train(X[mask], y[mask], arch, cell_config)
+                    accs.append(evaluate_accuracy(model, X[val_idx], y[val_idx]))
+                expected.append((arch, cell_config, float(np.mean(accs)),
+                                 tuple(accs)))
+        assert [(c.architecture, c.config, c.mean_val_accuracy,
+                 c.fold_accuracies) for c in result.cells] == expected
+
+    def test_numeric_failure_names_cell_and_fold(self):
+        X, y = separable_toy()
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericFailure,
+                match=r"hidden \[4\], lr inf\), fold 0: non-finite loss") as exc:
+            grid_search(X, y, TrainConfig(epochs=2, batch_size=8), [[4]],
+                        [1e-3, float("inf")], folds=3)
+        assert str(exc.value).startswith("grid cell 1 ")
+        assert isinstance(exc.value.__cause__, NumericFailure)
 
 
 class TestCheckpoint:
