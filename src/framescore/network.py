@@ -10,9 +10,10 @@ Input coordinates that are constant over the training set get a scale of
 zero and their first-layer weight rows are zeroed at initialization: they
 cannot influence the output, would never receive weight updates anyway, and
 therefore carry exactly zero input gradient instead of initialization noise.
-Training standardizes the inputs once per fit, Z = standardized live
-columns of X (n trials x live inputs), and trains the first layer in its
-dual form. Every first-layer gradient is Z[batch].T @ delta, so momentum SGD
+Training works on Z = standardized live columns of X (n trials x live
+inputs) and trains the first layer in its dual form; in a grid search each
+fold is standardized once, and its Gram matrix is shared by the fold's
+cells. Every first-layer gradient is Z[batch].T @ delta, so momentum SGD
 never moves W0 out of W0_init + span(Z.T): W0 - W0_init == Z.T @ S for an
 n x h coefficient matrix S (the representer argument of Schoelkopf, Herbrich
 & Smola 2001). Training updates S through the n x n Gram matrix Z @ Z.T,
@@ -118,7 +119,9 @@ class InputScaler:
         return self.scale > 0
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) * self.scale
+        Z = X - self.mean
+        Z *= self.scale
+        return Z
 
 
 @dataclass
@@ -251,11 +254,27 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
+def _standardize(X: np.ndarray):
+    """The input scaler fitted to X, Z = the standardized live columns of X,
+    and the Gram matrix K = Z @ Z.T: all that training takes from X besides
+    its shape."""
+    scaler = InputScaler.fit(X)
+    # Dead inputs are zero after standardizing and their first-layer rows
+    # stay zero, so only the live columns of Z and rows of W0 take part.
+    live = scaler.live_mask
+    Z = X[:, live]
+    Z -= scaler.mean[live]
+    Z *= scaler.scale[live]
+    return scaler, Z, Z @ Z.T
+
+
 def train(
     X: np.ndarray,
     y: np.ndarray,
     architecture: ModelArchitecture,
     config: TrainConfig,
+    *,
+    standardized=None,
 ) -> TrainedModel:
     """Mini-batch SGD with momentum; deterministic for a fixed seed.
 
@@ -263,6 +282,8 @@ def train(
     1 = normal. A batch_size above the row count trains on whole-set
     batches. The fitted input scaler, per-epoch loss trace, final training
     accuracy and the batch size used are stored on the returned model.
+    `standardized` is `_standardize(X)` when the caller already holds it,
+    as a grid search does for each fold; None computes it here.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -276,17 +297,13 @@ def train(
         )
     batch_size = min(config.batch_size, n)
 
-    scaler = InputScaler.fit(X)
+    scaler, Z, K = _standardize(X) if standardized is None else standardized
     model = init_model(architecture, _rng(config.seed, 0), scaler)
-    # Dead inputs are zero after standardizing and their first-layer rows
-    # stay zero, so only the live columns of Z and rows of W0 take part.
     live = scaler.live_mask
-    Z = (X[:, live] - scaler.mean[live]) * scaler.scale[live]
     # Every first-layer gradient is Z[idx].T @ d0, so W0 - W0_init == Z.T @ S
     # for an n x h coefficient matrix S, updated with the same momentum rule
     # as the weights: a step costs O(batch * n * h), not O(batch * live * h).
     W0 = model.weights[0][live]
-    K = Z @ Z.T
     A0 = Z @ W0
     S = np.zeros_like(A0)
     V = np.zeros_like(A0)
@@ -393,6 +410,11 @@ def grid_search(
     also draws the folds. The best cell maximizes mean validation accuracy;
     ties prefer fewer parameters, then a lower learning rate, then earlier
     grid position.
+
+    The search runs fold-major: each fold's training rows are standardized
+    once and every cell trains on them before the next fold. A fit that
+    fails raises NumericFailure naming its grid cell and fold, and the one
+    named is the first failure in fold order, then in cell order.
     """
     if not hidden_options or not learning_rates:
         raise ContractError("grid must not be empty")
@@ -413,24 +435,32 @@ def grid_search(
             notes.append(msg)
             warnings.warn(msg, stacklevel=2)
 
-    cells = []
-    for hidden in hidden_options:
-        arch = ModelArchitecture(X.shape[1], tuple(hidden))
-        for lr in learning_rates:
-            cell_config = replace(config, learning_rate=lr)
-            accs = []
-            for fi, val_idx in enumerate(fold_indices):
-                mask = np.ones(n, dtype=bool)
-                mask[val_idx] = False
-                try:
-                    fold_model = train(X[mask], y[mask], arch, cell_config)
-                except NumericFailure as exc:
-                    raise NumericFailure(
-                        f"grid cell {len(cells)} (hidden {list(hidden)}, lr {lr}), "
-                        f"fold {fi}: {exc}") from exc
-                accs.append(evaluate_accuracy(fold_model, X[val_idx], y[val_idx]))
-            cells.append(GridCell(arch, cell_config, float(np.mean(accs)),
-                                  tuple(accs)))
+    specs = [(ModelArchitecture(X.shape[1], tuple(hidden)),
+              replace(config, learning_rate=lr))
+             for hidden in hidden_options for lr in learning_rates]
+    accs = [[] for _ in specs]
+    for fi, val_idx in enumerate(fold_indices):
+        mask = np.ones(n, dtype=bool)
+        mask[val_idx] = False
+        # Each fit slices X[mask] again: one copy held across the fold's
+        # cells would raise the peak RSS of training.
+        standardized = _standardize(X[mask])
+        for ci, (arch, cell_config) in enumerate(specs):
+            try:
+                fold_model = train(X[mask], y[mask], arch, cell_config,
+                                   standardized=standardized)
+            except NumericFailure as exc:
+                raise NumericFailure(
+                    f"grid cell {ci} (hidden {list(arch.hidden_layers)}, "
+                    f"lr {cell_config.learning_rate}), fold {fi}: {exc}") from exc
+            accs[ci].append(evaluate_accuracy(fold_model, X[val_idx], y[val_idx]))
+            # Freed before the next fit, which would otherwise run beside a
+            # spent model (a 128-wide first layer is 6.5 MB on the default
+            # data).
+            del fold_model
+        del standardized
+    cells = [GridCell(arch, cell_config, float(np.mean(a)), tuple(a))
+             for (arch, cell_config), a in zip(specs, accs)]
 
     best_index = min(
         range(len(cells)),

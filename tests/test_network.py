@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framescore import network
 from framescore.errors import ContractError, DataValidationError, NumericFailure
 from framescore.network import (
     _JSON_CHUNK,
@@ -17,6 +18,7 @@ from framescore.network import (
     TrainConfig,
     TrainedModel,
     _forward_batch,
+    _standardize,
     bce_loss,
     evaluate_accuracy,
     grid_search,
@@ -382,6 +384,36 @@ class TestCompactTraining:
         assert_matches_reference(X, y, ModelArchitecture(300, hidden), config,
                                  100)
 
+    @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
+    def test_standardized_argument_changes_no_bit(self, hidden):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(30, 12)) * rng.uniform(0.5, 4.0, size=12)
+        X[:, [0, 5, 6, 11]] = [2.5, -1.0, 0.0, 7.0]
+        y = (X[:, 1] + X[:, 3] > 0).astype(float)
+        arch = ModelArchitecture(12, hidden)
+        config = TrainConfig(learning_rate=0.05, epochs=10, batch_size=8,
+                             seed=2)
+        scaler, Z, K = shared = _standardize(X)
+        live = scaler.live_mask
+        assert live.sum() == 8
+        want = (X[:, live] - scaler.mean[live]) * scaler.scale[live]
+        assert Z.tobytes() == want.tobytes()
+        assert K.tobytes() == (want @ want.T).tobytes()
+        assert scaler.transform(X).tobytes() == (
+            (X - scaler.mean) * scaler.scale).tobytes()
+
+        plain = train(X, y, arch, config)
+        # Twice on one triple, as a fold's cells share it: training must
+        # not write to it.
+        for _ in range(2):
+            got = train(X, y, arch, config, standardized=shared)
+            for a, b in zip(got.weights + got.biases,
+                            plain.weights + plain.biases):
+                assert a.tobytes() == b.tobytes()
+            assert got.scaler.mean.tobytes() == plain.scaler.mean.tobytes()
+            assert got.scaler.scale.tobytes() == plain.scaler.scale.tobytes()
+            assert got.metadata == plain.metadata
+
     @pytest.mark.parametrize("epochs", [1, 3, 10])
     def test_train_accuracy_matches_evaluate_accuracy(self, epochs):
         rng = np.random.default_rng(epochs)
@@ -523,6 +555,25 @@ class TestGridSearch:
                                  tuple(accs)))
         assert [(c.architecture, c.config, c.mean_val_accuracy,
                  c.fold_accuracies) for c in result.cells] == expected
+
+    def test_each_fold_is_standardized_once(self, monkeypatch):
+        calls = {"_standardize": 0, "train": 0}
+
+        def counted(name):
+            fn = getattr(network, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(network, name, counted(name))
+        X, y = separable_toy()
+        result = grid_search(X, y, TrainConfig(epochs=2, batch_size=8),
+                             [[2], [3], [4]], [1e-3], folds=3)
+        assert len(result.cells) == 3
+        assert calls == {"_standardize": 3, "train": 9}
 
     def test_numeric_failure_names_cell_and_fold(self):
         X, y = separable_toy()
