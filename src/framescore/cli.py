@@ -299,13 +299,15 @@ def _cmd_explain(args) -> int:
 
     X = data.featurize(manifest)
     tracks = saliency.compute_tracks(model, manifest, X)
+    # X (15 MB on the default data) is not held while the files are written.
+    grid = None if args.heatmap is None else saliency.importance_matrix(
+        saliency.compute_saliency(model, manifest, X,
+                                  manifest.trial_ids.index(args.heatmap)))
+    del X
     saliency.write_raw_scores(args.out, manifest, tracks)
     print(f"{len(tracks)} trials x {manifest.t_max} frames -> {args.out}")
 
-    if args.heatmap is not None:
-        grid = saliency.importance_matrix(saliency.compute_saliency(
-            model, manifest, X, manifest.trial_ids.index(args.heatmap)
-        ))
+    if grid is not None:
         saliency.export_heatmap(grid, heatmap, manifest.layout.feature_names())
         print(f"heatmap for {args.heatmap} -> {heatmap}")
     return EXIT_OK

@@ -15,11 +15,10 @@ A dataset file is one JSON header line and one JSON record per trial.
 too (the sidecar's header, the checkpoint, the grid file and the synth
 config), with errors that name the file or line. `write_csv` writes every
 report table.
-`load_dataset` reads the records in one process. When two CPUs are
-usable, `save_dataset` encodes them as two contiguous halves in two
-processes: the second half runs in one forked child and is copied in after
-the first. The file bytes are the same either way, and nothing selects it
-but the CPU count.
+`load_dataset` reads the records in one process. One helper writes the
+dataset file and both `saliency` score files: with two usable CPUs, a forked
+child encodes the second half of the records or rows, copied in after the
+first. The bytes are the same either way, and only the CPU count decides.
 
 `save_dataset` also writes a binary sidecar next to the file, named
 `<dataset path>.npz`: the frames of all trials concatenated into one
@@ -217,10 +216,58 @@ def _usable_cpus() -> int:
         return 1
 
 
+def _write_halves(fh, count: int, encode) -> None:
+    """Write `encode(0, count)`, an iterable of bytes, to the binary file
+    `fh`. With count > 1 and two usable CPUs, a forked child encodes
+    `encode(mid, count)` while this process writes `encode(0, mid)`, and its
+    bytes follow, so the two halves must join to the same bytes. A child
+    that dies or exits non-zero raises ChildProcessError."""
+    pid = None
+    if count > 1 and _usable_cpus() > 1:
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+    mid = count if pid is None else count // 2
+    if pid == 0:
+        # The child encodes its whole half before writing, or it would
+        # stall on the full pipe until the parent's half was written.
+        # It leaves only through os._exit, so no exit handler or test
+        # runner of the parent runs twice.
+        code = 1
+        try:
+            os.close(r)
+            chunks = list(encode(mid, count))
+            with os.fdopen(w, "wb") as out:
+                out.writelines(chunks)
+            code = 0
+        finally:
+            os._exit(code)
+    if pid is not None:
+        os.close(w)
+        child = os.fdopen(r, "rb")
+    try:
+        fh.writelines(encode(0, mid))
+        if pid is not None:
+            shutil.copyfileobj(child, fh)
+    except BaseException:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        if pid is not None:
+            child.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if pid is not None and code:
+        how = f"signal {-code}" if code < 0 else f"status {code}"
+        raise ChildProcessError(f"{fh.name}: worker process ended with {how}")
+
+
 def save_dataset(manifest: DatasetManifest, path) -> None:
     """Write one header line plus one JSON record per trial, then the
-    binary sidecar of the file. A child that encodes the second half of
-    the records and dies or exits non-zero raises ChildProcessError."""
+    binary sidecar of the file."""
     m = manifest
     trial_labels = m.trial_labels.tolist()
 
@@ -244,48 +291,8 @@ def save_dataset(manifest: DatasetManifest, path) -> None:
         "seed": m.seed,
     }
     with open(path, "wb") as fh:
-        pid = None
-        if len(m) > 1 and _usable_cpus() > 1:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-        mid = len(m) if pid is None else len(m) // 2
-        if pid == 0:
-            # The child encodes its whole half before writing, or it would
-            # stall on the full pipe until the parent's half was written.
-            # It leaves only through os._exit, so no exit handler or test
-            # runner of the parent runs twice.
-            code = 1
-            try:
-                os.close(r)
-                lines = records(mid, len(m))
-                with os.fdopen(w, "wb") as out:
-                    out.writelines(lines)
-                code = 0
-            finally:
-                os._exit(code)
-        if pid is not None:
-            os.close(w)
-            child = os.fdopen(r, "rb")
-        try:
-            fh.write((json.dumps(header) + "\n").encode("utf-8"))
-            fh.writelines(records(0, mid))
-            if pid is not None:
-                shutil.copyfileobj(child, fh)
-        except BaseException:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            if pid is not None:
-                child.close()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if pid is not None and code:
-        how = f"signal {-code}" if code < 0 else f"status {code}"
-        raise ChildProcessError(f"dataset worker process ended with {how}")
+        fh.write((json.dumps(header) + "\n").encode("utf-8"))
+        _write_halves(fh, len(m), records)
     _save_sidecar(m, path)
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LABEL_NORMAL, DatasetManifest, write_csv
+from .data import LABEL_NORMAL, DatasetManifest, _write_halves, write_csv
 from .errors import ContractError, DataValidationError
 from .network import TrainedModel, input_gradient
 
@@ -163,7 +163,7 @@ _SCORE_COLUMNS = (
 _SCORE_ROW = "{},{},{},{},{},{}\r\n".format
 # Score rows are formatted and written this many at a time: whole columns
 # as Python lists would add megabytes to the peak RSS of explain and sweep.
-_ROWS_PER_WRITE = 16384
+_ROWS_PER_WRITE = 4096
 
 
 def _csv_field(text: str) -> str:
@@ -175,38 +175,44 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _write_pools(path, trial_ids: Sequence[str], pools) -> None:
-    """The score header, then the rows of each pool over `trial_ids`;
-    normalized_score is left empty where a pool has none."""
-    quoted = list(map(_csv_field, trial_ids))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(_SCORE_COLUMNS)
-        for pool in pools:
-            for lo in range(0, len(pool), _ROWS_PER_WRITE):
-                part = slice(lo, lo + _ROWS_PER_WRITE)
-                normalized = repeat("") if pool.normalized is None \
-                    else pool.normalized[part].tolist()
-                fh.write("".join(map(
-                    _SCORE_ROW, map(quoted.__getitem__, pool.trial[part].tolist()),
-                    pool.frame_index[part].tolist(), pool.raw[part].tolist(),
-                    normalized, pool.label[part].tolist(),
-                    pool.padded[part].astype(np.int64).tolist())))
+def _write_pool(path, pool: FramePool) -> None:
+    """The score header, then the rows of `pool` in two halves through
+    `data._write_halves`; normalized_score is empty where the pool has none."""
+    quoted = list(map(_csv_field, pool.trial_ids))
+
+    def encode(lo: int, hi: int):
+        for start in range(lo, hi, _ROWS_PER_WRITE):
+            part = slice(start, min(start + _ROWS_PER_WRITE, hi))
+            normalized = repeat("") if pool.normalized is None \
+                else pool.normalized[part].tolist()
+            yield "".join(map(
+                _SCORE_ROW, map(quoted.__getitem__, pool.trial[part].tolist()),
+                pool.frame_index[part].tolist(), pool.raw[part].tolist(),
+                normalized, pool.label[part].tolist(),
+                pool.padded[part].astype(np.int64).tolist())).encode("utf-8")
+
+    with open(path, "wb") as fh:
+        fh.write((",".join(_SCORE_COLUMNS) + "\r\n").encode("utf-8"))
+        _write_halves(fh, len(pool), encode)
 
 
 def write_raw_scores(path, manifest: DatasetManifest,
                      tracks: Sequence[FrameScoreTrack]) -> None:
     """One row per (trial, frame); normalized_score left empty."""
-    ids, frames = manifest.trial_ids, np.arange(manifest.t_max)
-    _write_pools(path, ids, (
-        FramePool(np.full(len(frames), i), ids, frames, track.raw_scores,
-                  labels, padded)
-        for i, (track, labels, padded) in enumerate(zip(
-            tracks, manifest.frame_labels, manifest.padded))))
+    ids, t_max = manifest.trial_ids, manifest.t_max
+    if tuple(t.trial_id for t in tracks) != ids or \
+            any(np.shape(t.raw_scores) != (t_max,) for t in tracks):
+        raise ContractError(f"write_raw_scores needs one track of t_max "
+                            f"{t_max} scores per trial, in manifest order")
+    trial, frame = np.divmod(np.arange(len(ids) * t_max), t_max)
+    _write_pool(path, FramePool(
+        trial, ids, frame, np.concatenate([t.raw_scores for t in tracks]),
+        manifest.frame_labels.ravel(), manifest.padded.ravel()))
 
 
 def write_pooled_scores(path, pool: FramePool) -> None:
     """Pooled frames with their normalized scores filled in."""
-    _write_pools(path, pool.trial_ids, [pool])
+    _write_pool(path, pool)
 
 
 def read_raw_scores(path, manifest: DatasetManifest) -> np.ndarray:

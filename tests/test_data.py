@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import tempfile
 import time
@@ -23,8 +24,8 @@ from framescore.data import (
     split_dataset,
 )
 from framescore.errors import DataValidationError
-from tests.conftest import (cold, edit_dataset, edit_lines, make_manifest,
-                            make_trial)
+from tests.conftest import (assert_no_child_left, cold, edit_dataset,
+                            edit_lines, make_manifest, make_trial, with_cpus)
 
 
 def moved_column(layout, joint, coord):
@@ -417,28 +418,6 @@ class TestInvariants:
             X[0, 0, 0] = 1.0
 
 
-def with_cpus(monkeypatch, count):
-    """Make the dataset codec see `count` usable CPUs; returns the list of
-    child pids it forks."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)))
-    forks, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def bad_side(record):
     record["side"] = "left"
 
@@ -494,8 +473,11 @@ class TestTwoProcessCodec:
             return real(obj, *args, **kwargs)
 
         monkeypatch.setattr(json, "dumps", dumps)
-        with pytest.raises(ChildProcessError, match="signal 9"):
-            save_dataset(manifest, tmp_path / "out.jsonl")
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(ChildProcessError,
+                           match=f"^{re.escape(str(out))}: worker process "
+                                 f"ended with signal 9$"):
+            save_dataset(manifest, out)
         assert_no_child_left()
 
     def test_a_fault_in_the_parents_half_kills_the_child(self, long_saved,
