@@ -24,6 +24,7 @@ into the full-width first-layer matrix, whose dead rows stay exactly zero.
 
 from __future__ import annotations
 
+import base64
 import json
 import warnings
 from dataclasses import dataclass, field, replace
@@ -36,8 +37,7 @@ from .errors import ContractError, DataValidationError, NumericFailure
 PROB_EPS = 1e-12
 _DEAD_SIGMA = 1e-12
 
-CHECKPOINT_FORMAT = "ffnet-checkpoint-v1"
-_JSON_CHUNK = 1 << 14  # floats per json.dumps call in save_model
+CHECKPOINT_FORMAT = "ffnet-checkpoint-v2"
 
 
 @dataclass(frozen=True)
@@ -475,9 +475,10 @@ def grid_search(
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Checkpoint as JSON, floats round-tripping exactly: the bytes of
-    `json.dumps(payload)`, with the weights written a chunk at a time so the
-    text never holds a whole weight matrix."""
+    """Checkpoint as the JSON text `json.dumps(payload)`. Each weight matrix
+    is one string, the base64 of its row-major little-endian float64 bytes;
+    the scaler, biases and metadata are JSON numbers. Every float
+    round-trips exactly."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "architecture": {
@@ -488,23 +489,13 @@ def save_model(model: TrainedModel, path) -> None:
             "mean": model.scaler.mean.tolist(),
             "scale": model.scaler.scale.tolist(),
         },
-        "weights": model.weights,
+        "weights": [base64.b64encode(W.astype("<f8", copy=False).tobytes())
+                    .decode("ascii") for W in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "metadata": model.metadata,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        for i, (key, value) in enumerate(payload.items()):
-            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-            if key != "weights":
-                fh.write(json.dumps(value))
-                continue
-            for j, W in enumerate(value):
-                flat = W.ravel()
-                for k in range(0, flat.size, _JSON_CHUNK):
-                    sep = ", " if k else ("[[" if j == 0 else "], [")
-                    fh.write(sep + json.dumps(flat[k:k + _JSON_CHUNK].tolist())[1:-1])
-            fh.write("]]")
-        fh.write("}\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def _architecture(obj) -> ModelArchitecture:
@@ -518,7 +509,8 @@ def _architecture(obj) -> ModelArchitecture:
 
 def load_model(path) -> TrainedModel:
     """Read a `save_model` checkpoint. A malformed one raises
-    DataValidationError naming the path and the field."""
+    DataValidationError naming the path and the field. The weights are
+    read-only views of the decoded base64 bytes; nothing writes them."""
     with open(path, "rb") as fh:
         payload = json_object(fh.read(), path)
     if payload.get("format") != CHECKPOINT_FORMAT:
@@ -547,8 +539,10 @@ def load_model(path) -> TrainedModel:
     def matrices(ws):
         if len(ws) != len(dims) - 1:
             raise DataValidationError("layer count mismatch")
-        return [floats(flat, f"layer {i}").reshape(a, b)
-                for i, (flat, a, b) in enumerate(zip(ws, dims[:-1], dims[1:]))]
+        # A string that is not base64, or whose bytes do not fill the layer,
+        # raises a ValueError here; anything but a string, a TypeError.
+        return [np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+                .reshape(a, b) for text, a, b in zip(ws, dims[:-1], dims[1:])]
 
     weights = read("weights", matrices)
     biases = read("biases", lambda bs: [floats(b, f"layer {i}")

@@ -1,9 +1,11 @@
+import base64
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import framescore
@@ -372,7 +374,8 @@ class TestExplainCommand:
     @pytest.mark.parametrize("corrupt, expected", [
         # Each corruption edits the payload in place and returns the JSON.
         (lambda p: (p.pop("scaler"), p)[1], "'scaler' is missing"),
-        (lambda p: (p["weights"][0].pop(), p)[1], "'weights'"),
+        (lambda p: (p["weights"].__setitem__(0, p["weights"][0][:-4]), p)[1],
+         "checkpoint field 'weights': "),
         (lambda p: [p], "must be a JSON object"),
         (lambda p: (p["architecture"].update(hidden_layers="32"), p)[1],
          "hidden_layers"),
@@ -383,8 +386,16 @@ class TestExplainCommand:
          "checkpoint field 'biases': layer 0 must hold only numbers"),
         (lambda p: (p["scaler"]["scale"].__setitem__(0, True), p)[1],
          "checkpoint field 'scaler': scale must hold only numbers"),
-        (lambda p: (p["weights"][0].__setitem__(-1, False), p)[1],
-         "checkpoint field 'weights': layer 0 must hold only numbers"),
+        (lambda p: (p["weights"].__setitem__(-1, False), p)[1],
+         "checkpoint field 'weights': argument should be a bytes-like object "
+         "or ASCII string, not 'bool'"),
+        (lambda p: (p["weights"].__setitem__(0, "!" + p["weights"][0][1:]), p)[1],
+         "checkpoint field 'weights': "),
+        (lambda p: _edit_weights(p, lambda ws: ws[0].__setitem__(0, math.nan)),
+         "layer 0: non-finite parameters"),
+        # The first format held each weight matrix as a flat list of numbers.
+        (lambda p: _edit_weights(p, lambda ws: None, "ffnet-checkpoint-v1"),
+         "unsupported checkpoint format 'ffnet-checkpoint-v1'"),
         # A scaler that no fit makes: the saliency would blame a trial.
         (lambda p: (p["scaler"]["mean"].__setitem__(0, math.nan), p)[1],
          "checkpoint field 'scaler': scaler mean and scale must be finite"),
@@ -394,7 +405,8 @@ class TestExplainCommand:
          "checkpoint field 'scaler': scaler mean and scale must be finite"),
     ], ids=["no-scaler", "short-weights", "list", "string-widths",
             "missing-layer", "extra-layer", "string-bias", "boolean-scale",
-            "boolean-last-weight", "nan-mean", "inf-scale", "negative-scale"])
+            "boolean-last-weight", "bad-base64-character", "nan-weight",
+            "v1-format", "nan-mean", "inf-scale", "negative-scale"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, corrupt,
                                           expected):
         data = make_dataset(tmp_path)
@@ -407,6 +419,22 @@ class TestExplainCommand:
         err = capsys.readouterr().err
         assert str(model) in err and expected in err
         assert not out.exists()
+
+
+def _edit_weights(payload, edit, fmt=None):
+    """Decode the checkpoint's weights, apply `edit` to the list of flat
+    weight arrays, and store them again: as base64 strings, or as lists of
+    JSON numbers with the format set to `fmt` when one is given."""
+    ws = [np.frombuffer(base64.b64decode(w), "<f8").copy()
+          for w in payload["weights"]]
+    edit(ws)
+    if fmt is None:
+        payload["weights"] = [base64.b64encode(w.tobytes()).decode("ascii")
+                              for w in ws]
+    else:
+        payload["format"] = fmt
+        payload["weights"] = [w.tolist() for w in ws]
+    return payload
 
 
 def _set(lines, lineno, column, value):

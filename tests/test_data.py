@@ -698,8 +698,8 @@ class TestSidecar:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_fingerprint_is_the_files(self, small_synth_manifest, tmp_path,
                                       monkeypatch, cpus):
-        # Taken over the bytes as save_dataset writes them, the child's
-        # half included, it must equal one taken by reading the file.
+        # The header's fingerprint, written in one process or with a forked
+        # child's half, must equal one taken by reading the file back.
         forks = with_cpus(monkeypatch, cpus)
         path = tmp_path / "data.jsonl"
         save_dataset(small_synth_manifest, path)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from framescore import network
 from framescore.errors import ContractError, DataValidationError, NumericFailure
 from framescore.network import (
-    _JSON_CHUNK,
     DEFAULT_GRID_HIDDEN,
     DEFAULT_GRID_LEARNING_RATES,
     InputScaler,
@@ -616,20 +615,6 @@ class TestCheckpoint:
         json.dump(json.loads(path.read_text(encoding="utf-8")), streamed)
         streamed.write("\n")
         assert path.read_bytes() == streamed.getvalue().encode("utf-8")
-
-    @pytest.mark.parametrize("input_dim", [1, _JSON_CHUNK // 4, _JSON_CHUNK // 2 + 1])
-    def test_bytes_match_across_write_chunks(self, tmp_path, input_dim):
-        # 4 * input_dim first-layer floats: part of one write chunk, exactly
-        # one, and two plus a partial third.
-        model = init_model(ModelArchitecture(input_dim, (4, 2)),
-                           np.random.default_rng(input_dim),
-                           identity_scaler(input_dim))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        text = path.read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text)) + "\n"
-        for a, b in zip(load_model(path).weights, model.weights):
-            assert np.array_equal(a, b)
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "model.json"
