@@ -155,7 +155,7 @@ def _check_outputs(*files, directory=None, inputs=()) -> None:
 
 
 def _cmd_synth(args) -> int:
-    _check_outputs(args.out, data.sidecar_path(args.out), inputs=[args.config])
+    _check_outputs(args.out, inputs=[args.config])
     # each flag's dest is the name of the generator field it overrides
     config = synth.load_synth_config(args.config, **{
         f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)
@@ -228,11 +228,16 @@ def _layout(manifest: data.DatasetManifest) -> dict:
 
 def _cmd_train(args) -> int:
     grid_report = args.grid_report or f"{args.out}.grid.csv"
-    _check_outputs(args.out, grid_report, inputs=[
-        args.data, data.sidecar_path(args.data), args.grid])
+    _check_outputs(args.out, grid_report, inputs=[args.data, args.grid])
     hidden, rates = ((network.DEFAULT_GRID_HIDDEN,
                       network.DEFAULT_GRID_LEARNING_RATES)
                      if args.grid is None else _parse_grid(args.grid))
+    config = network.TrainConfig(
+        momentum=args.momentum,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        seed=args.seed,
+    )
     manifest = data.load_dataset(args.data)
     train_rows, test_rows = data.split_dataset(manifest, args.split, args.seed)
     print(f"{len(train_rows)} train / {len(test_rows)} test trials "
@@ -244,12 +249,6 @@ def _cmd_train(args) -> int:
     X_test, y_test = X[test_rows], y[test_rows]
     del X
 
-    config = network.TrainConfig(
-        momentum=args.momentum,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = network.grid_search(X_train, y_train, config, hidden, rates,
@@ -284,7 +283,7 @@ def _cmd_explain(args) -> int:
     heatmap = args.heatmap_out or os.path.join(
         os.path.dirname(os.path.abspath(args.out)), f"heatmap-{args.heatmap}.csv")
     _check_outputs(args.out, *([heatmap] if args.heatmap is not None else []),
-                   inputs=[args.model, args.data, data.sidecar_path(args.data)])
+                   inputs=[args.model, args.data])
     model = network.load_model(args.model)
     manifest = data.load_dataset(args.data)
     for key, value in _layout(manifest).items():
@@ -390,6 +389,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "heatmap_out", None) is not None and args.heatmap is None:
+        parser.error("explain --heatmap-out needs --heatmap TRIAL_ID")
     try:
         return _COMMANDS[args.command](args)
     except (DataValidationError, ContractError) as exc:

@@ -10,39 +10,27 @@ slots are padding. Featurization turns the keypoints into one
 (trials x t_max x features) block of signed per-coordinate displacements
 from each trial's first frame, zero on padding.
 
-A dataset file is one JSON header line and one JSON record per trial.
-`json_object` parses each line, and every other JSON input of the package
-too (the sidecar's header, the checkpoint, the grid file and the synth
+A dataset file is one JSON header line and one JSON record per trial. A
+record holds a trial's keypoints as one string, the hex text of its
+row-major, little-endian float64 bytes, and its frame labels and trial
+label as JSON numbers. `json_object` parses each line, and every other JSON
+input of the package too (the checkpoint, the grid file and the synth
 config), with errors that name the file or line. `write_csv` writes every
 report table.
 `load_dataset` reads the records in one process. One helper writes the
 dataset file and both `saliency` score files: with two usable CPUs, a forked
 child encodes the second half of the records or rows, copied in after the
 first. The bytes are the same either way, and only the CPU count decides.
-
-`save_dataset` also writes a binary sidecar next to the file, named
-`<dataset path>.npz`: the frames of all trials concatenated into one
-(sum of lengths, joints, 2) float64 array, the lengths, the frame-label
-block, and a JSON header text with t_max, the joints, the seed, the trial
-ids, the patient ids, the sides and a fingerprint of the file's bytes.
-`load_dataset` trusts the sidecar only when its fingerprint matches the
-file and its columns pass the same checks the record parser makes; in any
-other case it parses the file. The JSONL file stays the source of truth:
-the sidecar may be deleted at any time, and only `save_dataset` (that is,
-`synth`) writes it.
 """
 
 from __future__ import annotations
 
+import binascii
 import csv
 import json
 import os
 import shutil
 import signal
-import tokenize
-import warnings
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -102,12 +90,14 @@ class JointLayout:
 class DatasetManifest:
     """The trials of one dataset as columns, in dataset order.
 
-    frames[i] has shape (L_i, joints, 2) in pixels; row i of frame_labels
-    holds trial i's labels over {0 = compensatory, 1 = normal} in its first
-    L_i slots and 1 after them, so its t_max is the block's width. Arrays
-    are read-only. A record from a file is validated by `load_dataset`, and
-    `synth` builds only valid trials; the constructor checks only that the
-    columns agree with one another.
+    frames[i] is a float64 array of shape (L_i, joints, 2) in pixels; a
+    dataset file holds it as the hex text of its little-endian bytes, so a
+    load gives back the same bits. Row i of frame_labels holds trial i's
+    labels over {0 = compensatory, 1 = normal} in its first L_i slots and 1
+    after them, so its t_max is the block's width. Arrays are read-only. A
+    record from a file is validated by `load_dataset`, and `synth` builds
+    only valid trials; the constructor checks only that the columns agree
+    with one another.
     """
 
     trial_ids: tuple[str, ...]
@@ -266,8 +256,8 @@ def _write_halves(fh, count: int, encode) -> None:
 
 
 def save_dataset(manifest: DatasetManifest, path) -> None:
-    """Write one header line plus one JSON record per trial, then the
-    binary sidecar of the file."""
+    """Write one header line plus one JSON record per trial, each trial's
+    frames as the hex text of their little-endian float64 bytes."""
     m = manifest
     trial_labels = m.trial_labels.tolist()
 
@@ -277,7 +267,7 @@ def save_dataset(manifest: DatasetManifest, path) -> None:
                 "trial_id": m.trial_ids[i],
                 "patient_id": m.patient_ids[i],
                 "side": m.sides[i],
-                "frames": m.frames[i].tolist(),
+                "frames": m.frames[i].astype("<f8", copy=False).tobytes().hex(),
                 "frame_labels": m.frame_labels[i, : len(m.frames[i])].tolist(),
                 "trial_label": trial_labels[i],
             }) + "\n").encode("utf-8")
@@ -293,108 +283,6 @@ def save_dataset(manifest: DatasetManifest, path) -> None:
     with open(path, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode("utf-8"))
         _write_halves(fh, len(m), records)
-    _save_sidecar(m, path)
-
-
-def _fingerprint(path) -> list[int]:
-    """[byte length, CRC-32] of a file, read 1 MB at a time.
-
-    Not a cryptographic hash, on purpose: whoever can edit the dataset file
-    can rewrite the sidecar next to it, and its sha256 as easily, so a hash
-    would protect nothing more. The fingerprint catches a sidecar gone stale
-    after the file was edited or replaced, and CRC-32 does that without
-    loading OpenSSL (hashlib adds about 3.5 MB of peak RSS to every stage).
-    """
-    size = crc = 0
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            size += len(chunk)
-            crc = zlib.crc32(chunk, crc)
-    return [size, crc]
-
-
-def sidecar_path(path) -> str:
-    """The path of the binary sidecar of the dataset file `path`."""
-    return f"{path}.npz"
-
-
-def _save_sidecar(m: DatasetManifest, path) -> None:
-    """Write the sidecar of the dataset file `path`, just saved from `m`.
-
-    The string columns go into the JSON header text, not into numpy string
-    arrays, which drop trailing NUL characters.
-    """
-    header = {
-        "fingerprint": _fingerprint(path),
-        "t_max": m.t_max,
-        "joints": list(m.layout.joints),
-        "seed": m.seed,
-        "trial_ids": list(m.trial_ids),
-        "patient_ids": list(m.patient_ids),
-        "sides": list(m.sides),
-    }
-    empty = np.empty((0, m.layout.joint_count, 2))
-    with open(sidecar_path(path), "wb") as fh:
-        np.savez(fh,
-                 header=np.frombuffer(json.dumps(header).encode(), np.uint8),
-                 frames=np.concatenate(m.frames or (empty,)),
-                 lengths=m.lengths, frame_labels=m.frame_labels)
-
-
-# What reading a missing, stale or damaged sidecar raises. zipfile reports
-# damaged headers as EOFError, or as NotImplementedError and RuntimeError
-# (a compression method or an encryption flag it does not support). numpy
-# retries an array header that does not parse through tokenize, which
-# raises TokenError on unbalanced brackets. The members are read with
-# warnings raised as errors (a header that numpy takes for one written on
-# Python 2 warns), so a damaged sidecar falls back without a word.
-_UNTRUSTED = (OSError, ValueError, KeyError, TypeError, EOFError,
-              RuntimeError, zipfile.BadZipFile, tokenize.TokenError, Warning)
-
-
-def _sidecar_manifest(path) -> DatasetManifest:
-    """The manifest held by the sidecar of the dataset file `path`.
-
-    Raises one of `_UNTRUSTED` unless the sidecar exists, matches the
-    file's fingerprint, opens without pickles and holds columns that the
-    record parser would accept from the file.
-    """
-    with zipfile.ZipFile(sidecar_path(path)) as z:
-        def member(name: str) -> np.ndarray:
-            if z.getinfo(name + ".npy").compress_type != zipfile.ZIP_STORED:
-                raise ValueError(f"compressed sidecar member {name!r}")
-            with z.open(name + ".npy") as fh, warnings.catch_warnings():
-                warnings.simplefilter("error")
-                return np.lib.format.read_array(fh, allow_pickle=False)
-
-        header = json_object(member("header").tobytes(), sidecar_path(path))
-        if header["fingerprint"] != _fingerprint(path):
-            raise ValueError("stale sidecar")
-        frames, lengths, labels = map(member,
-                                      ("frames", "lengths", "frame_labels"))
-    t_max, seed = header["t_max"], header["seed"]
-    joints, ids, patients, sides = (header[k] for k in (
-        "joints", "trial_ids", "patient_ids", "sides"))
-    layout = JointLayout(tuple(joints))
-    n = len(ids)
-    if not (
-        type(t_max) is int and type(seed) is int
-        and all(type(c) is list for c in (joints, ids, patients, sides))
-        and all(type(s) is str for s in (*joints, *ids, *patients))
-        and set(sides) <= set(SIDES)
-        and frames.dtype == np.float64
-        and lengths.dtype == labels.dtype == np.int64
-        and frames.ndim == 3 and frames.shape[1:] == (layout.joint_count, 2)
-        and n > 0 and lengths.shape == (n,) and labels.shape == (n, t_max)
-        and 1 <= lengths.min() and lengths.max() <= t_max
-        and lengths.sum() == len(frames)
-        and np.isfinite(frames).all()
-        and ((labels == LABEL_COMPENSATORY) | (labels == LABEL_NORMAL)).all()
-        and (labels[np.arange(t_max) >= lengths[:, None]] == LABEL_NORMAL).all()
-    ):
-        raise ValueError("sidecar fails its checks")
-    frames = np.split(_readonly(frames), np.cumsum(lengths)[:-1])
-    return DatasetManifest(ids, patients, sides, frames, labels, layout, seed)
 
 
 _TRIAL_FIELDS = (
@@ -440,28 +328,44 @@ def _holds_bool(value) -> bool:
     return bool in kinds or list in kinds and any(map(_holds_bool, value))
 
 
-def json_numbers(value, what: str, booleans: bool = True) -> np.ndarray:
+def json_numbers(value, what: str) -> np.ndarray:
     """`value`, a parsed JSON number or nested list of numbers, as an array.
 
     No dtype: JSON strings would convert to numbers, and must show as a
     non-numeric dtype instead. np.asarray turns a boolean among numbers into
-    a number, so the lists are walked for one unless `booleans` is False,
-    which says that the JSON text holds no `true` or `false`."""
+    a number, so the lists are walked for one."""
     a = np.asarray(value)
     if a.dtype.kind not in "iuf":
         raise DataValidationError(
             f"{what} must hold only numbers, got {a.dtype} values")
-    if booleans and _holds_bool(value):
+    if _holds_bool(value):
         raise DataValidationError(f"{what} must hold only numbers, got a boolean")
     return a
 
 
-def _trial_row(rec: dict, layout: JointLayout, t_max: int,
-               booleans: bool = True) -> tuple:
+def _frames(text, joints: int) -> np.ndarray:
+    """The (L, joints, 2) float64 frames whose little-endian bytes the hex
+    string `text` holds, as a read-only view of the decoded bytes."""
+    if not isinstance(text, str):
+        raise DataValidationError(
+            f"frames must be a hex string of little-endian float64 bytes, got "
+            f"a {type(text).__name__}; a file written before frames were hex "
+            f"text must be regenerated with synth")
+    try:
+        raw = binascii.a2b_hex(text)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise DataValidationError(f"frames are not hex text: {exc}") from exc
+    frame_bytes = joints * 2 * 8
+    if len(raw) % frame_bytes:
+        raise DataValidationError(
+            f"frames hold {len(raw)} bytes, not a whole number of frames of "
+            f"{joints} joints x 2 float64 coordinates ({frame_bytes} bytes)")
+    return np.frombuffer(raw, "<f8").reshape(-1, joints, 2)
+
+
+def _trial_row(rec: dict, layout: JointLayout, t_max: int) -> tuple:
     """The (trial_id, patient_id, side, frames, frame_labels) row of one
-    parsed trial record, after checking every field against the header.
-    `booleans=False` says the record's line holds no `true` or `false`,
-    which spares walking its number lists for one."""
+    parsed trial record, after checking every field against the header."""
     for name in _TRIAL_FIELDS:
         if name not in rec:
             raise DataValidationError(f"missing field {name!r}")
@@ -475,26 +379,22 @@ def _trial_row(rec: dict, layout: JointLayout, t_max: int,
         return DataValidationError(f"trial {tid!r}: {message}")
 
     try:
-        frames, labels = (json_numbers(rec[name], name, booleans)
-                          for name in ("frames", "frame_labels"))
+        frames = _frames(rec["frames"], layout.joint_count)
+        labels = json_numbers(rec["frame_labels"], "frame_labels")
     except (ValueError, TypeError, OverflowError) as exc:
         raise bad(exc) from exc
     trial_label = rec["trial_label"]
     if type(trial_label) not in (int, float):
         raise bad(f"trial_label must be a number, got {trial_label!r}")
-    if frames.ndim != 3 or frames.shape[1:] != (layout.joint_count, 2):
-        raise bad(f"frames must have shape (L, {layout.joint_count}, 2), "
-                  f"got {frames.shape}")
     length = frames.shape[0]
     if not 1 <= length <= t_max:
         raise bad(f"{length} frames; a trial needs 1 to t_max {t_max}")
-    frames = frames.astype(np.float64, copy=False)
     if not np.isfinite(frames).all():
         raise bad("non-finite coordinate")
     if labels.shape != (length,):
         raise bad(f"frame_labels length {labels.shape} does not match frame "
                   f"count {length}")
-    if not np.isin(labels, (LABEL_COMPENSATORY, LABEL_NORMAL)).all():
+    if not ((labels == LABEL_COMPENSATORY) | (labels == LABEL_NORMAL)).all():
         raise bad("frame labels must be 0 or 1")
     if side not in SIDES:
         raise bad(f"side must be one of {SIDES}, got {side!r}")
@@ -505,15 +405,12 @@ def _trial_row(rec: dict, layout: JointLayout, t_max: int,
 
 
 def load_dataset(path) -> DatasetManifest:
-    """The dataset in a file: from its sidecar when that is trusted, else
-    parsed one line at a time, with validation errors that name the
-    offending line."""
-    try:
-        return _sidecar_manifest(path)
-    except _UNTRUSTED:
-        pass
-
-    with open(path, "rb") as fh:
+    """The dataset in a file, parsed one line at a time, with validation
+    errors that name the offending line."""
+    # A record is one line of 40-50 KB; read through the default 8 KB
+    # buffer, the lines of a 15.6 MB file take 11 ms to split, and 2 ms
+    # through a 1 MB one.
+    with open(path, "rb", buffering=1 << 20) as fh:
         first = fh.readline()
         if not first:
             raise DataValidationError(f"{path}: empty dataset file")
@@ -548,8 +445,7 @@ def load_dataset(path) -> DatasetManifest:
                 continue
             rec = json_object(line, f"{path}:{lineno}")
             try:
-                found.append(_trial_row(rec, layout, header["t_max"],
-                                        b"true" in line or b"false" in line))
+                found.append(_trial_row(rec, layout, header["t_max"]))
             except DataValidationError as exc:
                 raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
     if not found:

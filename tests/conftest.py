@@ -1,6 +1,5 @@
 import json
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,12 +29,17 @@ def make_manifest(*trials, t_max=None, layout=None):
     return DatasetManifest.from_rows(trials, t_max, layout or JointLayout())
 
 
-def cold(path):
-    """Delete the sidecar that `save_dataset` wrote next to the dataset
-    file `path`, so that loading the file runs the record parser; returns
-    the path."""
-    Path(f"{path}.npz").unlink()
-    return path
+def edit_frames(record, edit, joints=8):
+    """Decode a trial record's `frames`, hex text of little-endian float64
+    bytes, to a writable (L, joints, 2) array; apply `edit`, which changes
+    the array in place or returns a new one; and store the result as hex
+    text again. Returns the record."""
+    frames = np.frombuffer(bytes.fromhex(record["frames"]), "<f8")
+    frames = frames.reshape(-1, joints, 2).copy()
+    edited = edit(frames)
+    record["frames"] = np.asarray(frames if edited is None else edited,
+                                  "<f8").tobytes().hex()
+    return record
 
 
 def edit_lines(path, edits):

@@ -12,6 +12,7 @@ import framescore
 from framescore.cli import _write_grid_report, main
 from framescore.network import (GridCell, GridSearchResult, ModelArchitecture,
                                 TrainConfig)
+from tests.conftest import edit_frames
 
 
 def run(*argv):
@@ -114,21 +115,31 @@ class TestSynthCommand:
 
 
 def _lengthen(record, length):
-    record["frames"] += [record["frames"][-1]] * (length - len(record["frames"]))
+    edit_frames(record, lambda f: f[[*range(len(f)), *[-1] * (length - len(f))]])
     record["frame_labels"] += [1] * (length - len(record["frame_labels"]))
 
 
 # Each fault edits, in place, the first trial record of a 12-trial dataset
-# with t_max 40: trial 'P00-affected-00', compensatory, on line 2.
+# with t_max 40: trial 'P00-affected-00', compensatory, 20 frames long, on
+# line 2.
 RECORD_FAULTS = {
     "bad-side": lambda r: r.update(side="left"),
-    "nan-coordinate": lambda r: r["frames"][3][1].__setitem__(0, float("nan")),
+    "nan-coordinate": lambda r: edit_frames(
+        r, lambda f: f.__setitem__((3, 1, 0), math.nan)),
     "label-2": lambda r: r["frame_labels"].__setitem__(0, 2),
     "flipped-trial-label": lambda r: r.update(trial_label=1 - r["trial_label"]),
     "labels-one-short": lambda r: r["frame_labels"].pop(),
-    "seven-joints": lambda r: [frame.pop() for frame in r["frames"]],
+    "seven-joints": lambda r: edit_frames(r, lambda f: f[:, :7]),
     "longer-than-t-max": lambda r: _lengthen(r, 41),
-    "ragged-frames": lambda r: r["frames"][2].pop(),
+    # frame 2 loses the coordinates of its last joint
+    "ragged-frames": lambda r: edit_frames(
+        r, lambda f: np.delete(f.reshape(-1, 2), 2 * 8 + 7, axis=0)),
+    "odd-length-frames": lambda r: r.update(frames=r["frames"][:-1]),
+    # the last frame loses its last coordinate
+    "partial-frame": lambda r: r.update(frames=r["frames"][:-16]),
+    # every file written before frames were hex text
+    "list-frames": lambda r: r.update(frames=np.frombuffer(
+        bytes.fromhex(r["frames"]), "<f8").reshape(-1, 8, 2).tolist()),
     "duplicate-id": lambda r: r.update(trial_id="P00-affected-01"),
     "fractional-labels": lambda r: r.update(
         frame_labels=[l or 0.5 for l in r["frame_labels"]], trial_label=0.5),
@@ -233,6 +244,28 @@ class TestTrainCommand:
         assert out == ""
         assert not model.exists()
         assert not (tmp_path / "model.json.grid.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", 0, "epochs must be at least 1"),
+        ("--batch-size", 0, "batch_size must be at least 1"),
+        ("--momentum", 1.0, "momentum must be in [0, 1)"),
+    ], ids=["epochs", "batch-size", "momentum"])
+    def test_bad_hyperparameter_rejected_before_loading(
+            self, tmp_path, capsys, monkeypatch, flag, value, message):
+        data = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+
+        def load(*args, **kwargs):
+            raise AssertionError("the dataset was loaded before the "
+                                 "hyperparameters were checked")
+
+        monkeypatch.setattr("framescore.data.load_dataset", load)
+        assert run("train", "--data", data, "--out", model, flag, value) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+        assert not model.exists()
 
     def test_missing_grid_file_exits_2(self, tmp_path, capsys):
         data = make_dataset(tmp_path)
@@ -346,8 +379,7 @@ class TestExplainCommand:
         joints = header["joints"]
         joints[2], joints[5] = joints[5], joints[2]
         for rec in records:
-            for frame in rec["frames"]:
-                frame[2], frame[5] = frame[5], frame[2]
+            edit_frames(rec, lambda f: f[:, [0, 1, 5, 3, 4, 2, 6, 7]])
         swapped = tmp_path / "swapped.jsonl"
         swapped.write_text("".join(json.dumps(o) + "\n"
                                    for o in [header, *records]))
@@ -717,15 +749,6 @@ _BAD_OUTPUTS = {
     "synth-out-is-config": (
         ["synth", "--out", "in.json", "--config", "in.json"],
         "output in.json is the same file as input in.json"),
-    "explain-out-is-sidecar": (
-        [*_EXPLAIN, "--out", "in.jsonl.npz"],
-        "output in.jsonl.npz is the same file as input in.jsonl.npz"),
-    "train-grid-report-is-sidecar": (
-        ["train", "--data", "in.jsonl", "--out", "m.json", "--grid-report",
-         "in.jsonl.npz"],
-        "output in.jsonl.npz is the same file as input in.jsonl.npz"),
-    "synth-sidecar-is-a-directory": (["synth", "--out", "d.jsonl"],
-                                     "output d.jsonl.npz is a directory"),
 }
 
 
@@ -740,7 +763,6 @@ class TestOutputPaths:
         (tmp_path / "in.jsonl").write_text("{}\n")
         (tmp_path / "link.jsonl").symlink_to("in.jsonl")
         (tmp_path / "heatmap-t0.csv").mkdir()
-        (tmp_path / "d.jsonl.npz").mkdir()
 
         def work(*args, **kwargs):
             raise AssertionError("the command did work before it checked "
@@ -780,6 +802,22 @@ class TestUsageAndHelp:
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
         assert exc.value.code == 1
+
+    def test_heatmap_out_without_heatmap_exits_1(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("explain did work before it checked its flags")
+
+        for name in ("data.load_dataset", "network.load_model"):
+            monkeypatch.setattr(f"framescore.{name}", work)
+        with pytest.raises(SystemExit) as exc:
+            run("explain", "--model", tmp_path / "m.json", "--data",
+                tmp_path / "d.jsonl", "--out", tmp_path / "s.csv",
+                "--heatmap-out", tmp_path / "h.csv")
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "--heatmap-out needs --heatmap TRIAL_ID" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_required_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,6 @@ import re
 import signal
 import tempfile
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from framescore.data import (
     split_dataset,
 )
 from framescore.errors import DataValidationError
-from tests.conftest import (assert_no_child_left, cold, edit_dataset,
+from tests.conftest import (assert_no_child_left, edit_dataset, edit_frames,
                             edit_lines, make_manifest, make_trial, with_cpus)
 
 
@@ -122,17 +121,21 @@ class TestExtractFeatures:
         assert np.allclose(a, b, atol=1e-9)
 
     def test_joint_count_mismatch(self, tmp_path):
+        # 6 frames of 5 joints are 480 bytes: 3.75 frames of 8 joints.
         def five_joints(record):
-            record["frames"] = [frame[:5] for frame in record["frames"]]
+            edit_frames(record, lambda frames: frames[:, :5])
 
         path = edit_dataset(make_manifest(make_trial("t")),
                             tmp_path / "data.jsonl", five_joints)
-        with pytest.raises(DataValidationError, match=r":2: trial 't'.*\(6, 5, 2\)"):
+        with pytest.raises(DataValidationError,
+                           match=r":2: trial 't': frames hold 480 bytes, not a "
+                                 r"whole number of frames of 8 joints"):
             load_dataset(path)
 
     def test_non_finite_rejected_at_construction(self, tmp_path):
         def nan(record):
-            record["frames"][2][1][0] = float("nan")
+            edit_frames(record, lambda frames: frames.__setitem__(
+                (2, 1, 0), np.nan))
 
         path = edit_dataset(make_manifest(make_trial("t", length=4)),
                             tmp_path / "data.jsonl", nan)
@@ -263,11 +266,26 @@ class TestSplit:
             split_dataset(tiny_manifest, fraction, seed=0)
 
 
+def assert_same_manifest(a, b):
+    """Equal columns, with the frames compared bit for bit."""
+    assert (a.trial_ids, a.patient_ids, a.sides) == \
+        (b.trial_ids, b.patient_ids, b.sides)
+    assert (a.t_max, a.layout, a.seed) == (b.t_max, b.layout, b.seed)
+    for name in ("frame_labels", "lengths", "trial_labels", "padded"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert len(a.frames) == len(b.frames)
+    for x, y in zip(a.frames, b.frames):
+        assert (x.dtype, x.shape) == (y.dtype, y.shape)
+        assert x.tobytes() == y.tobytes()
+        assert not x.flags.writeable
+
+
 class TestDatasetIO:
     def test_round_trip(self, tiny_manifest, tmp_path):
         path = tmp_path / "data.jsonl"
         save_dataset(tiny_manifest, path)
-        loaded = load_dataset(cold(path))
+        loaded = load_dataset(path)
         assert loaded.t_max == tiny_manifest.t_max
         assert loaded.layout == tiny_manifest.layout
         assert json.loads(path.read_text().splitlines()[0])["provenance"] \
@@ -297,6 +315,81 @@ class TestDatasetIO:
             L = len(frames)
             assert np.array_equal(X[i, :L], (frames - frames[0]).reshape(L, -1))
             assert np.all(X[i, L:] == 0.0)
+
+    @given(built=manifests())
+    @settings(max_examples=30, deadline=None)
+    def test_random_manifests_round_trip(self, built):
+        _, manifest = built
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "data.jsonl")
+            save_dataset(manifest, path)
+            assert_same_manifest(load_dataset(path), manifest)
+
+    def test_string_columns_round_trip(self, tmp_path):
+        ids = ("t\x00", "a,b", 'say "hi"', "\u00e9")
+        manifest = make_manifest(*(
+            make_trial(tid, f"P{tid}", side)
+            for tid, side in zip(ids, ("affected", "unaffected") * 2)))
+        path = tmp_path / "data.jsonl"
+        save_dataset(manifest, path)
+        loaded = load_dataset(path)
+        assert loaded.trial_ids == ids
+        assert loaded.patient_ids == tuple(f"P{tid}" for tid in ids)
+        assert_same_manifest(loaded, manifest)
+
+    def test_frames_are_hex_of_little_endian_float64(self, tiny_manifest,
+                                                     tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_dataset(tiny_manifest, path)
+        record = json.loads(path.read_text().splitlines()[1])
+        assert record["frames"] == \
+            tiny_manifest.frames[0].astype("<f8").tobytes().hex()
+
+    # Trial 't' has 6 frames of 8 joints: 768 bytes, 1536 hex digits.
+    @pytest.mark.parametrize("frames, message", [
+        ([[[0.0, 0.0]] * 8] * 6,
+         "frames must be a hex string of little-endian float64 bytes, got a "
+         "list; a file written before frames were hex text must be "
+         "regenerated with synth"),
+        ("zz" * 768, "frames are not hex text: Non-hexadecimal digit found"),
+        ("\u00e9" * 1536, "frames are not hex text: string argument should "
+                         "contain only ASCII characters"),
+        ("0" * 1535, "frames are not hex text: Odd-length string"),
+        ("0" * 1520, "frames hold 760 bytes, not a whole number of frames of "
+                     "8 joints x 2 float64 coordinates (128 bytes)"),
+    ], ids=["list", "non-hex-character", "non-ascii", "odd-length",
+            "not-whole-frames"])
+    def test_frames_text_fault_names_line(self, tmp_path, frames, message):
+        path = edit_dataset(make_manifest(make_trial("t")),
+                            tmp_path / "data.jsonl",
+                            lambda record: record.update(frames=frames))
+        with pytest.raises(DataValidationError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}:2: trial 't': {message}"
+
+    def test_read_commands_write_nothing_next_to_the_data(self, tmp_path):
+        data_dir, out = tmp_path / "data", tmp_path / "out"
+        data_dir.mkdir()
+        out.mkdir()
+        path = data_dir / "data.jsonl"
+        assert main(["synth", "--out", str(path), "--seed", "5",
+                     "--patient-count", "2", "--trials-per-patient-per-side",
+                     "2", "--length-range", "8", "12", "--t-max", "12"]) == 0
+        assert [p.name for p in data_dir.iterdir()] == ["data.jsonl"]
+        (out / "grid.json").write_text(
+            '{"hidden_layers": [[4]], "learning_rates": [0.001]}')
+        before = path.read_bytes()
+        model, scores = str(out / "model.json"), str(out / "scores.csv")
+        for argv in (
+            ["train", "--data", str(path), "--out", model, "--split", "0.5",
+             "--grid", str(out / "grid.json"), "--epochs", "1"],
+            ["explain", "--model", model, "--data", str(path), "--out", scores],
+            ["sweep", "--scores", scores, "--data", str(path),
+             "--out", str(out / "reports")],
+        ):
+            assert main(argv) == 0
+            assert [p.name for p in data_dir.iterdir()] == ["data.jsonl"]
+            assert path.read_bytes() == before
 
     def test_missing_field_names_line(self, tiny_manifest, tmp_path):
         path = edit_dataset(tiny_manifest, tmp_path / "data.jsonl",
@@ -340,7 +433,7 @@ class TestDatasetIO:
         save_dataset(tiny_manifest, path)
         lines = path.read_bytes().split(b"\n")
         lines[2] = b"[" + lines[2] + b"]"
-        cold(path).write_bytes(b"\n".join(lines))
+        path.write_bytes(b"\n".join(lines))
         with pytest.raises(DataValidationError,
                            match=r":3: must be a JSON object, got list"):
             load_dataset(path)
@@ -393,7 +486,7 @@ class TestInvariants:
 
     def test_too_long_trial_rejected_by_manifest(self, tmp_path):
         def lengthen(record):
-            record["frames"].append(record["frames"][-1])
+            edit_frames(record, lambda frames: frames[[*range(10), 9]])
             record["frame_labels"].append(1)
 
         path = edit_dataset(make_manifest(make_trial("t", length=10)),
@@ -516,18 +609,18 @@ class TestTwoProcessCodec:
         out = tmp_path / "out.jsonl"
         save_dataset(manifest, out)
         assert out.read_bytes() == path.read_bytes()
-        assert sidecar(out).read_bytes() == sidecar(path).read_bytes()
 
     # Each fault gives trial 't' of a one-trial file a string or a boolean
-    # where a number belongs; json would hand these to numpy, which would
-    # convert them.
+    # where a number belongs, and json would hand these to numpy, which
+    # would convert them; or frames that are not hex text: a character that
+    # is not a hex digit, or the list of numbers that files held before.
     @pytest.mark.parametrize("edit", [
-        lambda r: r["frames"][0][0].__setitem__(0, str(r["frames"][0][0][0])),
+        lambda r: r.update(frames="g" + r["frames"][1:]),
         lambda r: r["frame_labels"].__setitem__(0, "1"),
         lambda r: r.update(trial_label=str(r["trial_label"])),
         lambda r: r.update(frame_labels=[bool(v) for v in r["frame_labels"]]),
         lambda r: r.update(trial_label=bool(r["trial_label"])),
-        lambda r: r["frames"][0][0].__setitem__(0, True),
+        lambda r: r.update(frames=[[[True, 0.0]] * 8]),
         lambda r: r["frame_labels"].__setitem__(-1, True),
     ], ids=["string-coordinate", "string-frame-label", "string-trial-label",
             "boolean-frame-labels", "boolean-trial-label",
@@ -542,77 +635,14 @@ class TestTwoProcessCodec:
         assert f"{path}:2: trial 't': " in capsys.readouterr().err
 
 
-def sidecar(path) -> Path:
-    return Path(f"{path}.npz")
-
-
-def assert_same_manifest(a, b):
-    """Equal columns, with the frames compared bit for bit."""
-    assert (a.trial_ids, a.patient_ids, a.sides) == \
-        (b.trial_ids, b.patient_ids, b.sides)
-    assert (a.t_max, a.layout, a.seed) == (b.t_max, b.layout, b.seed)
-    for name in ("frame_labels", "lengths", "trial_labels", "padded"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y)
-    assert len(a.frames) == len(b.frames)
-    for x, y in zip(a.frames, b.frames):
-        assert (x.dtype, x.shape) == (y.dtype, y.shape)
-        assert x.tobytes() == y.tobytes()
-        assert not x.flags.writeable
-
-
-def sidecar_and_parsed_loads(path):
-    """(load through the sidecar, load through the record parser) of a
-    saved dataset file; the sidecar is put back afterwards."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "_trial_row", None)  # parsing would call it
-        warm = load_dataset(path)
-    blob = sidecar(path).read_bytes()
-    parsed = load_dataset(cold(path))
-    sidecar(path).write_bytes(blob)
-    return warm, parsed
-
-
-def rewrite_sidecar(path, edit):
-    """Rewrite the sidecar of `path` after `edit(members, header)` changes
-    its arrays or header in place; the fingerprint stays valid."""
-    with np.load(sidecar(path)) as z:
-        members = {k: z[k].copy() for k in z.files}
-    header = json.loads(members["header"].tobytes())
-    edit(members, header)
-    members["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
-    with open(sidecar(path), "wb") as fh:
-        np.savez(fh, **members)
-
-
-def set_member(name, value):
-    return lambda members, header: members.__setitem__(name, value(members[name]))
-
-
-def nan_coordinate(frames):
-    frames[3, 1, 0] = np.nan
-    return frames
-
-
-def label_two(labels):
-    labels[0, 0] = 2
-    return labels
-
-
-def compensatory_padding(labels):
-    labels[0, -1] = 0  # trial t0 has 5 of 10 slots
-    return labels
-
-
 class TestParsedLoad:
-    """load_dataset parses a file without a sidecar in this process."""
+    """load_dataset parses the file in this process."""
 
     @pytest.fixture
     def saved(self, small_synth_manifest, tmp_path):
-        """A saved dataset without its sidecar, so that loads parse it."""
         path = tmp_path / "data.jsonl"
         save_dataset(small_synth_manifest, path)
-        return small_synth_manifest, cold(path)
+        return small_synth_manifest, path
 
     def test_last_record_without_a_newline_is_read(self, saved):
         manifest, path = saved
@@ -641,177 +671,3 @@ class TestParsedLoad:
         with pytest.raises(RuntimeError, match=f"no row for {last}"):
             load_dataset(path)
         assert_no_child_left()
-
-
-class TestSidecar:
-    """save_dataset writes `<path>.npz` next to the dataset file, and
-    load_dataset uses it only when it matches the file and passes the
-    record checks; otherwise it parses the file."""
-
-    @pytest.fixture
-    def saved(self, tiny_manifest, tmp_path):
-        path = tmp_path / "data.jsonl"
-        save_dataset(tiny_manifest, path)
-        return tiny_manifest, path
-
-    def test_sidecar_load_equals_parsed_load(self, saved,
-                                             small_synth_manifest, tmp_path):
-        manifest, path = saved
-        warm, parsed = sidecar_and_parsed_loads(path)
-        assert_same_manifest(warm, parsed)
-        assert_same_manifest(warm, manifest)
-        path = tmp_path / "synth.jsonl"
-        save_dataset(small_synth_manifest, path)
-        assert_same_manifest(*sidecar_and_parsed_loads(path))
-
-    @given(built=manifests())
-    @settings(max_examples=30, deadline=None)
-    def test_random_manifests_load_the_same_either_way(self, built):
-        _, manifest = built
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp, "data.jsonl")
-            save_dataset(manifest, path)
-            warm, parsed = sidecar_and_parsed_loads(path)
-        assert_same_manifest(warm, parsed)
-        assert_same_manifest(warm, manifest)
-
-    def test_string_columns_round_trip(self, tmp_path):
-        ids = ("t\x00", "a,b", 'say "hi"', "é")
-        manifest = make_manifest(*(
-            make_trial(tid, f"P{tid}", side)
-            for tid, side in zip(ids, ("affected", "unaffected") * 2)))
-        path = tmp_path / "data.jsonl"
-        save_dataset(manifest, path)
-        warm, parsed = sidecar_and_parsed_loads(path)
-        assert warm.trial_ids == ids
-        assert warm.patient_ids == tuple(f"P{tid}" for tid in ids)
-        assert_same_manifest(warm, parsed)
-
-    def test_two_saves_write_the_same_bytes(self, saved, tmp_path):
-        manifest, path = saved
-        first = sidecar(path).read_bytes()
-        save_dataset(manifest, tmp_path / "again.jsonl")
-        save_dataset(manifest, path)
-        assert sidecar(tmp_path / "again.jsonl").read_bytes() == \
-            sidecar(path).read_bytes() == first
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_fingerprint_is_the_files(self, small_synth_manifest, tmp_path,
-                                      monkeypatch, cpus):
-        # The header's fingerprint, written in one process or with a forked
-        # child's half, must equal one taken by reading the file back.
-        forks = with_cpus(monkeypatch, cpus)
-        path = tmp_path / "data.jsonl"
-        save_dataset(small_synth_manifest, path)
-        assert len(forks) == cpus - 1
-        with np.load(sidecar(path)) as z:
-            header = json.loads(z["header"].tobytes())
-        assert header["fingerprint"] == data._fingerprint(path)
-        assert header["fingerprint"][0] == path.stat().st_size
-
-    def test_stale_sidecar_loads_as_the_file(self, saved, tmp_path):
-        manifest, path = saved
-
-        def unaffected(record):
-            record["side"] = "unaffected"
-
-        edit_lines(path, {2: unaffected})
-        assert sidecar(path).exists()
-        loaded = load_dataset(path)
-        assert loaded.sides[0] == "unaffected" != manifest.sides[0]
-        assert_same_manifest(loaded, load_dataset(cold(path)))
-
-    def test_stale_sidecar_fault_names_the_line(self, saved):
-        _, path = saved
-        edit_lines(path, {3: bad_side})
-        assert sidecar(path).exists()
-        with pytest.raises(DataValidationError) as stale:
-            load_dataset(path)
-        with pytest.raises(DataValidationError) as parsed:
-            load_dataset(cold(path))
-        assert str(stale.value) == str(parsed.value)
-        assert f"{path}:3: trial 't1': side" in str(stale.value)
-
-    @pytest.mark.parametrize("corrupt", [
-        lambda path: sidecar(path).write_bytes(sidecar(path).read_bytes()[:-100]),
-        lambda path: rewrite_sidecar(path, lambda m, h: m.pop("lengths")),
-        lambda path: rewrite_sidecar(path, set_member(
-            "lengths", lambda a: a.astype(object))),
-        lambda path: rewrite_sidecar(path, set_member("frames", nan_coordinate)),
-        lambda path: rewrite_sidecar(path, set_member("frame_labels", label_two)),
-        lambda path: rewrite_sidecar(path, set_member(
-            "frame_labels", compensatory_padding)),
-        lambda path: rewrite_sidecar(path, lambda m, h: h.update(
-            trial_ids=[h["trial_ids"][0]] * len(h["trial_ids"]))),
-        lambda path: rewrite_sidecar(path, set_member("frames", lambda a: a[:-1])),
-    ], ids=["truncated", "missing-member", "object-member", "nan-coordinate",
-            "label-two", "compensatory-padding", "duplicate-ids",
-            "lengths-not-frame-rows"])
-    def test_corrupt_sidecar_falls_back_to_the_file(self, saved, corrupt):
-        manifest, path = saved
-        corrupt(path)
-        assert_same_manifest(load_dataset(path), manifest)
-
-    def test_unparsable_array_header_falls_back_to_the_file(
-            self, small_synth_manifest, tmp_path):
-        # The frames member outgrows zipfile's first read, so numpy parses
-        # its header before zipfile checks the member's CRC.
-        path = tmp_path / "data.jsonl"
-        save_dataset(small_synth_manifest, path)
-        blob = sidecar(path).read_bytes()
-        at = blob.index(b"'shape': (", blob.index(b"'descr': '<f8'")) + 9
-        sidecar(path).write_bytes(blob[:at] + b")" + blob[at + 1:])
-        assert_same_manifest(load_dataset(path), small_synth_manifest)
-
-    def test_python_2_array_header_falls_back_without_a_warning(
-            self, small_synth_manifest, tmp_path):
-        # numpy reads "(295, 8, 2)" changed to "(29L, 8, 2)" as a header
-        # written on Python 2, and warns while it parses it again.
-        path = tmp_path / "data.jsonl"
-        save_dataset(small_synth_manifest, path)
-        blob = sidecar(path).read_bytes()
-        shape = blob.index(b"'shape': (", blob.index(b"'descr': '<f8'"))
-        at = blob.index(b",", shape) - 1
-        sidecar(path).write_bytes(blob[:at] + b"L" + blob[at + 1:])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            loaded = load_dataset(path)
-        assert [str(w.message) for w in caught] == []
-        assert_same_manifest(loaded, small_synth_manifest)
-
-    @given(at=st.floats(0.0, 1.0, exclude_max=True),
-           bits=st.integers(1, 255))
-    @settings(max_examples=60, deadline=None)
-    def test_any_changed_byte_falls_back_to_the_file(
-            self, small_synth_manifest, at, bits):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp, "data.jsonl")
-            save_dataset(small_synth_manifest, path)
-            blob = bytearray(sidecar(path).read_bytes())
-            blob[int(at * len(blob))] ^= bits
-            sidecar(path).write_bytes(blob)
-            assert_same_manifest(load_dataset(path), small_synth_manifest)
-
-    def test_read_commands_write_nothing_next_to_the_data(self, tmp_path):
-        data_dir, out = tmp_path / "data", tmp_path / "out"
-        data_dir.mkdir()
-        out.mkdir()
-        path = data_dir / "data.jsonl"
-        assert main(["synth", "--out", str(path), "--seed", "5",
-                     "--patient-count", "2", "--trials-per-patient-per-side",
-                     "2", "--length-range", "8", "12", "--t-max", "12"]) == 0
-        assert sorted(p.name for p in data_dir.iterdir()) == \
-            ["data.jsonl", "data.jsonl.npz"]
-        (out / "grid.json").write_text(
-            '{"hidden_layers": [[4]], "learning_rates": [0.001]}')
-        before = {p.name: p.read_bytes() for p in data_dir.iterdir()}
-        model, scores = str(out / "model.json"), str(out / "scores.csv")
-        for argv in (
-            ["train", "--data", str(path), "--out", model, "--split", "0.5",
-             "--grid", str(out / "grid.json"), "--epochs", "1"],
-            ["explain", "--model", model, "--data", str(path), "--out", scores],
-            ["sweep", "--scores", scores, "--data", str(path),
-             "--out", str(out / "reports")],
-        ):
-            assert main(argv) == 0
-            assert {p.name: p.read_bytes() for p in data_dir.iterdir()} == before
