@@ -126,12 +126,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_outputs(*files, directory=None, inputs=()) -> None:
+def _check_outputs(*files, directory=None, names=(), inputs=()) -> None:
     """Reject an output file path that is a directory, whose directory does
     not exist, or that names the same file as an input or another output;
-    and an output directory at or below an existing file. Nothing is
-    created, so a rejected run leaves no file behind."""
+    and an output directory at or below an existing file, or one in which
+    a file of `names` is an input. Nothing is created, so a rejected run
+    leaves no file behind."""
     seen = {os.path.realpath(p): f"input {p}" for p in inputs if p is not None}
+
+    def claim(path) -> None:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise DataValidationError(
+                f"output {path} is the same file as {seen[real]}")
+        seen[real] = f"output {path}"
+
     for path in files:
         parent = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path):
@@ -139,11 +148,7 @@ def _check_outputs(*files, directory=None, inputs=()) -> None:
         if not os.path.isdir(parent):
             raise DataValidationError(
                 f"output {path}: {parent} is not an existing directory")
-        real = os.path.realpath(path)
-        if real in seen:
-            raise DataValidationError(
-                f"output {path} is the same file as {seen[real]}")
-        seen[real] = f"output {path}"
+        claim(path)
     if directory is not None:
         # sweep makes the directory and any missing parents
         head = os.path.abspath(directory)
@@ -152,6 +157,8 @@ def _check_outputs(*files, directory=None, inputs=()) -> None:
         if not os.path.isdir(head):
             raise DataValidationError(
                 f"output {directory}: {head} is not a directory")
+        for name in names:
+            claim(os.path.join(directory, name))
 
 
 def _cmd_synth(args) -> int:
@@ -313,7 +320,6 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_outputs(directory=args.out)
     try:
         modes = list(dict.fromkeys(evaluation.FilterMode.parse(m.strip())
                                    for m in args.modes.split(",") if m.strip()))
@@ -321,6 +327,12 @@ def _cmd_sweep(args) -> int:
                                      if w.strip()))
     except (ContractError, ValueError) as exc:
         raise DataValidationError(str(exc)) from exc
+    _check_outputs(directory=args.out, inputs=[args.scores, args.data], names=[
+        "summary.csv",
+        *(f"{kind}-{m.value}.csv" for m in modes
+          for kind in ("hist", "pooled-scores")),
+        *(f"report-{m.value}-w{w}.csv" for m in modes for w in windows),
+    ])
     if not modes or not windows:
         raise DataValidationError("need at least one mode and one window size")
     if any(w < 1 for w in windows):
@@ -401,6 +413,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

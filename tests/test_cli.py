@@ -99,6 +99,18 @@ class TestSynthCommand:
         assert run("synth", "--out", tmp_path / "x.jsonl",
                    "--config", config) == 2
 
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def generate_dataset(config):
+            raise MemoryError("Unable to allocate 1.42 PiB")
+
+        monkeypatch.setattr("framescore.synth.generate_dataset",
+                            generate_dataset)
+        out = tmp_path / "x.jsonl"
+        assert run("synth", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 1.42 PiB\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("fields", [
         {"seed": "a"},
         {"patient_count": 1.5},
@@ -705,7 +717,8 @@ class TestInvalidUtf8:
 
 # Command lines that name one output path that cannot be written, relative
 # to a directory holding the files `taken`, `in.json` and `in.jsonl`, the
-# link `link.jsonl` to `in.jsonl` and the directory `heatmap-t0.csv`: (argv,
+# link `link.jsonl` to `in.jsonl`, the directory `heatmap-t0.csv` and the
+# directory `rr` with the files `summary.csv` and `hist-all.csv`: (argv,
 # the path the error must name). A command that checks its outputs first
 # never reads its inputs, so they need not be valid.
 _EXPLAIN = ["explain", "--model", "in.json", "--data", "in.jsonl"]
@@ -749,6 +762,12 @@ _BAD_OUTPUTS = {
     "synth-out-is-config": (
         ["synth", "--out", "in.json", "--config", "in.json"],
         "output in.json is the same file as input in.json"),
+    "sweep-summary-is-scores": (
+        ["sweep", "--scores", "rr/summary.csv", "--data", "in.jsonl", "--out",
+         "rr"], "output rr/summary.csv is the same file as input rr/summary.csv"),
+    "sweep-histogram-is-data": (
+        ["sweep", "--scores", "in.csv", "--data", "rr/hist-all.csv", "--out",
+         "rr"], "output rr/hist-all.csv is the same file as input rr/hist-all.csv"),
 }
 
 
@@ -763,6 +782,9 @@ class TestOutputPaths:
         (tmp_path / "in.jsonl").write_text("{}\n")
         (tmp_path / "link.jsonl").symlink_to("in.jsonl")
         (tmp_path / "heatmap-t0.csv").mkdir()
+        (tmp_path / "rr").mkdir()
+        (tmp_path / "rr" / "summary.csv").write_text("")
+        (tmp_path / "rr" / "hist-all.csv").write_text("")
 
         def work(*args, **kwargs):
             raise AssertionError("the command did work before it checked "

@@ -1,9 +1,5 @@
 import json
-import os
-import re
-import signal
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -515,14 +511,19 @@ def bad_side(record):
     record["side"] = "left"
 
 
-class TestTwoProcessCodec:
-    """save_dataset encodes the second half of the records in one forked
-    child when two CPUs are usable; load_dataset reads every record in
-    this process."""
+class TestParsedLoad:
+    """save_dataset writes the file, and load_dataset parses it, in this
+    process at any CPU count."""
+
+    @pytest.fixture
+    def saved(self, small_synth_manifest, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_dataset(small_synth_manifest, path)
+        return small_synth_manifest, path
 
     @pytest.fixture
     def long_saved(self, tmp_path):
-        """12 trials of 300 frames: each half's rows overflow a pipe buffer."""
+        """12 trials of 300 frames."""
         rng = np.random.default_rng(3)
         manifest = make_manifest(*(make_trial(f"t{i}", length=300, rng=rng)
                                    for i in range(12)))
@@ -530,85 +531,24 @@ class TestTwoProcessCodec:
         save_dataset(manifest, path)
         return manifest, path
 
-    def test_save_writes_the_same_bytes_either_way(self, long_saved, tmp_path,
-                                                   monkeypatch):
+    def test_save_forks_nothing_at_two_cpus(self, long_saved, tmp_path,
+                                            monkeypatch):
         manifest, path = long_saved
-        forks = with_cpus(monkeypatch, 1)
+        with_cpus(monkeypatch, 1)
         save_dataset(manifest, tmp_path / "one.jsonl")
-        assert not forks
         forks = with_cpus(monkeypatch, 2)
         save_dataset(manifest, tmp_path / "two.jsonl")
-        assert len(forks) == 1
+        assert not forks
         assert (tmp_path / "two.jsonl").read_bytes() == \
             (tmp_path / "one.jsonl").read_bytes() == path.read_bytes()
-        assert_no_child_left()
 
     @pytest.mark.parametrize("lines", [(3,), (3, 13)],
                              ids=["first-half", "both-halves"])
-    def test_the_first_fault_in_file_order_is_raised(self, long_saved,
-                                                     monkeypatch, lines):
+    def test_the_first_fault_in_file_order_is_raised(self, long_saved, lines):
         _, path = long_saved
-        forks = with_cpus(monkeypatch, 2)
         edit_lines(path, dict.fromkeys(lines, bad_side))
         with pytest.raises(DataValidationError, match=r":3: trial 't1': side"):
             load_dataset(path)
-        assert not forks
-
-    def test_a_child_that_dies_fails_the_save(self, long_saved, tmp_path,
-                                              monkeypatch):
-        manifest, _ = long_saved
-        with_cpus(monkeypatch, 2)
-        real = json.dumps
-
-        def dumps(obj, *args, **kwargs):
-            if obj.get("trial_id") == manifest.trial_ids[-1]:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(obj, *args, **kwargs)
-
-        monkeypatch.setattr(json, "dumps", dumps)
-        out = tmp_path / "out.jsonl"
-        with pytest.raises(ChildProcessError,
-                           match=f"^{re.escape(str(out))}: worker process "
-                                 f"ended with signal 9$"):
-            save_dataset(manifest, out)
-        assert_no_child_left()
-
-    def test_a_fault_in_the_parents_half_kills_the_child(self, long_saved,
-                                                        tmp_path, monkeypatch):
-        # The child takes a minute over its last record, so the parent's
-        # error arrives in time only if the parent kills the child rather
-        # than waiting for it to finish.
-        manifest, _ = long_saved
-        forks = with_cpus(monkeypatch, 2)
-        real = json.dumps
-
-        def dumps(obj, *args, **kwargs):
-            if obj.get("trial_id") == manifest.trial_ids[0]:
-                raise RuntimeError("no record for t0")
-            if obj.get("trial_id") == manifest.trial_ids[-1]:
-                time.sleep(60)
-            return real(obj, *args, **kwargs)
-
-        monkeypatch.setattr(json, "dumps", dumps)
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="no record for t0"):
-            save_dataset(manifest, tmp_path / "out.jsonl")
-        assert time.monotonic() - start < 10
-        assert len(forks) == 1
-        assert_no_child_left()
-
-    def test_a_failed_fork_saves_in_process(self, long_saved, tmp_path,
-                                            monkeypatch):
-        manifest, path = long_saved
-        with_cpus(monkeypatch, 2)
-
-        def fork():
-            raise OSError("no fork")
-
-        monkeypatch.setattr(os, "fork", fork)
-        out = tmp_path / "out.jsonl"
-        save_dataset(manifest, out)
-        assert out.read_bytes() == path.read_bytes()
 
     # Each fault gives trial 't' of a one-trial file a string or a boolean
     # where a number belongs, and json would hand these to numpy, which
@@ -633,16 +573,6 @@ class TestTwoProcessCodec:
         assert main(["sweep", "--scores", str(tmp_path / "none.csv"),
                      "--data", str(path), "--out", str(tmp_path / "r")]) == 2
         assert f"{path}:2: trial 't': " in capsys.readouterr().err
-
-
-class TestParsedLoad:
-    """load_dataset parses the file in this process."""
-
-    @pytest.fixture
-    def saved(self, small_synth_manifest, tmp_path):
-        path = tmp_path / "data.jsonl"
-        save_dataset(small_synth_manifest, path)
-        return small_synth_manifest, path
 
     def test_last_record_without_a_newline_is_read(self, saved):
         manifest, path = saved
