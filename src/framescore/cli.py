@@ -340,8 +340,9 @@ def _cmd_sweep(args) -> int:
     if not 0.0 < args.beta < math.inf:
         raise DataValidationError(
             f"--beta must be positive and finite, got {args.beta}")
-    if not 0.0 < args.step <= 1.0:
-        raise DataValidationError("--step must be in (0, 1]")
+    if not evaluation.MIN_STEP <= args.step <= 1.0:
+        raise DataValidationError(f"--step must be in "
+                                  f"[{evaluation.MIN_STEP:g}, 1], got {args.step}")
 
     manifest = data.load_dataset(args.data)
     raw = saliency.read_raw_scores(args.scores, manifest)

@@ -17,10 +17,6 @@ label as JSON numbers. `json_object` parses each line, and every other JSON
 input of the package too (the checkpoint, the grid file and the synth
 config), with errors that name the file or line. `write_csv` writes every
 report table.
-The dataset file is written and read in one process. `_write_halves`
-writes both `saliency` score files: with two usable CPUs, a forked child
-encodes the second half of the rows, copied in after the first. The bytes
-are the same either way, and only the CPU count decides.
 """
 
 from __future__ import annotations
@@ -28,9 +24,6 @@ from __future__ import annotations
 import binascii
 import csv
 import json
-import os
-import shutil
-import signal
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -197,62 +190,6 @@ def split_dataset(
             f"train / {n - n_train} test trials; each side needs at least one"
         )
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # macOS; Windows, which has no os.fork either
-        return 1
-
-
-def _write_halves(fh, count: int, encode) -> None:
-    """Write `encode(0, count)`, an iterable of bytes, to `fh`, a score file
-    open in binary mode. With count > 1 and two usable CPUs, a forked child
-    encodes `encode(mid, count)` while this process writes `encode(0, mid)`,
-    and its bytes follow, so the two halves must join to the same bytes. A
-    child that dies or exits non-zero raises ChildProcessError."""
-    pid = None
-    if count > 1 and _usable_cpus() > 1:
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-    mid = count if pid is None else count // 2
-    if pid == 0:
-        # The child encodes its whole half before writing, or it would
-        # stall on the full pipe until the parent's half was written.
-        # It leaves only through os._exit, so no exit handler or test
-        # runner of the parent runs twice.
-        code = 1
-        try:
-            os.close(r)
-            chunks = list(encode(mid, count))
-            with os.fdopen(w, "wb") as out:
-                out.writelines(chunks)
-            code = 0
-        finally:
-            os._exit(code)
-    if pid is not None:
-        os.close(w)
-        child = os.fdopen(r, "rb")
-    try:
-        fh.writelines(encode(0, mid))
-        if pid is not None:
-            shutil.copyfileobj(child, fh)
-    except BaseException:
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        if pid is not None:
-            child.close()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if pid is not None and code:
-        how = f"signal {-code}" if code < 0 else f"status {code}"
-        raise ChildProcessError(f"{fh.name}: worker process ended with {how}")
 
 
 def save_dataset(manifest: DatasetManifest, path) -> None:

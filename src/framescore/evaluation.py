@@ -23,6 +23,9 @@ from .saliency import FramePool, normalize_pool, windows_over_pool
 
 DEFAULT_BETA = 2.0
 DEFAULT_STEP = 0.01
+# Thresholds are rounded to 12 decimals, so a step below 5e-13 repeats
+# them, and a grid holds about 1 / step of them.
+MIN_STEP = 1e-6
 DEFAULT_WINDOWS = (1, 5, 10, 15, 20)
 HISTOGRAM_BINS = 50
 
@@ -117,8 +120,8 @@ def fbeta(counts: ConfusionCounts, beta: float):
 
 def threshold_grid(step: float) -> list[float]:
     """{0, step, 2 step, ...} capped and completed with 1."""
-    if not 0.0 < step <= 1.0:
-        raise ContractError("step must be in (0, 1]")
+    if not MIN_STEP <= step <= 1.0:
+        raise ContractError(f"step must be in [{MIN_STEP:g}, 1], got {step}")
     taus = []
     i = 0
     while True:

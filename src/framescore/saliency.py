@@ -16,12 +16,11 @@ import os
 import warnings
 from array import array
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .data import LABEL_NORMAL, DatasetManifest, _write_halves, write_csv
+from .data import LABEL_NORMAL, DatasetManifest, write_csv
 from .errors import ContractError, DataValidationError
 from .network import TrainedModel, input_gradient
 
@@ -158,10 +157,7 @@ _SCORE_COLUMNS = (
 )
 
 
-# One score row as csv.writer writes it, once the trial id is quoted; "{}"
-# formats a float exactly as repr does.
-_SCORE_ROW = "{},{},{},{},{},{}\r\n".format
-# Score rows are formatted and written this many at a time: whole columns
+# Score rows are encoded and written this many at a time: whole columns
 # as Python lists would add megabytes to the peak RSS of explain and sweep.
 _ROWS_PER_WRITE = 4096
 
@@ -176,24 +172,32 @@ def _csv_field(text: str) -> str:
 
 
 def _write_pool(path, pool: FramePool) -> None:
-    """The score header, then the rows of `pool` in two halves through
-    `data._write_halves`; normalized_score is empty where the pool has none."""
-    quoted = list(map(_csv_field, pool.trial_ids))
-
-    def encode(lo: int, hi: int):
-        for start in range(lo, hi, _ROWS_PER_WRITE):
-            part = slice(start, min(start + _ROWS_PER_WRITE, hi))
-            normalized = repeat("") if pool.normalized is None \
-                else pool.normalized[part].tolist()
-            yield "".join(map(
-                _SCORE_ROW, map(quoted.__getitem__, pool.trial[part].tolist()),
-                pool.frame_index[part].tolist(), pool.raw[part].tolist(),
-                normalized, pool.label[part].tolist(),
-                pool.padded[part].astype(np.int64).tolist())).encode("utf-8")
-
+    """The score header, then the rows of `pool` as csv.writer would write
+    them; normalized_score is empty where the pool has none. Each chunk of
+    rows is one list of cells, w to a row: the quoted trial id and the frame
+    index, each with its comma, from tables; repr of the raw score; for a
+    pooled file "," and repr of the normalized score; and the row's end, one
+    of four, picked by 2 * label + padded."""
+    pooled = pool.normalized is not None
+    ids = [_csv_field(tid) + "," for tid in pool.trial_ids]
+    frames = [f"{t}," for t in range(int(pool.frame_index.max(initial=-1)) + 1)]
+    ends = [f"{',' * (not pooled)},{label},{padded}\r\n"
+            for label in (0, 1) for padded in (0, 1)]
+    w = 4 + 2 * pooled
     with open(path, "wb") as fh:
         fh.write((",".join(_SCORE_COLUMNS) + "\r\n").encode("utf-8"))
-        _write_halves(fh, len(pool), encode)
+        for start in range(0, len(pool), _ROWS_PER_WRITE):
+            part = slice(start, start + _ROWS_PER_WRITE)
+            raw = pool.raw[part].tolist()
+            cells = [","] * (w * len(raw))
+            cells[0::w] = map(ids.__getitem__, pool.trial[part].tolist())
+            cells[1::w] = map(frames.__getitem__, pool.frame_index[part].tolist())
+            cells[2::w] = map(repr, raw)
+            if pooled:
+                cells[4::w] = map(repr, pool.normalized[part].tolist())
+            cells[w - 1::w] = map(ends.__getitem__, (
+                2 * pool.label[part] + pool.padded[part]).tolist())
+            fh.write("".join(cells).encode("utf-8"))
 
 
 def write_raw_scores(path, manifest: DatasetManifest,

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -60,28 +59,6 @@ def edit_dataset(manifest, path, edit, line=2):
     `edit(record)`, which changes it in place."""
     save_dataset(manifest, path)
     return edit_lines(path, {line: edit})
-
-
-def with_cpus(monkeypatch, count):
-    """Make the two-process file writers see `count` usable CPUs; returns
-    the list of child pids they fork."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)))
-    forks, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

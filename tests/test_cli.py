@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -592,6 +593,18 @@ class TestSweepCommand:
         rows = (out / "report-all-w1.csv").read_text().splitlines()
         taus = [r.split(",")[3] for r in rows[1:] if r.startswith("all,")]
         assert taus == ["0.0", "0.5", "1.0"]
+
+    @pytest.mark.parametrize("step", ["1e-13", "9.99e-7"])
+    def test_step_below_the_floor_rejected_before_any_read(self, tmp_path,
+                                                           capsys, step):
+        # Neither input exists: the step is refused before either is read.
+        out = tmp_path / "reports-tiny-step"
+        start = time.monotonic()
+        assert run("sweep", "--scores", tmp_path / "none.csv", "--data",
+                   tmp_path / "none.jsonl", "--out", out, "--step", step) == 2
+        assert time.monotonic() - start < 1
+        assert "--step must be in [1e-06, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_modes_and_windows_run_once(self, prepared, tmp_path,
                                                   capsys):

@@ -19,8 +19,8 @@ from framescore.data import (
     split_dataset,
 )
 from framescore.errors import DataValidationError
-from tests.conftest import (assert_no_child_left, edit_dataset, edit_frames,
-                            edit_lines, make_manifest, make_trial, with_cpus)
+from tests.conftest import (edit_dataset, edit_frames, edit_lines,
+                            make_manifest, make_trial)
 
 
 def moved_column(layout, joint, coord):
@@ -512,8 +512,7 @@ def bad_side(record):
 
 
 class TestParsedLoad:
-    """save_dataset writes the file, and load_dataset parses it, in this
-    process at any CPU count."""
+    """save_dataset writes the file, and load_dataset parses it."""
 
     @pytest.fixture
     def saved(self, small_synth_manifest, tmp_path):
@@ -530,17 +529,6 @@ class TestParsedLoad:
         path = tmp_path / "long.jsonl"
         save_dataset(manifest, path)
         return manifest, path
-
-    def test_save_forks_nothing_at_two_cpus(self, long_saved, tmp_path,
-                                            monkeypatch):
-        manifest, path = long_saved
-        with_cpus(monkeypatch, 1)
-        save_dataset(manifest, tmp_path / "one.jsonl")
-        forks = with_cpus(monkeypatch, 2)
-        save_dataset(manifest, tmp_path / "two.jsonl")
-        assert not forks
-        assert (tmp_path / "two.jsonl").read_bytes() == \
-            (tmp_path / "one.jsonl").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("lines", [(3,), (3, 13)],
                              ids=["first-half", "both-halves"])
@@ -585,7 +573,6 @@ class TestParsedLoad:
         with pytest.raises(DataValidationError,
                            match=rf":13: trial '{manifest.trial_ids[-1]}': side"):
             load_dataset(path)
-        assert_no_child_left()
 
     def test_any_exception_from_a_record_reaches_the_caller(self, saved,
                                                             monkeypatch):
@@ -600,4 +587,3 @@ class TestParsedLoad:
         monkeypatch.setattr(data, "_trial_row", trial_row)
         with pytest.raises(RuntimeError, match=f"no row for {last}"):
             load_dataset(path)
-        assert_no_child_left()

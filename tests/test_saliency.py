@@ -1,9 +1,5 @@
 import csv
-import os
-import re
-import signal
 import tempfile
-import time
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -31,8 +27,7 @@ from framescore.saliency import (
     write_pooled_scores,
     write_raw_scores,
 )
-from tests.conftest import (assert_no_child_left, make_manifest, make_trial,
-                            with_cpus)
+from tests.conftest import make_manifest, make_trial
 
 
 def pool_of(raws, labels=None, trial_ids=None, normalized=None):
@@ -410,23 +405,21 @@ def csv_writer_bytes(path, rows):
     return path.read_bytes()
 
 
-def assert_writes_either_way(write, reference, rows):
-    """`write(path)` writes the `reference` bytes of `rows` data rows with
-    one usable CPU, in this process, and with two, in two halves whenever
-    there are two rows or more."""
-    with tempfile.TemporaryDirectory() as tmp:
-        for cpus in (1, 2):
-            with pytest.MonkeyPatch.context() as mp:
-                forks = with_cpus(mp, cpus)
-                write(Path(tmp, f"{cpus}.csv"))
-            assert Path(tmp, f"{cpus}.csv").read_bytes() == reference
-            assert len(forks) == (cpus == 2 and rows > 1)
-
-
 class TestScoreWritersMatchCsvWriter:
-    @given(ids=_AWKWARD_IDS, data=st.data())
+    """Both score writers write the bytes of csv.writer, with rows encoded
+    `chunk` at a time, so that rows fall on either side of a chunk edge."""
+
+    @staticmethod
+    def assert_writes(write, rows, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            reference = csv_writer_bytes(Path(tmp, "ref.csv"), rows)
+            with mock.patch.object(saliency, "_ROWS_PER_WRITE", chunk):
+                write(Path(tmp, "out.csv"))
+            assert Path(tmp, "out.csv").read_bytes() == reference
+
+    @given(ids=_AWKWARD_IDS, data=st.data(), chunk=st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
-    def test_raw_scores(self, ids, data):
+    def test_raw_scores(self, ids, data, chunk):
         t_max = data.draw(st.integers(1, 5))
         lengths = data.draw(st.lists(st.integers(1, t_max), min_size=len(ids),
                                      max_size=len(ids)))
@@ -439,11 +432,8 @@ class TestScoreWritersMatchCsvWriter:
                  int(manifest.frame_labels[i, t]), int(manifest.padded[i, t]))
                 for i, (tid, track) in enumerate(zip(ids, tracks))
                 for t in range(t_max)]
-        with tempfile.TemporaryDirectory() as tmp:
-            reference = csv_writer_bytes(Path(tmp, "ref.csv"), rows)
-        assert_writes_either_way(
-            lambda path: write_raw_scores(path, manifest, tracks), reference,
-            len(rows))
+        self.assert_writes(lambda path: write_raw_scores(path, manifest, tracks),
+                           rows, chunk)
 
     @given(ids=_AWKWARD_IDS, data=st.data(), chunk=st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
@@ -465,134 +455,8 @@ class TestScoreWritersMatchCsvWriter:
         rows = [(ids[trial[k]], k, repr(float(pool.raw[k])),
                  repr(float(pool.normalized[k])), int(pool.label[k]),
                  int(pool.padded[k])) for k in range(n)]
-        with tempfile.TemporaryDirectory() as tmp:
-            reference = csv_writer_bytes(Path(tmp, "ref.csv"), rows)
-        with mock.patch.object(saliency, "_ROWS_PER_WRITE", chunk):
-            assert_writes_either_way(
-                lambda path: write_pooled_scores(path, pool), reference, n)
-
-
-class TestTwoProcessScoreWriters:
-    """With two usable CPUs, both score writers format the second half of
-    their rows in one forked child. Each half here is larger than a 64 KiB
-    pipe buffer and than one write of _ROWS_PER_WRITE rows."""
-
-    @pytest.fixture(params=["raw", "pooled"])
-    def big(self, request):
-        """(write, first, last): `write(path)` writes one score file of
-        36,000 rows; `first` and `last` are the (trial id, frame) of its
-        first and last rows."""
-        if request.param == "raw":
-            manifest = make_manifest(*(make_trial(f"t{i}", length=2000 + 90 * i)
-                                       for i in range(12)), t_max=3000)
-            tracks = [FrameScoreTrack(tid, np.linspace(0.0, i + 1.0, 3000))
-                      for i, tid in enumerate(manifest.trial_ids)]
-            return ((lambda path: write_raw_scores(path, manifest, tracks)),
-                    ("t0", 0), ("t11", 2999))
-        n = 36000
-        pool = normalize_pool(pool_of(np.linspace(0.0, 1.0, n),
-                                      trial_ids=[f"t{k // 3000}"
-                                                 for k in range(n)]))
-        return ((lambda path: write_pooled_scores(path, pool)),
-                ("t0", 0), ("t11", n - 1))
-
-    @pytest.fixture
-    def one_cpu_bytes(self, big, tmp_path):
-        write, _, _ = big
-        with pytest.MonkeyPatch.context() as mp:
-            forks = with_cpus(mp, 1)
-            write(tmp_path / "one.csv")
-        assert not forks
-        got = (tmp_path / "one.csv").read_bytes()
-        assert len(got) > 2 * 65536 and \
-            got.count(b"\r\n") > 2 * saliency._ROWS_PER_WRITE + 1
-        return got
-
-    @staticmethod
-    def row_hook(monkeypatch, hook):
-        """Call `hook(trial id, frame)` before formatting each score row."""
-        real = saliency._SCORE_ROW
-
-        def row(*fields):
-            hook(*fields[:2])
-            return real(*fields)
-
-        monkeypatch.setattr(saliency, "_SCORE_ROW", row)
-
-    def test_two_cpus_write_the_same_bytes(self, big, one_cpu_bytes,
-                                           tmp_path, monkeypatch):
-        write, _, _ = big
-        forks = with_cpus(monkeypatch, 2)
-        write(tmp_path / "two.csv")
-        assert len(forks) == 1
-        assert (tmp_path / "two.csv").read_bytes() == one_cpu_bytes
-        assert_no_child_left()
-
-    def test_a_child_that_dies_fails_the_write(self, big, tmp_path,
-                                               monkeypatch):
-        write, _, last = big
-        forks = with_cpus(monkeypatch, 2)
-        parent = os.getpid()
-
-        def hook(*row):
-            if row == last and os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-
-        self.row_hook(monkeypatch, hook)
-        path = tmp_path / "out.csv"
-        with pytest.raises(ChildProcessError,
-                           match=f"^{re.escape(str(path))}: worker process "
-                                 f"ended with signal 9$"):
-            write(path)
-        assert len(forks) == 1
-        assert_no_child_left()
-
-    def test_a_fault_in_the_parents_half_kills_the_child(self, big, tmp_path,
-                                                        monkeypatch):
-        # The child takes a minute over its last row, so the parent's error
-        # arrives in time only if the parent kills the child rather than
-        # waiting for it to finish.
-        write, first, last = big
-        forks = with_cpus(monkeypatch, 2)
-
-        def hook(*row):
-            if row == first:
-                raise RuntimeError("no first row")
-            if row == last:
-                time.sleep(60)
-
-        self.row_hook(monkeypatch, hook)
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="no first row"):
-            write(tmp_path / "out.csv")
-        assert time.monotonic() - start < 10
-        assert len(forks) == 1
-        assert_no_child_left()
-
-    def test_a_failed_fork_writes_in_process(self, big, one_cpu_bytes,
-                                             tmp_path, monkeypatch):
-        write, _, _ = big
-        with_cpus(monkeypatch, 2)
-
-        def fork():
-            raise OSError("no fork")
-
-        monkeypatch.setattr(os, "fork", fork)
-        write(tmp_path / "out.csv")
-        assert (tmp_path / "out.csv").read_bytes() == one_cpu_bytes
-
-    def test_a_one_row_file_does_not_fork(self, tmp_path, monkeypatch):
-        forks = with_cpus(monkeypatch, 2)
-        manifest = make_manifest(make_trial("t", length=1))
-        write_raw_scores(tmp_path / "raw.csv", manifest,
-                         [FrameScoreTrack("t", np.ones(1))])
-        write_pooled_scores(tmp_path / "pooled.csv",
-                            normalize_pool(pool_of([0.5])))
-        assert not forks
-        assert (tmp_path / "raw.csv").read_bytes().endswith(
-            b"\r\nt,0,1.0,,1,0\r\n")
-        assert (tmp_path / "pooled.csv").read_bytes().endswith(
-            b"\r\nt0,0,0.5,0.0,1,0\r\n")
+        self.assert_writes(lambda path: write_pooled_scores(path, pool),
+                           rows, chunk)
 
 
 # Trial ids with every character on which numpy's tokenizer and the csv
