@@ -188,10 +188,14 @@ def _parse_grid(path):
     """Hidden-layer options and learning rates of a JSON grid file."""
     with open(path, "rb") as fh:
         obj = data.json_object(fh.read(), path)
-    if not {"hidden_layers", "learning_rates"} <= set(obj):
+    known = {"hidden_layers", "learning_rates"}
+    if not known <= set(obj):
         raise DataValidationError(
             f"{path}: grid file needs 'hidden_layers' and 'learning_rates'"
         )
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise DataValidationError(f"{path}: unknown grid fields: {unknown}")
 
     # type() rather than isinstance(): JSON true and false are not numbers.
     def widths(h) -> bool:
@@ -245,6 +249,10 @@ def _cmd_train(args) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
     )
+    if args.folds < 2:
+        raise DataValidationError(f"--folds must be at least 2, got {args.folds}")
+    if not 0.0 < args.split < 1.0:
+        raise DataValidationError(f"--split must be in (0, 1), got {args.split}")
     manifest = data.load_dataset(args.data)
     train_rows, test_rows = data.split_dataset(manifest, args.split, args.seed)
     print(f"{len(train_rows)} train / {len(test_rows)} test trials "

@@ -172,6 +172,19 @@ def featurize(manifest: DatasetManifest) -> np.ndarray:
     return _readonly(features)
 
 
+def random_stream(seed: int, *key: int) -> np.random.Generator:
+    """The independent stream of `seed` that `key` names. Every seeded draw
+    of the package comes from one:
+
+        ()                      the train/test split, default_rng(seed)'s stream
+        (0,)                    the initial weights
+        (1,)                    the batch order
+        (2,)                    the grid folds
+        (patient, side, trial)  one synthetic trial; side indexes SIDES
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def split_dataset(
     manifest: DatasetManifest, train_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -181,8 +194,7 @@ def split_dataset(
             f"train_fraction must be in (0, 1), got {train_fraction}"
         )
     n = len(manifest)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = random_stream(seed).permutation(n)
     n_train = int(round(train_fraction * n))
     if not 0 < n_train < n:
         raise DataValidationError(

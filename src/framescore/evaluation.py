@@ -24,8 +24,10 @@ from .saliency import FramePool, normalize_pool, windows_over_pool
 DEFAULT_BETA = 2.0
 DEFAULT_STEP = 0.01
 # Thresholds are rounded to 12 decimals, so a step below 5e-13 repeats
-# them, and a grid holds about 1 / step of them.
-MIN_STEP = 1e-6
+# them. Each sweep report holds 8 columns of about 1 / step entries, all
+# kept until sweep writes them: 10,001 thresholds take about 9.6 MB over
+# the default 15 reports, and 1e-6 would take about 1 GB.
+MIN_STEP = 1e-4
 DEFAULT_WINDOWS = (1, 5, 10, 15, 20)
 HISTOGRAM_BINS = 50
 

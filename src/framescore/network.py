@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import json_numbers, json_object
+from .data import json_numbers, json_object, random_stream
 from .errors import ContractError, DataValidationError, NumericFailure
 
 PROB_EPS = 1e-12
@@ -77,10 +77,9 @@ class TrainConfig:
             raise DataValidationError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise DataValidationError("momentum must be in [0, 1)")
-        if self.epochs < 1:
-            raise DataValidationError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise DataValidationError("batch_size must be at least 1")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise DataValidationError(f"{name} must be at least {least}")
 
 
 @dataclass(frozen=True)
@@ -247,13 +246,6 @@ def input_gradient(model: TrainedModel, x: np.ndarray, y: int) -> np.ndarray:
     return (d0 @ model.weights[0].T)[0]
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    """One of a seed's three independent random streams: 0 draws the
-    initial weights, 1 the batch order of every epoch, 2 the grid search's
-    folds."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
-
-
 def _standardize(X: np.ndarray):
     """The input scaler fitted to X, Z = the standardized live columns of X,
     and the Gram matrix K = Z @ Z.T: all that training takes from X besides
@@ -298,7 +290,7 @@ def train(
     batch_size = min(config.batch_size, n)
 
     scaler, Z, K = _standardize(X) if standardized is None else standardized
-    model = init_model(architecture, _rng(config.seed, 0), scaler)
+    model = init_model(architecture, random_stream(config.seed, 0), scaler)
     live = scaler.live_mask
     # Every first-layer gradient is Z[idx].T @ d0, so W0 - W0_init == Z.T @ S
     # for an n x h coefficient matrix S, updated with the same momentum rule
@@ -310,7 +302,7 @@ def train(
     weights, biases = model.weights, model.biases
     params = weights[1:] + biases
     velocities = [np.zeros_like(p) for p in params]
-    shuffle = _rng(config.seed, 1)
+    shuffle = random_stream(config.seed, 1)
 
     trace = []
     for epoch in range(config.epochs):
@@ -426,7 +418,7 @@ def grid_search(
     if n < folds:
         raise ContractError(f"{n} samples cannot form {folds} folds")
 
-    fold_indices = np.array_split(_rng(config.seed, 2).permutation(n), folds)
+    fold_indices = np.array_split(random_stream(config.seed, 2).permutation(n), folds)
 
     notes: list[str] = []
     for fi, val_idx in enumerate(fold_indices):

@@ -19,9 +19,11 @@ from .data import (
     DEFAULT_T_MAX,
     LABEL_COMPENSATORY,
     LABEL_NORMAL,
+    SIDES,
     DatasetManifest,
     JointLayout,
     json_object,
+    random_stream,
 )
 from .errors import DataValidationError
 
@@ -82,9 +84,10 @@ class SynthConfig:
             object.__setattr__(
                 self, f.name, _checked(f.name, getattr(self, f.name), f.default)
             )
-        for name in ("patient_count", "trials_per_patient_per_side"):
-            if getattr(self, name) < 1:
-                raise DataValidationError(f"{name} must be at least 1")
+        for name, least in (("patient_count", 1),
+                            ("trials_per_patient_per_side", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise DataValidationError(f"{name} must be at least {least}")
         lo, hi = self.length_range
         if not (1 <= lo <= hi <= self.t_max):
             raise DataValidationError(
@@ -162,7 +165,7 @@ def generate_trial(
     The draw order is fixed (length, compensation coin, coverage, segment
     start, noise) so a trial is reproducible from its substream alone.
     """
-    if side not in ("affected", "unaffected"):
+    if side not in SIDES:
         raise DataValidationError(f"unknown side {side!r}")
     lo, hi = config.length_range
     length = int(rng.integers(lo, hi + 1))
@@ -205,26 +208,15 @@ def generate_trial(
     return f"{patient_id}-{side}-{trial_index:02d}", patient_id, side, pos, labels
 
 
-def trial_rng(seed: int, patient_index: int, side: str, trial_index: int
-              ) -> np.random.Generator:
-    """Independent substream for one trial, keyed by its identity."""
-    side_key = 0 if side == "affected" else 1
-    ss = np.random.SeedSequence(
-        seed, spawn_key=(patient_index, side_key, trial_index)
-    )
-    return np.random.default_rng(ss)
-
-
 def generate_dataset(config: SynthConfig) -> DatasetManifest:
     """patient_count x 2 sides x trials_per_patient_per_side labelled trials."""
     rows = []
     for p in range(config.patient_count):
         patient_id = f"P{p:02d}"
-        for side in ("affected", "unaffected"):
+        for s, side in enumerate(SIDES):
             for k in range(config.trials_per_patient_per_side):
-                rng = trial_rng(config.seed, p, side, k)
-                rows.append(
-                    generate_trial(config, patient_id, side, rng, trial_index=k)
-                )
+                rows.append(generate_trial(
+                    config, patient_id, side,
+                    random_stream(config.seed, p, s, k), trial_index=k))
     return DatasetManifest.from_rows(rows, config.t_max, JointLayout(),
                                      config.seed)

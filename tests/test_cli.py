@@ -116,6 +116,7 @@ class TestSynthCommand:
         {"seed": "a"},
         {"patient_count": 1.5},
         {"length_range": [10.5, 20]},
+        {"seed": -1},
     ])
     def test_malformed_config_field_exits_2(self, tmp_path, capsys, fields):
         config = tmp_path / "synth.json"
@@ -124,6 +125,12 @@ class TestSynthCommand:
         assert run("synth", "--out", out, "--config", config) == 2
         err = capsys.readouterr().err
         assert str(config) in err and next(iter(fields)) in err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        assert run("synth", "--out", out, "--seed", -1) == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0\n"
         assert not out.exists()
 
 
@@ -235,6 +242,8 @@ class TestTrainCommand:
         ({"hidden_layers": [32], "learning_rates": [0.001]}, "hidden_layers"),
         ({"hidden_layers": [[4]], "learning_rates": ["fast"]}, "learning_rates"),
         ({"hidden_layers": [[4.5]], "learning_rates": [0.001]}, "hidden_layers"),
+        ({"hidden_layers": [[4]], "learning_rates": [0.001], "epochs": 1000},
+         "epochs"),
     ])
     def test_malformed_grid_file_exits_2(self, tmp_path, capsys, monkeypatch,
                                          grid, field):
@@ -262,7 +271,10 @@ class TestTrainCommand:
         ("--epochs", 0, "epochs must be at least 1"),
         ("--batch-size", 0, "batch_size must be at least 1"),
         ("--momentum", 1.0, "momentum must be in [0, 1)"),
-    ], ids=["epochs", "batch-size", "momentum"])
+        ("--folds", 1, "--folds must be at least 2, got 1"),
+        ("--split", 1.5, "--split must be in (0, 1), got 1.5"),
+        ("--seed", -1, "seed must be at least 0"),
+    ], ids=["epochs", "batch-size", "momentum", "folds", "split", "seed"])
     def test_bad_hyperparameter_rejected_before_loading(
             self, tmp_path, capsys, monkeypatch, flag, value, message):
         data = make_dataset(tmp_path)
@@ -594,7 +606,7 @@ class TestSweepCommand:
         taus = [r.split(",")[3] for r in rows[1:] if r.startswith("all,")]
         assert taus == ["0.0", "0.5", "1.0"]
 
-    @pytest.mark.parametrize("step", ["1e-13", "9.99e-7"])
+    @pytest.mark.parametrize("step", ["1e-13", "9.99e-7", "1e-5", "9.99e-5"])
     def test_step_below_the_floor_rejected_before_any_read(self, tmp_path,
                                                            capsys, step):
         # Neither input exists: the step is refused before either is read.
@@ -603,7 +615,7 @@ class TestSweepCommand:
         assert run("sweep", "--scores", tmp_path / "none.csv", "--data",
                    tmp_path / "none.jsonl", "--out", out, "--step", step) == 2
         assert time.monotonic() - start < 1
-        assert "--step must be in [1e-06, 1]" in capsys.readouterr().err
+        assert "--step must be in [0.0001, 1]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_duplicate_modes_and_windows_run_once(self, prepared, tmp_path,

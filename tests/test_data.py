@@ -218,6 +218,21 @@ class TestFeatureSet:
             manifest.frame_labels[0, 0] = 0
 
 
+class TestRandomStream:
+    @given(seed=st.integers(0, 2**70),
+           key=st.lists(st.integers(0, 2**40), max_size=4).map(tuple))
+    @settings(max_examples=50, deadline=None)
+    def test_draws_as_its_seed_sequence(self, seed, key):
+        def draws(rng):
+            return rng.random(4).tolist(), rng.permutation(10).tolist()
+
+        got = draws(data.random_stream(seed, *key))
+        assert got == draws(np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=key)))
+        if key == ():
+            assert got == draws(np.random.default_rng(seed))
+
+
 class TestSplit:
     def test_80_20(self, tiny_manifest):
         manifest = make_manifest(

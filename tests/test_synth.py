@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from framescore.data import JointLayout, featurize, save_dataset
+from framescore.data import (
+    SIDES,
+    JointLayout,
+    featurize,
+    random_stream,
+    save_dataset,
+)
 from framescore.errors import DataValidationError
 from framescore.synth import (
     SynthConfig,
     generate_dataset,
     generate_trial,
     load_synth_config,
-    trial_rng,
 )
 from tests.conftest import make_manifest
 
@@ -68,6 +73,7 @@ class TestConfig:
             {"compensation_coverage_range": (-0.1, 0.5)},
             {"noise_std": -1.0},
             {"compensation_amplitude": -5.0},
+            {"seed": -1},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -125,7 +131,7 @@ class TestGenerateTrial:
             compensation_probability_unaffected=0.0,
         )
         *_, labels = generate_trial(config, "P00", "affected",
-                                    trial_rng(0, 0, "affected", 0))
+                                    random_stream(0, 0, 0, 0))
         assert labels.min() == 1
         assert np.all(labels == 1)
 
@@ -135,7 +141,7 @@ class TestGenerateTrial:
             compensation_coverage_range=(1.0, 1.0),
         )
         *_, labels = generate_trial(config, "P00", "affected",
-                                    trial_rng(0, 0, "affected", 0))
+                                    random_stream(0, 0, 0, 0))
         assert np.all(labels == 0)
         assert labels.min() == 0
 
@@ -143,7 +149,7 @@ class TestGenerateTrial:
         config = SynthConfig(length_range=(50, 60), t_max=100)
         for k in range(5):
             *_, frames, labels = generate_trial(
-                config, "P00", "affected", trial_rng(3, 0, "affected", k),
+                config, "P00", "affected", random_stream(3, 0, 0, k),
                 trial_index=k)
             assert 50 <= len(frames) == len(labels) <= 60
 
@@ -151,7 +157,7 @@ class TestGenerateTrial:
         config = SynthConfig(compensation_probability_affected=1.0)
         for k in range(8):
             *_, labels = generate_trial(config, "P00", "affected",
-                                        trial_rng(1, 0, "affected", k),
+                                        random_stream(1, 0, 0, k),
                                         trial_index=k)
             comp = np.flatnonzero(labels == 0)
             assert len(comp) >= 1
@@ -164,7 +170,8 @@ class TestGenerateTrial:
             compensation_probability_unaffected=0.0,
             noise_std=1.0,
         )
-        trial = generate_trial(config, "P00", side, trial_rng(2, 0, side, 0))
+        trial = generate_trial(config, "P00", side,
+                               random_stream(2, 0, SIDES.index(side), 0))
         feats = trial_features(trial)
         quiet = feats[:, quiet_channel_indices(side)]
         # displacement noise has std sqrt(2) * noise_std; a 5-sigma bound
@@ -177,7 +184,8 @@ class TestGenerateTrial:
             compensation_probability_unaffected=1.0,
             compensation_coverage_range=(0.6, 0.6),
         )
-        trial = generate_trial(config, "P00", side, trial_rng(4, 0, side, 0))
+        trial = generate_trial(config, "P00", side,
+                               random_stream(4, 0, SIDES.index(side), 0))
         feats = trial_features(trial)
         comp = np.flatnonzero(trial[4] == 0)
         center = comp[len(comp) // 2]
@@ -187,7 +195,7 @@ class TestGenerateTrial:
     def test_unknown_side_rejected(self):
         with pytest.raises(DataValidationError):
             generate_trial(SynthConfig(), "P00", "left",
-                           trial_rng(0, 0, "affected", 0))
+                           random_stream(0, 0, 0, 0))
 
 
 class TestGenerateDataset:
@@ -241,7 +249,7 @@ class TestGenerateDataset:
         manifest = generate_dataset(config)
         target = 4  # P00, unaffected, index 1
         trial_id, _, _, frames, labels = generate_trial(
-            config, "P00", "unaffected", trial_rng(9, 0, "unaffected", 1),
+            config, "P00", "unaffected", random_stream(9, 0, 1, 1),
             trial_index=1)
         assert trial_id == manifest.trial_ids[target]
         assert np.array_equal(frames, manifest.frames[target])
