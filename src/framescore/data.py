@@ -181,7 +181,11 @@ def random_stream(seed: int, *key: int) -> np.random.Generator:
         (1,)                    the batch order
         (2,)                    the grid folds
         (patient, side, trial)  one synthetic trial; side indexes SIDES
+
+    A negative seed raises DataValidationError.
     """
+    if seed < 0:
+        raise DataValidationError(f"seed must be at least 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 

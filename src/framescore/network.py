@@ -18,14 +18,23 @@ never moves W0 out of W0_init + span(Z.T): W0 - W0_init == Z.T @ S for an
 n x h coefficient matrix S (the representer argument of Schoelkopf, Herbrich
 & Smola 2001). Training updates S through the n x n Gram matrix Z @ Z.T,
 which costs O(batch * n * h) per step instead of O(batch * live * h), with
-n far below the live input count. The trained live rows are scattered back
-into the full-width first-layer matrix, whose dead rows stay exactly zero.
+n far below the live input count.
+
+A fit pays only for what it reads. It draws only the live first-layer rows
+and skips the dead ones in the random stream, so every value is the one a
+full draw gives. Every later weight and every bias is a view of one flat
+vector, so a momentum step over them is four ufunc calls. The train
+accuracy comes from the dual form, A0 + K @ S = Z @ W0 with A0 = Z @ W0_init,
+with no second forward over the live inputs. At the end the trained live
+rows are scattered once into the full-width first-layer matrix, whose dead
+rows are exactly zero.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -150,35 +159,64 @@ class TrainedModel:
             raise DataValidationError("scaler dimension mismatch")
 
 
+def _flat_layers(dims) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A zero vector holding every weight after the first layer and then
+    every bias, with its views shaped as those layers, in that order."""
+    shapes = [*zip(dims[1:-1], dims[2:]), *((b,) for b in dims[1:])]
+    sizes = [math.prod(s) for s in shapes]
+    flat = np.zeros(sum(sizes))
+    return flat, [v.reshape(s) for v, s in
+                  zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+
+
+def _init_layers(architecture: ModelArchitecture, rng: np.random.Generator,
+                 scaler: InputScaler):
+    """`init_model`'s draw, in the form training uses it: the model with an
+    all-zero first layer, the live rows of that layer as one contiguous
+    matrix, and the flat vector that every later weight and every bias of
+    the model is a view of.
+
+    The stream is the one a full draw of every layer reads: each live run
+    of first-layer rows is drawn, and each dead run is skipped with
+    `advance`, as one PCG64 output makes one double.
+    """
+    dims = architecture.layer_dims
+    flat, layers = _flat_layers(dims)
+    width = dims[1]
+    live = scaler.live_mask
+    limit = np.sqrt(6.0 / (dims[0] + width))
+    parts, done = [np.empty((0, width))], 0
+    runs = np.flatnonzero(np.diff(live, prepend=False, append=False))
+    for start, stop in runs.reshape(-1, 2).tolist():
+        rng.bit_generator.advance((start - done) * width)
+        parts.append(rng.uniform(-limit, limit, size=(stop - start, width)))
+        done = stop
+    rng.bit_generator.advance((dims[0] - done) * width)
+    for W, a, b in zip(layers, dims[1:-1], dims[2:]):
+        limit = np.sqrt(6.0 / (a + b))
+        W[...] = rng.uniform(-limit, limit, size=(a, b))
+    depth = len(dims) - 2
+    model = TrainedModel(architecture, scaler,
+                         [np.zeros((dims[0], width)), *layers[:depth]],
+                         layers[depth:])
+    # One live run, as in a padded dataset, needs no copy.
+    W0 = parts[1] if len(parts) == 2 else np.concatenate(parts)
+    return model, W0, flat
+
+
 def init_model(architecture: ModelArchitecture, rng: np.random.Generator,
                scaler: InputScaler) -> TrainedModel:
-    """Uniform(+-sqrt(6/(fan_in+fan_out))) weights, zero biases."""
-    weights, biases = [], []
-    dims = architecture.layer_dims
-    for a, b in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / (a + b))
-        weights.append(rng.uniform(-limit, limit, size=(a, b)))
-        biases.append(np.zeros(b))
-    # constant inputs never receive weight updates; zero their rows so they
-    # contribute no initialization noise to input gradients
-    weights[0][~scaler.live_mask, :] = 0.0
-    return TrainedModel(architecture, scaler, weights, biases)
+    """Uniform(+-sqrt(6/(fan_in+fan_out))) weights, zero biases, and
+    exactly +0.0 in the first-layer rows of dead inputs: they never receive
+    weight updates, so they add no initialization noise to input gradients."""
+    model, W0, _ = _init_layers(architecture, rng, scaler)
+    model.weights[0][scaler.live_mask] = W0
+    return model
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _forward(weights, biases, h: np.ndarray):
-    """Probabilities plus cached pre-activations and activations per layer
-    for standardized inputs h; the one layer loop of training and inference."""
-    probs, pre, post = _activate(h @ weights[0] + biases[0], weights[1:], biases[1:])
-    return probs, pre, [h, *post]
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _activate(z: np.ndarray, weights, biases):
@@ -194,23 +232,29 @@ def _activate(z: np.ndarray, weights, biases):
 
 
 def _deltas(weights, y, probs, pre):
-    """Mean-over-batch loss derivative at each layer's pre-activation."""
+    """Mean-over-batch loss derivative at each layer's pre-activation, from
+    the weights of the layers after the first."""
     d = (probs - y)[:, None] / len(y)
     deltas = [d]
-    for li in range(len(weights) - 2, -1, -1):
-        d = (d @ weights[li + 1].T) * (pre[li] > 0)
+    for W, z in zip(weights[::-1], pre[::-1]):
+        d = (d @ W.T) * (z > 0)
         deltas.insert(0, d)
     return deltas
 
 
 def _backward(weights, y, probs, pre, post):
     """Mean-over-batch gradients for every weight and bias."""
-    deltas = _deltas(weights, y, probs, pre)
+    deltas = _deltas(weights[1:], y, probs, pre)
     return [h.T @ d for h, d in zip(post, deltas)], [d.sum(axis=0) for d in deltas]
 
 
 def _forward_batch(model: TrainedModel, X: np.ndarray):
-    return _forward(model.weights, model.biases, model.scaler.transform(X))
+    """Probabilities plus cached pre-activations and activations per layer
+    for raw inputs X; the one layer loop of inference."""
+    h = model.scaler.transform(X)
+    W, b = model.weights, model.biases
+    probs, pre, post = _activate(h @ W[0] + b[0], W[1:], b[1:])
+    return probs, pre, [h, *post]
 
 
 def bce_loss(probability, y):
@@ -242,7 +286,7 @@ def input_gradient(model: TrainedModel, x: np.ndarray, y: int) -> np.ndarray:
         )
     probs, pre, _ = _forward_batch(model, x[None, :])
     p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-    d0 = _deltas(model.weights, np.array([y]), p, pre)[0]
+    d0 = _deltas(model.weights[1:], np.array([y]), p, pre)[0]
     return (d0 @ model.weights[0].T)[0]
 
 
@@ -276,6 +320,12 @@ def train(
     accuracy and the batch size used are stored on the returned model.
     `standardized` is `_standardize(X)` when the caller already holds it,
     as a grid search does for each fold; None computes it here.
+
+    The result is bit for bit that of a loop over full-width initial
+    weights with one momentum update per parameter array and a forward pass
+    for the train accuracy: only the live first-layer rows are drawn, the
+    other parameters step as one flat vector, and the train accuracy is
+    read from the dual form.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -290,18 +340,20 @@ def train(
     batch_size = min(config.batch_size, n)
 
     scaler, Z, K = _standardize(X) if standardized is None else standardized
-    model = init_model(architecture, random_stream(config.seed, 0), scaler)
-    live = scaler.live_mask
+    model, W0, P = _init_layers(architecture, random_stream(config.seed, 0),
+                                scaler)
     # Every first-layer gradient is Z[idx].T @ d0, so W0 - W0_init == Z.T @ S
     # for an n x h coefficient matrix S, updated with the same momentum rule
     # as the weights: a step costs O(batch * n * h), not O(batch * live * h).
-    W0 = model.weights[0][live]
     A0 = Z @ W0
     S = np.zeros_like(A0)
     V = np.zeros_like(A0)
-    weights, biases = model.weights, model.biases
-    params = weights[1:] + biases
-    velocities = [np.zeros_like(p) for p in params]
+    weights, biases = model.weights[1:], model.biases
+    # The later weights and every bias are views of P, their gradients views
+    # of G.
+    G, grads = _flat_layers(architecture.layer_dims)
+    grad_w, grad_b = grads[: len(weights)], grads[len(weights) :]
+    VP = np.zeros_like(P)
     shuffle = random_stream(config.seed, 1)
 
     trace = []
@@ -312,30 +364,33 @@ def train(
             idx = order[start : start + batch_size]
             yb = y[idx]
             probs, pre, post = _activate(A0[idx] + K[idx] @ S + biases[0],
-                                         weights[1:], biases[1:])
+                                         weights, biases[1:])
             batch_loss = float(bce_loss(probs, yb).mean())
-            if not np.isfinite(batch_loss):
+            if not math.isfinite(batch_loss):
                 raise NumericFailure(
                     f"non-finite loss at epoch {epoch}, batch {bi}"
                 )
             epoch_loss += batch_loss * len(idx)
             deltas = _deltas(weights, yb, probs, pre)
-            grads = [h.T @ d for h, d in zip(post, deltas[1:])]
-            grads += [d.sum(axis=0) for d in deltas]
-            for p, v, g in zip(params, velocities, grads):
-                v *= config.momentum
-                g *= config.learning_rate
-                v -= g
-                p += v
+            for h, d, g in zip(post, deltas[1:], grad_w):
+                np.matmul(h.T, d, out=g)
+            for d, g in zip(deltas, grad_b):
+                d.sum(axis=0, out=g)
+            VP *= config.momentum
+            G *= config.learning_rate
+            VP -= G
+            P += VP
             # W0's momentum step in coefficients: Z.T @ V is W0's velocity,
             # and its gradient Z[idx].T @ deltas[0] touches rows idx of V.
             V *= config.momentum
             V[idx] -= config.learning_rate * deltas[0]
             S += V
         trace.append(epoch_loss / n)
+    # Z @ W0 == A0 + K @ S, so the train-set forward needs no n x live
+    # product.
+    probs, _, _ = _activate(A0 + K @ S + biases[0], weights, biases[1:])
     W0 += (S.T @ Z).T
-    model.weights[0][live] = W0
-    probs, _, _ = _forward([W0, *weights[1:]], biases, Z)
+    model.weights[0][scaler.live_mask] = W0
 
     model.metadata = {
         "seed": config.seed,

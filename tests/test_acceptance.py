@@ -240,6 +240,12 @@ def test_criterion_7_window_robustness(pipeline):
 
 
 def test_criterion_8_determinism(tmp_path_factory):
+    """Two runs in one process write every artifact byte for byte. Across
+    BLAS kernels only the machine-independent set is byte-identical: the
+    dataset, the grid report, `summary.csv`, every `report-*.csv` and
+    `hist-*.csv`, and stdout apart from its paths. `model.json`, `scores.csv`
+    and the pooled score files agree to 1e-11 relative
+    (tests/test_determinism.py)."""
     outputs = []
     for run in ("one", "two"):
         root = tmp_path_factory.mktemp(f"determinism_{run}")

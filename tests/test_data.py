@@ -232,6 +232,14 @@ class TestRandomStream:
         if key == ():
             assert got == draws(np.random.default_rng(seed))
 
+    @pytest.mark.parametrize("seed", [-1, -3, -2**70])
+    def test_negative_seed_rejected(self, seed, tiny_manifest):
+        for draw in (lambda: data.random_stream(seed, 0),
+                     lambda: split_dataset(tiny_manifest, 0.5, seed)):
+            with pytest.raises(DataValidationError,
+                               match=rf"seed must be at least 0, got {seed}$"):
+                draw()
+
 
 class TestSplit:
     def test_80_20(self, tiny_manifest):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framescore import network
@@ -304,6 +304,123 @@ class TestTrain:
         assert not model.scaler.live_mask[2]
 
 
+def full_draw(rng, dims):
+    """Every initial weight matrix, drawn in full, layer after layer."""
+    return [rng.uniform(-np.sqrt(6.0 / (a + b)), np.sqrt(6.0 / (a + b)),
+                        size=(a, b)) for a, b in zip(dims[:-1], dims[1:])]
+
+
+class TestLiveRowDraw:
+    """Training draws only the live first-layer rows and skips the dead ones
+    in the stream: each double must take one PCG64 output."""
+
+    @given(live=st.lists(st.booleans(), min_size=1, max_size=30),
+           hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple),
+           seed=st.integers(0, 2**64))
+    @example(live=[False] * 5, hidden=(3,), seed=0)
+    @example(live=[True] * 5, hidden=(3,), seed=0)
+    @example(live=[False, True, True, False], hidden=(4, 2), seed=1)
+    @example(live=[True, False, True, True, False, False, True, False],
+             hidden=(2,), seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_full_draw(self, live, hidden, seed):
+        live = np.array(live)
+        arch = ModelArchitecture(len(live), hidden)
+        scaler = InputScaler(np.zeros(len(live)), live.astype(float))
+        full_rng = np.random.default_rng(seed)
+        full = full_draw(full_rng, arch.layer_dims)
+
+        rng = np.random.default_rng(seed)
+        model, W0, _ = network._init_layers(arch, rng, scaler)
+        assert W0.tobytes() == full[0][live].tobytes()
+        # The later layers come from where the full first layer ends.
+        for got, want in zip(model.weights[1:], full[1:]):
+            assert got.tobytes() == want.tobytes()
+        assert rng.random(4).tolist() == full_rng.random(4).tolist()
+
+        model = init_model(arch, np.random.default_rng(seed), scaler)
+        assert model.weights[0][live].tobytes() == full[0][live].tobytes()
+        dead = model.weights[0][~live]
+        assert np.all(dead == 0.0) and not np.signbit(dead).any()
+        assert all(b.tobytes() == np.zeros_like(b).tobytes()
+                   for b in model.biases)
+
+
+def per_parameter_train(X, y, architecture, config):
+    """The dual-form loop with one momentum update per parameter array, a
+    full draw of every initial layer, and the train accuracy from a forward
+    pass over the trained first layer: weights, biases, loss trace and train
+    accuracy."""
+    def sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def layers(z, weights, biases):
+        pre, post = [], []
+        for W, b in zip(weights, biases):
+            h = np.maximum(z, 0.0)
+            pre.append(z)
+            post.append(h)
+            z = h @ W + b
+        return sigmoid(z[:, 0]), pre, post
+
+    scaler, Z, K = _standardize(X)
+    live = scaler.live_mask
+    dims = architecture.layer_dims
+    weights = full_draw(
+        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,))),
+        dims)
+    biases = [np.zeros(b) for b in dims[1:]]
+    weights[0][~live] = 0.0
+    W0 = weights[0][live]
+    A0 = Z @ W0
+    S = np.zeros_like(A0)
+    V = np.zeros_like(A0)
+    params = weights[1:] + biases
+    velocities = [np.zeros_like(p) for p in params]
+    shuffle = np.random.default_rng(
+        np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    n, batch_size = len(X), min(config.batch_size, len(X))
+    trace = []
+    for _ in range(config.epochs):
+        order = shuffle.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            yb = y[idx]
+            probs, pre, post = layers(A0[idx] + K[idx] @ S + biases[0],
+                                      weights[1:], biases[1:])
+            p = np.clip(probs, 1e-12, 1.0 - 1e-12)
+            epoch_loss += float(
+                -(yb * np.log(p) + (1 - yb) * np.log(1 - p)).mean()) * len(idx)
+            d = (probs - yb)[:, None] / len(yb)
+            deltas = [d]
+            for li in range(len(weights) - 2, -1, -1):
+                d = (d @ weights[li + 1].T) * (pre[li] > 0)
+                deltas.insert(0, d)
+            grads = [h.T @ d for h, d in zip(post, deltas[1:])]
+            grads += [d.sum(axis=0) for d in deltas]
+            for p, v, g in zip(params, velocities, grads):
+                v *= config.momentum
+                g *= config.learning_rate
+                v -= g
+                p += v
+            V *= config.momentum
+            V[idx] -= config.learning_rate * deltas[0]
+            S += V
+        trace.append(epoch_loss / n)
+    W0 += (S.T @ Z).T
+    weights[0][live] = W0
+    probs, _, _ = layers(Z @ W0 + biases[0], weights[1:], biases[1:])
+    accuracy = float(((probs >= 0.5).astype(np.int64)
+                      == y.astype(np.int64)).mean())
+    return weights, biases, trace, accuracy
+
+
 def reference_train(X, y, architecture, config):
     """The full-width training loop: every batch is standardized again and
     every momentum update allocates new arrays."""
@@ -412,6 +529,29 @@ class TestCompactTraining:
             assert got.scaler.mean.tobytes() == plain.scaler.mean.tobytes()
             assert got.scaler.scale.tobytes() == plain.scaler.scale.tobytes()
             assert got.metadata == plain.metadata
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_matches_per_parameter_loop_bit_for_bit(self, hidden, shared):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(30, 12)) * rng.uniform(0.5, 4.0, size=12)
+        # Dead inputs in three runs: the first, two in the middle, the last.
+        X[:, [0, 5, 6, 11]] = [2.5, -1.0, 0.0, 7.0]
+        # Random labels keep the train accuracy away from 1.
+        y = rng.integers(0, 2, size=30).astype(float)
+        arch = ModelArchitecture(12, hidden)
+        config = TrainConfig(learning_rate=0.05, epochs=12, batch_size=8,
+                             seed=3)
+        got = train(X, y, arch, config,
+                    standardized=_standardize(X) if shared else None)
+        weights, biases, trace, accuracy = per_parameter_train(X, y, arch,
+                                                               config)
+        for a, b in zip(got.weights + got.biases, weights + biases):
+            assert a.tobytes() == b.tobytes()
+        assert np.array(got.metadata["loss_trace"]).tobytes() == \
+            np.array(trace).tobytes()
+        assert got.metadata["train_accuracy"] == accuracy
+        assert 0.0 < accuracy < 1.0
 
     @pytest.mark.parametrize("epochs", [1, 3, 10])
     def test_train_accuracy_matches_evaluate_accuracy(self, epochs):
