@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -264,12 +263,10 @@ def _cmd_train(args) -> int:
     X_test, y_test = X[test_rows], y[test_rows]
     del X
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = network.grid_search(X_train, y_train, config, hidden, rates,
-                                     args.folds)
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        _warn(message)
+    result = network.grid_search(X_train, y_train, config, hidden, rates,
+                                 args.folds)
+    for note in result.warnings:
+        _warn(note)
     best = result.best
     hidden = "x".join(str(w) for w in best.architecture.hidden_layers)
     print(f"grid search: {len(result.cells)} cells, best hidden [{hidden}] "
@@ -296,7 +293,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_explain(args) -> int:
     heatmap = args.heatmap_out or os.path.join(
-        os.path.dirname(os.path.abspath(args.out)), f"heatmap-{args.heatmap}.csv")
+        os.path.dirname(args.out), f"heatmap-{args.heatmap}.csv")
     _check_outputs(args.out, *([heatmap] if args.heatmap is not None else []),
                    inputs=[args.model, args.data])
     model = network.load_model(args.model)

@@ -10,4 +10,4 @@ class ContractError(ValueError):
 
 
 class NumericFailure(ArithmeticError):
-    """Raised when training produces a non-finite loss."""
+    """Raised when a training loss or a trained parameter is non-finite."""

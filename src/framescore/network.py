@@ -35,7 +35,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,8 +81,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise DataValidationError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise DataValidationError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise DataValidationError("momentum must be in [0, 1)")
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
@@ -304,6 +303,7 @@ def _standardize(X: np.ndarray):
     return scaler, Z, Z @ Z.T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     X: np.ndarray,
     y: np.ndarray,
@@ -318,6 +318,8 @@ def train(
     1 = normal. A batch_size above the row count trains on whole-set
     batches. The fitted input scaler, per-epoch loss trace, final training
     accuracy and the batch size used are stored on the returned model.
+    A non-finite batch loss, or anything non-finite after the last update,
+    raises NumericFailure; numpy's overflow and invalid flags stay silent.
     `standardized` is `_standardize(X)` when the caller already holds it,
     as a grid search does for each fold; None computes it here.
 
@@ -390,6 +392,8 @@ def train(
     # product.
     probs, _, _ = _activate(A0 + K @ S + biases[0], weights, biases[1:])
     W0 += (S.T @ Z).T
+    if not all(np.isfinite(a).all() for a in (probs, P, W0)):
+        raise NumericFailure("non-finite parameters after the last update")
     model.weights[0][scaler.live_mask] = W0
 
     model.metadata = {
@@ -461,7 +465,8 @@ def grid_search(
     The search runs fold-major: each fold's training rows are standardized
     once and every cell trains on them before the next fold. A fit that
     fails raises NumericFailure naming its grid cell and fold, and the one
-    named is the first failure in fold order, then in cell order.
+    named is the first failure in fold order, then in cell order. A fold
+    whose validation rows hold one class is noted in `warnings`.
     """
     if not hidden_options or not learning_rates:
         raise ContractError("grid must not be empty")
@@ -475,12 +480,9 @@ def grid_search(
 
     fold_indices = np.array_split(random_stream(config.seed, 2).permutation(n), folds)
 
-    notes: list[str] = []
-    for fi, val_idx in enumerate(fold_indices):
-        if len(np.unique(y[val_idx])) < 2:
-            msg = f"fold {fi}: validation split contains a single class"
-            notes.append(msg)
-            warnings.warn(msg, stacklevel=2)
+    notes = tuple(f"fold {fi}: validation split contains a single class"
+                  for fi, val_idx in enumerate(fold_indices)
+                  if len(np.unique(y[val_idx])) < 2)
 
     specs = [(ModelArchitecture(X.shape[1], tuple(hidden)),
               replace(config, learning_rate=lr))
@@ -518,7 +520,7 @@ def grid_search(
             i,
         ),
     )
-    return GridSearchResult(tuple(cells), best_index, tuple(notes))
+    return GridSearchResult(tuple(cells), best_index, notes)
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -238,6 +238,27 @@ class TestTrainCommand:
         notes = proc.stderr.splitlines()
         assert len(notes) == len(set(notes))
 
+    def test_last_update_divergence_exits_3_and_writes_nothing(self, tmp_path):
+        # One epoch of one batch, so the only update is never followed by a
+        # loss check; a separate interpreter shows any raw Python warning.
+        data = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(framescore.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "framescore.cli", "train", "--data", data,
+             "--out", model, "--split", "0.5", "--seed", "0",
+             "--grid", write_grid(tmp_path, rates=(1e300,)), "--epochs", "1",
+             "--batch-size", "100"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "numeric failure: grid cell 0 (hidden [4], lr 1e+300), fold 0: "
+            "non-finite parameters after the last update\n")
+        assert not model.exists()
+        assert not (tmp_path / "model.json.grid.csv").exists()
+
     @pytest.mark.parametrize("grid, field", [
         ({"hidden_layers": [32], "learning_rates": [0.001]}, "hidden_layers"),
         ({"hidden_layers": [[4]], "learning_rates": ["fast"]}, "learning_rates"),
@@ -379,6 +400,21 @@ class TestExplainCommand:
         lines = heat.read_text().splitlines()
         assert len(lines) == 41  # t_max + header
         assert all(len(l.split(",")) == 17 for l in lines)
+
+    def test_default_heatmap_path_printed_as_given(self, tmp_path, capsys,
+                                                   monkeypatch):
+        data = make_dataset(tmp_path)
+        model = train_small(tmp_path, data)
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert run("explain", "--model", model, "--data", data,
+                   "--out", os.path.join("out", "scores.csv"),
+                   "--heatmap", "P00-affected-00") == 0
+        heat = os.path.join("out", "heatmap-P00-affected-00.csv")
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"heatmap for P00-affected-00 -> {heat}")
+        assert (tmp_path / heat).exists()
 
     def test_unknown_heatmap_trial(self, tmp_path):
         data = make_dataset(tmp_path)

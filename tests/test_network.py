@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -289,10 +290,22 @@ class TestTrain:
     def test_non_finite_loss_raises_with_location(self):
         X = np.array([[1.0, -1.0], [2.0, 1.0], [0.5, 0.3], [-1.0, 2.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
-        config = TrainConfig(learning_rate=float("inf"), epochs=5,
-                             batch_size=4, seed=0)
-        with np.errstate(all="ignore"):
-            with pytest.raises(NumericFailure, match=r"epoch \d+, batch \d+"):
+        config = TrainConfig(learning_rate=1e300, epochs=5, batch_size=4,
+                             seed=0)
+        with pytest.raises(NumericFailure, match=r"epoch \d+, batch \d+"):
+            train(X, y, ModelArchitecture(2, (4,)), config)
+
+    def test_last_update_divergence_raises(self):
+        # One epoch of one batch: no loss is checked after the only update.
+        X = np.array([[1.0, -1.0], [2.0, 1.0], [0.5, 0.3], [-1.0, 2.0]])
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        config = TrainConfig(learning_rate=1e300, epochs=1, batch_size=4,
+                             seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure,
+                               match="non-finite parameters after the last "
+                                     "update"):
                 train(X, y, ModelArchitecture(2, (4,)), config)
 
     def test_dead_coordinates_pruned(self):
@@ -572,6 +585,8 @@ class TestConfigValidation:
         [
             {"learning_rate": 0.0},
             {"learning_rate": -1e-3},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
             {"momentum": 1.0},
             {"epochs": 0},
             {"batch_size": 0},
@@ -622,15 +637,17 @@ class TestGridSearch:
         if accs[0] == accs[1]:
             assert result.cells[result.best_index].config.learning_rate == 1e-3
 
-    def test_single_class_fold_warns_but_completes(self):
+    def test_single_class_fold_notes_but_does_not_warn(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(9, 2))
         y = np.zeros(9)
         y[0] = 1.0
-        with pytest.warns(UserWarning, match="single class"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = grid_search(X, y, TrainConfig(epochs=2, batch_size=3),
                                  [[2]], [1e-3], folds=3)
-        assert result.warnings
+        assert any("validation split contains a single class" in note
+                   for note in result.warnings)
         assert np.isfinite(result.best.mean_val_accuracy)
 
     def test_empty_grid_rejected(self):
@@ -718,9 +735,9 @@ class TestGridSearch:
         X, y = separable_toy()
         with np.errstate(all="ignore"), pytest.raises(
                 NumericFailure,
-                match=r"hidden \[4\], lr inf\), fold 0: non-finite loss") as exc:
+                match=r"hidden \[4\], lr 1e\+300\), fold 0: non-finite loss") as exc:
             grid_search(X, y, TrainConfig(epochs=2, batch_size=8), [[4]],
-                        [1e-3, float("inf")], folds=3)
+                        [1e-3, 1e300], folds=3)
         assert str(exc.value).startswith("grid cell 1 ")
         assert isinstance(exc.value.__cause__, NumericFailure)
 
