@@ -18,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import data, evaluation, network, saliency, synth
-from .errors import ContractError, DataValidationError, NumericFailure
+from .errors import DataValidationError, NumericFailure
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -330,7 +330,7 @@ def _cmd_sweep(args) -> int:
                                    for m in args.modes.split(",") if m.strip()))
         windows = list(dict.fromkeys(int(w) for w in args.windows.split(",")
                                      if w.strip()))
-    except (ContractError, ValueError) as exc:
+    except ValueError as exc:
         raise DataValidationError(str(exc)) from exc
     _check_outputs(directory=args.out, inputs=[args.scores, args.data], names=[
         "summary.csv",
@@ -359,7 +359,7 @@ def _cmd_sweep(args) -> int:
     for mode in modes:
         try:
             evaluation.select_frames(manifest, raw, mode)
-        except ContractError as exc:
+        except DataValidationError as exc:
             _warn(f"skipping mode {mode.value!r}: {exc}")
             continue
         usable.append(mode)
@@ -411,15 +411,12 @@ def main(argv=None) -> int:
         parser.error("explain --heatmap-out needs --heatmap TRIAL_ID")
     try:
         return _COMMANDS[args.command](args)
-    except (DataValidationError, ContractError) as exc:
+    except (DataValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -24,6 +24,7 @@ from __future__ import annotations
 import binascii
 import csv
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -130,6 +131,7 @@ class DatasetManifest:
         """Columns of checked (trial_id, patient_id, side, frames,
         frame_labels) rows, each trial's labels padded out to t_max."""
         rows = list(rows)
+        check_feature_block(len(rows), t_max, layout)
         labels = np.full((len(rows), t_max), LABEL_NORMAL, dtype=np.int64)
         for i, row in enumerate(rows):
             labels[i, : len(row[4])] = row[4]
@@ -157,6 +159,19 @@ class DatasetManifest:
     def padded(self) -> np.ndarray:
         """(trials, t_max) mask of the padding slots."""
         return _readonly(np.arange(self.t_max) >= self.lengths[:, None])
+
+
+def check_feature_block(trials: int, t_max: int, layout: JointLayout) -> None:
+    """Refuse sizes whose (trials, t_max, features) float64 feature block,
+    the largest array a dataset builds, would pass sys.maxsize bytes: numpy
+    cannot make it, and raises a bare ValueError, not a MemoryError."""
+    size = 8 * trials * t_max * layout.feature_count
+    if size > sys.maxsize:
+        raise DataValidationError(
+            f"t_max {t_max} is too large for {trials} trials: their float64 "
+            f"features would take {size} bytes, more than sys.maxsize "
+            f"({sys.maxsize})"
+        )
 
 
 def featurize(manifest: DatasetManifest) -> np.ndarray:

@@ -2,11 +2,8 @@
 
 
 class DataValidationError(ValueError):
-    """Raised when input data, records, or configuration fail validation."""
-
-
-class ContractError(ValueError):
-    """Raised when an API is called outside its contract (shape, emptiness)."""
+    """Raised for refused input: a record, file, configuration, size or
+    argument that fails validation. The CLI exits 2 on it."""
 
 
 class NumericFailure(ArithmeticError):

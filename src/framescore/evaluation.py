@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import LABEL_COMPENSATORY, LABEL_NORMAL, DatasetManifest, write_csv
-from .errors import ContractError
+from .errors import DataValidationError
 from .saliency import FramePool, normalize_pool, windows_over_pool
 
 DEFAULT_BETA = 2.0
@@ -44,7 +44,7 @@ class FilterMode(enum.Enum):
         for mode in cls:
             if mode.value == text:
                 return mode
-        raise ContractError(
+        raise DataValidationError(
             f"unknown filter mode {text!r}; expected one of "
             f"{[m.value for m in cls]}"
         )
@@ -56,14 +56,14 @@ def select_frames(manifest: DatasetManifest, raw: np.ndarray,
     (trials x t_max) raw-score block with rows in manifest order."""
     labels = manifest.frame_labels
     if raw.shape != labels.shape:
-        raise ContractError(
+        raise DataValidationError(
             f"raw scores {raw.shape} do not match trials x frames {labels.shape}")
     padded = manifest.padded
     mask = np.ones_like(padded) if mode is FilterMode.ALL else ~padded
     if mode is FilterMode.COMP_NO_PAD:
         comp = manifest.trial_labels == LABEL_COMPENSATORY
         if not comp.any():
-            raise ContractError(
+            raise DataValidationError(
                 "comp-no-pad selection is empty: no compensatory trials"
             )
         mask &= comp[:, None]
@@ -113,7 +113,7 @@ def recall(counts: ConfusionCounts):
 def fbeta(counts: ConfusionCounts, beta: float):
     """(1 + b^2) P R / (b^2 P + R), zero when both P and R are zero."""
     if not 0.0 < beta < np.inf:
-        raise ContractError(f"beta must be positive and finite, got {beta}")
+        raise DataValidationError(f"beta must be positive and finite, got {beta}")
     p = precision(counts)
     r = recall(counts)
     b2 = beta * beta
@@ -123,7 +123,7 @@ def fbeta(counts: ConfusionCounts, beta: float):
 def threshold_grid(step: float) -> list[float]:
     """{0, step, 2 step, ...} capped and completed with 1."""
     if not MIN_STEP <= step <= 1.0:
-        raise ContractError(f"step must be in [{MIN_STEP:g}, 1], got {step}")
+        raise DataValidationError(f"step must be in [{MIN_STEP:g}, 1], got {step}")
     taus = []
     i = 0
     while True:
@@ -189,9 +189,9 @@ def sweep(
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(scores) == 0:
-        raise ContractError("cannot sweep an empty pool")
+        raise DataValidationError("cannot sweep an empty pool")
     if scores.shape != labels.shape:
-        raise ContractError("scores and labels must align")
+        raise DataValidationError("scores and labels must align")
     taus = np.array(threshold_grid(step))
     counts = confusion_at(scores, labels, taus)
     f = fbeta(counts, beta)
@@ -224,7 +224,7 @@ class ScoreHistogram:
 def histogram(pool: FramePool, bins: int = HISTOGRAM_BINS) -> ScoreHistogram:
     """Bin normalized scores by their frame label group."""
     if not len(pool):
-        raise ContractError("cannot histogram an empty pool")
+        raise DataValidationError("cannot histogram an empty pool")
     edges = np.linspace(0.0, 1.0, bins + 1)
     scores, labels = pool.normalized, pool.label
     counts0, _ = np.histogram(scores[labels == LABEL_COMPENSATORY], bins=edges)

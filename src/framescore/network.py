@@ -35,12 +35,13 @@ from __future__ import annotations
 import base64
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import json_numbers, json_object, random_stream
-from .errors import ContractError, DataValidationError, NumericFailure
+from .errors import DataValidationError, NumericFailure
 
 PROB_EPS = 1e-12
 _DEAD_SIGMA = 1e-12
@@ -61,6 +62,15 @@ class ModelArchitecture:
             raise DataValidationError("input_dim must be positive")
         if any(w < 1 for w in self.hidden_layers):
             raise DataValidationError("hidden widths must be at least 1")
+        # No parameter array is larger than all of them together, and numpy
+        # cannot make one of more than sys.maxsize bytes.
+        size = 8 * self.parameter_count
+        if size > sys.maxsize:
+            raise DataValidationError(
+                f"hidden widths {list(self.hidden_layers)} are too large for "
+                f"input_dim {self.input_dim}: their float64 parameters would "
+                f"take {size} bytes, more than sys.maxsize ({sys.maxsize})"
+            )
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -279,7 +289,7 @@ def input_gradient(model: TrainedModel, x: np.ndarray, y: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.architecture.input_dim,):
-        raise ContractError(
+        raise DataValidationError(
             f"input shape {x.shape} does not match input_dim "
             f"{model.architecture.input_dim}"
         )
@@ -469,14 +479,14 @@ def grid_search(
     whose validation rows hold one class is noted in `warnings`.
     """
     if not hidden_options or not learning_rates:
-        raise ContractError("grid must not be empty")
+        raise DataValidationError("grid must not be empty")
     if folds < 2:
-        raise ContractError("folds must be at least 2")
+        raise DataValidationError("folds must be at least 2")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(X)
     if n < folds:
-        raise ContractError(f"{n} samples cannot form {folds} folds")
+        raise DataValidationError(f"{n} samples cannot form {folds} folds")
 
     fold_indices = np.array_split(random_stream(config.seed, 2).permutation(n), folds)
 

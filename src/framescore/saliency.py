@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import LABEL_NORMAL, DatasetManifest, write_csv
-from .errors import ContractError, DataValidationError
+from .errors import DataValidationError
 from .network import TrainedModel, input_gradient
 
 
@@ -87,7 +87,7 @@ def normalize_pool(entries: FramePool) -> FramePool:
     threshold classifies as normal.
     """
     if not len(entries):
-        raise ContractError("cannot normalize an empty pool")
+        raise DataValidationError("cannot normalize an empty pool")
     return replace(entries, normalized=_min_max(entries.raw))
 
 
@@ -109,7 +109,10 @@ def windows_over_pool(pool: FramePool, window_size: int
     selected frames emits ceil(n / window_size) windows.
     """
     if window_size < 1:
-        raise ContractError("window_size must be at least 1")
+        raise DataValidationError("window_size must be at least 1")
+    # No trial's run is longer than the pool, so a larger window gives the
+    # same windows; the cap keeps the index arithmetic within int64.
+    window_size = min(window_size, max(len(pool), 1))
     first = np.flatnonzero(np.r_[True, pool.trial[1:] != pool.trial[:-1]])
     end = np.r_[first[1:], len(pool)]
     counts = -(-(end - first) // window_size)
@@ -139,7 +142,7 @@ def export_heatmap(matrix: np.ndarray, path, feature_names: Sequence[str]) -> No
     """Write a frames x features grid as CSV with a frame-index column."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != len(feature_names):
-        raise ContractError(
+        raise DataValidationError(
             f"matrix shape {matrix.shape} does not match "
             f"{len(feature_names)} feature names"
         )
@@ -206,7 +209,7 @@ def write_raw_scores(path, manifest: DatasetManifest,
     ids, t_max = manifest.trial_ids, manifest.t_max
     if tuple(t.trial_id for t in tracks) != ids or \
             any(np.shape(t.raw_scores) != (t_max,) for t in tracks):
-        raise ContractError(f"write_raw_scores needs one track of t_max "
+        raise DataValidationError(f"write_raw_scores needs one track of t_max "
                             f"{t_max} scores per trial, in manifest order")
     trial, frame = np.divmod(np.arange(len(ids) * t_max), t_max)
     _write_pool(path, FramePool(

@@ -22,6 +22,7 @@ from .data import (
     SIDES,
     DatasetManifest,
     JointLayout,
+    check_feature_block,
     json_object,
     random_stream,
 )
@@ -94,6 +95,9 @@ class SynthConfig:
                 f"length_range {self.length_range} must satisfy "
                 f"1 <= min <= max <= t_max ({self.t_max})"
             )
+        check_feature_block(
+            self.patient_count * len(SIDES) * self.trials_per_patient_per_side,
+            self.t_max, JointLayout())
         for name in (
             "compensation_probability_affected",
             "compensation_probability_unaffected",

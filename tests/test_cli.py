@@ -259,6 +259,16 @@ class TestTrainCommand:
         assert not model.exists()
         assert not (tmp_path / "model.json.grid.csv").exists()
 
+    def test_more_folds_than_training_trials_exits_2(self, tmp_path, capsys):
+        data = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        assert run("train", "--data", data, "--out", model, "--split", 0.5,
+                   "--folds", 7) == 2
+        assert capsys.readouterr().err == (
+            "error: 6 samples cannot form 7 folds\n")
+        assert not model.exists()
+        assert not (tmp_path / "model.json.grid.csv").exists()
+
     @pytest.mark.parametrize("grid, field", [
         ({"hidden_layers": [32], "learning_rates": [0.001]}, "hidden_layers"),
         ({"hidden_layers": [[4]], "learning_rates": ["fast"]}, "learning_rates"),
@@ -723,6 +733,18 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_mode_rejected_before_any_read(self, tmp_path, capsys):
+        # The score file does not exist: the mode is refused before it is
+        # read.
+        out = tmp_path / "r"
+        assert run("sweep", "--scores", tmp_path / "none.csv", "--data",
+                   tmp_path / "none.jsonl", "--out", out,
+                   "--modes", "bogus") == 2
+        assert capsys.readouterr().err == (
+            "error: unknown filter mode 'bogus'; expected one of "
+            "['all', 'no-pad', 'comp-no-pad']\n")
+        assert not out.exists()
+
     def test_bad_mode_name(self, prepared, tmp_path):
         data, scores = prepared
         assert run("sweep", "--scores", scores, "--data", data,
@@ -862,6 +884,65 @@ class TestOutputPaths:
         assert run(*argv) == 2
         assert bad in capsys.readouterr().err
         assert contents() == before
+
+
+class TestSizesPastSysMaxsize:
+    """A size whose arrays no numpy array can hold exits 2 with one line
+    naming it, no traceback and no file; a size numpy can index but no
+    machine can allocate exits 2 as running out of memory."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--t-max", 10**18, "--patient-count", 1,
+          "--trials-per-patient-per-side", 1],
+         "error: t_max 1000000000000000000 is too large for 2 trials"),
+        (["--length-range", 1, 10**19, "--t-max", 10**19],
+         "error: t_max 10000000000000000000 is too large for 300 trials"),
+        (["--t-max", 10**14, "--patient-count", 1,
+          "--trials-per-patient-per-side", 1],
+         "error: out of memory: "),
+    ], ids=["t-max", "length-range", "merely-large-t-max"])
+    def test_synth(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "huge.jsonl"
+        assert run("synth", "--out", out, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "explain", "sweep"])
+    def test_dataset_header_t_max(self, tmp_path, capsys, command):
+        data = make_dataset(tmp_path)
+        model = train_small(tmp_path, data, epochs=1)
+        scores = tmp_path / "scores.csv"
+        assert run("explain", "--model", model, "--data", data,
+                   "--out", scores) == 0
+        lines = data.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["t_max"] = 10**18
+        data.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        out = tmp_path / "out"
+        argv = {"train": ["--out", out],
+                "explain": ["--model", model, "--out", out],
+                "sweep": ["--scores", scores, "--out", out]}[command]
+        capsys.readouterr()
+        assert run(command, "--data", data, *argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {data}: t_max 1000000000000000000 is too large for 12 "
+            f"trials: their float64 features would take "
+            f"1536000000000000000000 bytes, more than sys.maxsize")
+        assert not out.exists()
+
+    def test_grid_width(self, tmp_path, capsys):
+        data = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        assert run("train", "--data", data, "--out", model, "--split", 0.5,
+                   "--grid", write_grid(tmp_path, hidden=((2**63 - 1,),))) == 2
+        assert capsys.readouterr().err == (
+            f"error: hidden widths [{2**63 - 1}] are too large for input_dim "
+            f"640: their float64 parameters would take "
+            f"{8 * (641 * (2**63 - 1) + 2**63 - 1 + 1)} bytes, more than "
+            f"sys.maxsize ({sys.maxsize})\n")
+        assert not model.exists()
+        assert not (tmp_path / "model.json.grid.csv").exists()
 
 
 class TestUsageAndHelp:

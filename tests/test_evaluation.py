@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framescore.errors import ContractError
+from framescore.errors import DataValidationError
 from framescore.evaluation import (
     MIN_STEP,
     ConfusionCounts,
@@ -94,7 +94,7 @@ class TestFbeta:
 
     def test_invalid_beta(self):
         for beta in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ContractError):
+            with pytest.raises(DataValidationError):
                 fbeta(ConfusionCounts(1, 1, 1, 1), beta)
 
     @given(
@@ -129,7 +129,7 @@ class TestThresholdGrid:
         # Below 5e-13 the rounded thresholds repeat; each sweep report keeps
         # 8 columns of 1 / step entries, about 64 MB apiece at 1e-6.
         for step in (0.0, -0.1, 1.5, math.nan, 1e-13, 9.99e-7, 1e-6, 9.99e-5):
-            with pytest.raises(ContractError, match=r"step must be in \[0.0001, 1\]"):
+            with pytest.raises(DataValidationError, match=r"step must be in \[0.0001, 1\]"):
                 threshold_grid(step)
 
     def test_smallest_step(self):
@@ -169,21 +169,21 @@ class TestSelectFrames:
 
     def test_comp_mode_requires_compensatory_trials(self):
         manifest = make_manifest(make_trial("n", length=6), t_max=8)
-        with pytest.raises(ContractError):
+        with pytest.raises(DataValidationError):
             select_frames(manifest, raw_for(manifest), FilterMode.COMP_NO_PAD)
 
     def test_track_alignment_checked(self, small_synth_manifest):
         manifest = small_synth_manifest
         raw = raw_for(manifest)
-        with pytest.raises(ContractError):
+        with pytest.raises(DataValidationError):
             select_frames(manifest, raw[:-1], FilterMode.ALL)
         wide = np.c_[raw, np.zeros(len(raw))]
-        with pytest.raises(ContractError):
+        with pytest.raises(DataValidationError):
             select_frames(manifest, wide, FilterMode.ALL)
 
     def test_parse_mode(self):
         assert FilterMode.parse("comp-no-pad") is FilterMode.COMP_NO_PAD
-        with pytest.raises(ContractError):
+        with pytest.raises(DataValidationError):
             FilterMode.parse("bogus")
 
 
@@ -233,7 +233,7 @@ class TestSweep:
         assert report.taus.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DataValidationError):
             sweep(np.array([]), np.array([]))
 
     def test_group_sizes(self):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framescore import network
-from framescore.errors import ContractError, DataValidationError, NumericFailure
+from framescore.errors import DataValidationError, NumericFailure
 from framescore.network import (
     DEFAULT_GRID_HIDDEN,
     DEFAULT_GRID_LEARNING_RATES,
@@ -652,7 +652,7 @@ class TestGridSearch:
 
     def test_empty_grid_rejected(self):
         for hidden, rates in (([], [1e-3]), ([[4]], [])):
-            with pytest.raises(ContractError, match="grid must not be empty"):
+            with pytest.raises(DataValidationError, match="grid must not be empty"):
                 grid_search(np.zeros((4, 2)), np.zeros(4), TrainConfig(),
                             hidden, rates, folds=2)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from framescore import saliency
 from framescore.data import JointLayout, featurize
-from framescore.errors import ContractError, DataValidationError
+from framescore.errors import DataValidationError
 from framescore.evaluation import FilterMode, select_frames
 from framescore.network import ModelArchitecture, TrainConfig, train
 from framescore.saliency import (
@@ -118,7 +118,7 @@ class TestNormalizePool:
         assert np.all(pool.normalized == 0.0)
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DataValidationError):
             normalize_pool(pool_of([]))
 
     def test_bounds_and_extremes(self):
@@ -213,7 +213,7 @@ class TestWindowAggregate:
         assert out == [(0.1, 1), (0.9, 0), (0.4, 1)]
 
     def test_invalid_window_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DataValidationError):
             windows_of(np.zeros(3), np.zeros(3, dtype=int), 0)
 
     def test_windows_over_pool_counts_and_isolation(self):
@@ -225,6 +225,17 @@ class TestWindowAggregate:
             scores, labels = windows_over_pool(pool, w)
             expected = sum(int(np.ceil(n / w)) for n in lengths.values())
             assert len(scores) == expected == len(labels)
+
+    def test_size_past_int64_gives_windows_of_the_pool_length(self):
+        # A start plus 2**63 - 1 wraps in int64, and 10**20 does not fit.
+        rng = np.random.default_rng(5)
+        ids = ["a"] * 7 + ["b"] * 11 + ["c"] * 3
+        pool = normalize_pool(pool_of(rng.uniform(size=len(ids)),
+                                      rng.integers(0, 2, len(ids)), ids))
+        want = windows_over_pool(pool, len(pool))
+        for w in (2**63 - 1, 10**20):
+            got = windows_over_pool(pool, w)
+            assert all(same_bits(g, x) for g, x in zip(got, want))
 
     @given(trials=st.lists(frame_lists, min_size=1, max_size=8),
            window_size=st.integers(1, 25))
@@ -270,7 +281,7 @@ class TestHeatmap:
         )
 
     def test_name_count_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ContractError):
+        with pytest.raises(DataValidationError):
             export_heatmap(np.zeros((4, 3)), tmp_path / "x.csv", ["a", "b"])
 
     def test_importance_matrix_normalized(self):
@@ -355,7 +366,7 @@ class TestScoreFiles:
             self, written, tmp_path, fault):
         manifest, tracks, _ = written
         path = tmp_path / "bad.csv"
-        with pytest.raises(ContractError, match="one track of t_max 40 scores"):
+        with pytest.raises(DataValidationError, match="one track of t_max 40 scores"):
             write_raw_scores(path, manifest, fault(tracks))
         assert not path.exists()
 
