@@ -342,9 +342,9 @@ def _cmd_sweep(args) -> int:
         raise DataValidationError("need at least one mode and one window size")
     if any(w < 1 for w in windows):
         raise DataValidationError("window sizes must be at least 1")
-    if not 0.0 < args.beta < math.inf:
-        raise DataValidationError(
-            f"--beta must be positive and finite, got {args.beta}")
+    if not 0.0 < args.beta <= evaluation.MAX_BETA:
+        raise DataValidationError(f"--beta must be in "
+                                  f"(0, {evaluation.MAX_BETA}], got {args.beta}")
     if not evaluation.MIN_STEP <= args.step <= 1.0:
         raise DataValidationError(f"--step must be in "
                                   f"[{evaluation.MIN_STEP:g}, 1], got {args.step}")

@@ -12,6 +12,8 @@ resolved toward the smallest threshold.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +30,8 @@ DEFAULT_STEP = 0.01
 # kept until sweep writes them: 10,001 thresholds take about 9.6 MB over
 # the default 15 reports, and 1e-6 would take about 1 GB.
 MIN_STEP = 1e-4
+# The largest beta whose square is finite: above it F-beta reads NaN.
+MAX_BETA = math.sqrt(sys.float_info.max)
 DEFAULT_WINDOWS = (1, 5, 10, 15, 20)
 HISTOGRAM_BINS = 50
 
@@ -112,8 +116,8 @@ def recall(counts: ConfusionCounts):
 
 def fbeta(counts: ConfusionCounts, beta: float):
     """(1 + b^2) P R / (b^2 P + R), zero when both P and R are zero."""
-    if not 0.0 < beta < np.inf:
-        raise DataValidationError(f"beta must be positive and finite, got {beta}")
+    if not 0.0 < beta <= MAX_BETA:
+        raise DataValidationError(f"beta must be in (0, {MAX_BETA}], got {beta}")
     p = precision(counts)
     r = recall(counts)
     b2 = beta * beta

@@ -125,8 +125,14 @@ class InputScaler:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "InputScaler":
-        mean = X.mean(axis=0)
-        sigma = X.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = X.mean(axis=0)
+            sigma = X.std(axis=0)
+        overflow = ~(np.isfinite(mean) & np.isfinite(sigma))
+        if overflow.any():
+            raise DataValidationError(
+                "the features' mean or standard deviation overflows float64, "
+                f"first at input coordinate {int(overflow.argmax())}")
         live = sigma > _DEAD_SIGMA
         scale = np.where(live, 1.0 / np.where(live, sigma, 1.0), 0.0)
         return cls(mean=mean, scale=scale)

@@ -240,16 +240,16 @@ def test_criterion_7_window_robustness(pipeline):
 
 
 def test_criterion_8_determinism(tmp_path_factory):
-    """Two runs in one process write every artifact byte for byte. Across
-    BLAS kernels only the machine-independent set is byte-identical: the
-    dataset, the grid report, `summary.csv`, every `report-*.csv` and
-    `hist-*.csv`, and stdout apart from its paths. `model.json`, `scores.csv`
-    and the pooled score files agree to 1e-11 relative
-    (tests/test_determinism.py)."""
+    """Two runs in one process write every artifact byte for byte, the
+    second from a dataset of another name. Across BLAS kernels only the
+    machine-independent set is byte-identical: the dataset, the grid
+    report, `summary.csv`, every `report-*.csv` and `hist-*.csv`, and
+    stdout apart from its paths. `model.json`, `scores.csv` and the pooled
+    score files agree to 1e-11 relative (tests/test_determinism.py)."""
     outputs = []
-    for run in ("one", "two"):
+    for run, name in (("one", "data.jsonl"), ("two", "cold.jsonl")):
         root = tmp_path_factory.mktemp(f"determinism_{run}")
-        data = root / "data.jsonl"
+        data = root / name
         model = root / "model.json"
         scores = root / "scores.csv"
         reports = root / "reports"

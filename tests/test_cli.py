@@ -44,6 +44,16 @@ def write_grid(tmp_path, hidden=((4,),), rates=(0.001,)):
     return path
 
 
+def run_child(*argv):
+    """Run the CLI in a separate interpreter, so that Python's own warning
+    display is what the user would see, not the test runner's capture."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(framescore.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "framescore.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, check=False)
+
+
 def train_small(tmp_path, data, epochs=3):
     model = tmp_path / "model.json"
     code = run(
@@ -219,18 +229,11 @@ class TestTrainCommand:
         assert sum(l.rstrip().endswith(",1") for l in lines) == 1
 
     def test_single_class_fold_notes_are_clean_warnings(self, tmp_path):
-        # A separate interpreter, so that Python's own warning display is
-        # what the user would see, not the test runner's capture.
         data = make_dataset(tmp_path)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(framescore.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "framescore.cli", "train", "--data", data,
-             "--out", tmp_path / "model.json", "--split", "0.5", "--seed", "0",
-             "--grid", write_grid(tmp_path), "--epochs", "1",
-             "--batch-size", "4"],
-            capture_output=True, text=True, env=env, check=False,
-        )
+        proc = run_child("train", "--data", data, "--out",
+                         tmp_path / "model.json", "--split", 0.5, "--seed", 0,
+                         "--grid", write_grid(tmp_path), "--epochs", 1,
+                         "--batch-size", 4)
         assert proc.returncode == 0, proc.stderr
         assert "warning: fold" in proc.stderr
         assert "UserWarning" not in proc.stderr
@@ -243,19 +246,29 @@ class TestTrainCommand:
         # loss check; a separate interpreter shows any raw Python warning.
         data = make_dataset(tmp_path)
         model = tmp_path / "model.json"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(framescore.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "framescore.cli", "train", "--data", data,
-             "--out", model, "--split", "0.5", "--seed", "0",
-             "--grid", write_grid(tmp_path, rates=(1e300,)), "--epochs", "1",
-             "--batch-size", "100"],
-            capture_output=True, text=True, env=env, check=False,
-        )
+        proc = run_child("train", "--data", data, "--out", model, "--split",
+                         0.5, "--seed", 0, "--grid",
+                         write_grid(tmp_path, rates=(1e300,)), "--epochs", 1,
+                         "--batch-size", 100)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == (
             "numeric failure: grid cell 0 (hidden [4], lr 1e+300), fold 0: "
             "non-finite parameters after the last update\n")
+        assert not model.exists()
+        assert not (tmp_path / "model.json.grid.csv").exists()
+
+    def test_feature_overflow_exits_2_without_a_warning(self, tmp_path):
+        # Every coordinate is finite, but the sums behind the grid search's
+        # scaler overflow; a separate interpreter shows any raw warning.
+        data = make_dataset(tmp_path, extra=("--motion-amplitude", 1e308))
+        model = tmp_path / "model.json"
+        proc = run_child("train", "--data", data, "--out", model, "--split",
+                         0.5, "--seed", 0, "--grid", write_grid(tmp_path),
+                         "--epochs", 1, "--batch-size", 4)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            "error: the features' mean or standard deviation overflows "
+            "float64, first at input coordinate 22\n")
         assert not model.exists()
         assert not (tmp_path / "model.json.grid.csv").exists()
 
@@ -273,8 +286,10 @@ class TestTrainCommand:
         ({"hidden_layers": [32], "learning_rates": [0.001]}, "hidden_layers"),
         ({"hidden_layers": [[4]], "learning_rates": ["fast"]}, "learning_rates"),
         ({"hidden_layers": [[4.5]], "learning_rates": [0.001]}, "hidden_layers"),
-        ({"hidden_layers": [[4]], "learning_rates": [0.001], "epochs": 1000},
-         "epochs"),
+        pytest.param(
+            {"hidden_layers": [[4]], "learning_rates": [0.001], "epochs": 1000},
+            "unknown grid fields: ['epochs']", id="grid3-epochs"),
+        ({"hidden_layers": [[4.5]], "learning_rates": ["fast"]}, "hidden_layers"),
     ])
     def test_malformed_grid_file_exits_2(self, tmp_path, capsys, monkeypatch,
                                          grid, field):
@@ -335,23 +350,32 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("fault", RECORD_FAULTS)
     def test_record_fault_rejected(self, tmp_path, capsys, fault):
+        # train and sweep each name the faulted record on line 2 and, moved
+        # to the end of the file, on the last line. sweep reads --data
+        # first, so its score file need not exist.
         data = make_dataset(tmp_path)
         header, first, *rest = data.read_text().splitlines()
         record = json.loads(first)
         RECORD_FAULTS[fault](record)
-        data.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
-        model = tmp_path / "model.json"
-        capsys.readouterr()
-        assert run("train", "--data", data, "--out", model, "--split", 0.5,
-                   "--grid", write_grid(tmp_path), "--epochs", 1,
-                   "--batch-size", 4) == 2
-        err = capsys.readouterr().err
-        if fault == "duplicate-id":
-            assert f"{data}: duplicate trial id 'P00-affected-01'" in err
-        else:
-            assert f"{data}:2: trial 'P00-affected-00': " in err
-        assert "Traceback" not in err
-        assert not model.exists()
+        out = tmp_path / "out"
+        commands = (
+            ["train", "--out", out, "--split", 0.5, "--grid",
+             write_grid(tmp_path), "--epochs", 1, "--batch-size", 4],
+            ["sweep", "--scores", tmp_path / "none.csv", "--out", out],
+        )
+        for lineno, lines in ((2, [header, json.dumps(record), *rest]),
+                              (len(rest) + 2, [header, *rest, json.dumps(record)])):
+            data.write_text("\n".join(lines) + "\n")
+            for command, *argv in commands:
+                capsys.readouterr()
+                assert run(command, "--data", data, *argv) == 2
+                err = capsys.readouterr().err
+                if fault == "duplicate-id":
+                    assert f"{data}: duplicate trial id 'P00-affected-01'" in err
+                else:
+                    assert f"{data}:{lineno}: trial 'P00-affected-00': " in err
+                assert "Traceback" not in err
+                assert not out.exists()
 
     def test_missing_data_file(self, tmp_path):
         assert run("train", "--data", tmp_path / "nope.jsonl",
@@ -626,21 +650,29 @@ class TestSweepCommand:
         assert "comp-no-pad" in stdout
 
     def test_beta_recorded_in_report_rows(self, prepared, tmp_path):
+        # Up to the largest beta whose square is finite, F-beta is finite.
         data, scores = prepared
-        out = tmp_path / "reports-beta"
-        assert run("sweep", "--scores", scores, "--data", data, "--out", out,
-                   "--beta", 2, "--windows", "1") == 0
-        body = (out / "report-all-w1.csv").read_text().splitlines()
-        assert body[1].split(",")[2] == "2.0"
+        for beta in ("2", "1.3e154", "1.3407807929942596e154"):
+            out = tmp_path / f"reports-beta-{beta}"
+            assert run("sweep", "--scores", scores, "--data", data, "--out",
+                       out, "--beta", beta, "--windows", "1") == 0
+            body = (out / "report-all-w1.csv").read_text().splitlines()
+            assert body[1].split(",")[2] == repr(float(beta))
+            for report in [*out.glob("report-*.csv"), out / "summary.csv"]:
+                assert "nan" not in report.read_text()
 
-    @pytest.mark.parametrize("beta", ["nan", "inf", "0", "-1"])
-    def test_beta_outside_zero_to_infinity_rejected(self, prepared, tmp_path,
-                                                    capsys, beta):
-        data, scores = prepared
+    # Above the square root of the largest float, beta squared overflows
+    # and every F-beta would read NaN.
+    @pytest.mark.parametrize("beta", ["nan", "inf", "0", "-1", "1e200",
+                                      "1.3407807929942597e154"])
+    def test_beta_outside_zero_to_infinity_rejected(self, tmp_path, capsys,
+                                                    beta):
+        # Neither input exists: beta is refused before either is read.
         out = tmp_path / "reports-bad-beta"
-        assert run("sweep", "--scores", scores, "--data", data, "--out", out,
-                   "--beta", beta) == 2
-        assert "--beta" in capsys.readouterr().err
+        assert run("sweep", "--scores", tmp_path / "none.csv", "--data",
+                   tmp_path / "none.jsonl", "--out", out, "--beta", beta) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --beta must be in (0, 1.3407807929942596e+154], got ")
         assert not out.exists()
 
     def test_coarse_step_grid(self, prepared, tmp_path):
@@ -761,12 +793,20 @@ def _ff_in_a_trial_id(path):
     path.write_bytes(b"\r\n".join(lines))
 
 
+def _ragged_row_before_ff(path):
+    lines = path.read_bytes().split(b"\r\n")
+    lines[1] += b",0"
+    lines[4] = b"\xff" + lines[4]
+    path.write_bytes(b"\r\n".join(lines))
+
+
 class TestInvalidUtf8:
     """One 0xff byte in an input file exits 2 with a message that names the
     file, not with a UnicodeDecodeError traceback."""
 
+    # A row fault before such a byte is the one named.
     @pytest.mark.parametrize("kind", ["checkpoint", "grid", "scores",
-                                      "config"])
+                                      "config", "scores-after-a-row-fault"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, kind):
         data = make_dataset(tmp_path)
         model = train_small(tmp_path, data)
@@ -787,6 +827,9 @@ class TestInvalidUtf8:
             "scores": (scores, _ff_in_a_trial_id, (
                 "sweep", "--scores", scores, "--data", data, "--out", out),
                 f"{scores}:6: invalid UTF-8 (invalid start byte)"),
+            "scores-after-a-row-fault": (scores, _ragged_row_before_ff, (
+                "sweep", "--scores", scores, "--data", data, "--out", out),
+                f"{scores}:2: ragged score row"),
             "config": (config, _append_ff, (
                 "synth", "--config", config, "--out", out),
                 f"{config}: invalid JSON: "),

@@ -93,7 +93,7 @@ class TestFbeta:
         assert 5.0 * p * r / (4.0 * p + r) == pytest.approx(f2, rel=1e-12)
 
     def test_invalid_beta(self):
-        for beta in (0.0, -1.0, float("nan"), float("inf")):
+        for beta in (0.0, -1.0, float("nan"), float("inf"), 1e200):
             with pytest.raises(DataValidationError):
                 fbeta(ConfusionCounts(1, 1, 1, 1), beta)
 
