@@ -325,13 +325,15 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    modes = list(dict.fromkeys(evaluation.FilterMode.parse(m.strip())
+                               for m in args.modes.split(",") if m.strip()))
     try:
-        modes = list(dict.fromkeys(evaluation.FilterMode.parse(m.strip())
-                                   for m in args.modes.split(",") if m.strip()))
         windows = list(dict.fromkeys(int(w) for w in args.windows.split(",")
                                      if w.strip()))
-    except ValueError as exc:
-        raise DataValidationError(str(exc)) from exc
+    except ValueError:
+        raise DataValidationError(
+            f"--windows must be a comma-separated list of integers, "
+            f"got {args.windows!r}") from None
     _check_outputs(directory=args.out, inputs=[args.scores, args.data], names=[
         "summary.csv",
         *(f"{kind}-{m.value}.csv" for m in modes

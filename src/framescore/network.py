@@ -186,10 +186,13 @@ def _flat_layers(dims) -> tuple[np.ndarray, list[np.ndarray]]:
 
 def _init_layers(architecture: ModelArchitecture, rng: np.random.Generator,
                  scaler: InputScaler):
-    """`init_model`'s draw, in the form training uses it: the model with an
-    all-zero first layer, the live rows of that layer as one contiguous
-    matrix, and the flat vector that every later weight and every bias of
-    the model is a view of.
+    """The initial draw, Uniform(+-sqrt(6/(fan_in+fan_out))) weights and
+    zero biases, in the form training uses it: the model with an all-zero
+    first layer, the live rows of that layer as one contiguous matrix, and
+    the flat vector that every later weight and every bias of the model is
+    a view of. Training writes only the live rows into the first layer:
+    its dead rows stay +0.0, as they never receive weight updates, so they
+    add no initialization noise to input gradients.
 
     The stream is the one a full draw of every layer reads: each live run
     of first-layer rows is drawn, and each dead run is skipped with
@@ -217,16 +220,6 @@ def _init_layers(architecture: ModelArchitecture, rng: np.random.Generator,
     # One live run, as in a padded dataset, needs no copy.
     W0 = parts[1] if len(parts) == 2 else np.concatenate(parts)
     return model, W0, flat
-
-
-def init_model(architecture: ModelArchitecture, rng: np.random.Generator,
-               scaler: InputScaler) -> TrainedModel:
-    """Uniform(+-sqrt(6/(fan_in+fan_out))) weights, zero biases, and
-    exactly +0.0 in the first-layer rows of dead inputs: they never receive
-    weight updates, so they add no initialization noise to input gradients."""
-    model, W0, _ = _init_layers(architecture, rng, scaler)
-    model.weights[0][scaler.live_mask] = W0
-    return model
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Each trial is a smooth reach motion of one arm (wrist and elbow follow the
 profile 3u^2 - 2u^3) on top of a fixed base pose, with iid Gaussian pixel
-noise everywhere. A compensatory trial additionally displaces the head, the
-neck, and both shoulders during one contiguous segment, ramped in and out
-over a few frames. Frame labels mark exactly the injected segment.
+noise everywhere. A compensatory trial adds, over one contiguous segment
+ramped in and out over a few frames, a lean of the head, neck and shoulders
+(COMPENSATION_FEATURES). Frame labels mark exactly the injected segment.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import (
+    DEFAULT_JOINTS,
     DEFAULT_T_MAX,
     LABEL_COMPENSATORY,
     LABEL_NORMAL,
@@ -28,22 +29,33 @@ from .data import (
 )
 from .errors import DataValidationError
 
-# base pose in pixels, indexed like DEFAULT_JOINTS
-_BASE_POSE = np.array(
-    [
-        [320.0, 80.0],   # Head
-        [320.0, 140.0],  # Neck
-        [380.0, 150.0],  # ShoulderRight
-        [400.0, 230.0],  # ElbowRight
-        [410.0, 300.0],  # WristRight
-        [260.0, 150.0],  # ShoulderLeft
-        [240.0, 230.0],  # ElbowLeft
-        [230.0, 300.0],  # WristLeft
-    ]
-)
-_HEAD, _NECK = 0, 1
-_SHOULDER_R, _ELBOW_R, _WRIST_R = 2, 3, 4
-_SHOULDER_L, _ELBOW_L, _WRIST_L = 5, 6, 7
+# base pose in pixels, by joint
+_BASE_POSE = np.array([{
+    "Head": (320.0, 80.0), "Neck": (320.0, 140.0),
+    "ShoulderRight": (380.0, 150.0), "ElbowRight": (400.0, 230.0),
+    "WristRight": (410.0, 300.0), "ShoulderLeft": (260.0, 150.0),
+    "ElbowLeft": (240.0, 230.0), "WristLeft": (230.0, 300.0),
+}[joint] for joint in DEFAULT_JOINTS])
+
+# The affected side exercises the right arm, the unaffected the left, and
+# lateral motion mirrors: (joint, scale, (dx, dy) per unit of reach).
+_REACH = {
+    "affected": (("WristRight", 1.0, (0.35, -0.94)),
+                 ("ElbowRight", 0.55, (0.25, -0.97))),
+    "unaffected": (("WristLeft", 1.0, (-0.35, -0.94)),
+                   ("ElbowLeft", 0.55, (-0.25, -0.97))),
+}
+
+# The features a compensatory segment moves, with the displacement per unit
+# of compensation amplitude: head and trunk lean away from the exercising
+# arm, the contralateral shoulder follows, the exercising shoulder hikes up.
+COMPENSATION_FEATURES = {
+    "affected": (("HeadX", -1.0), ("NeckX", -0.6), ("ShoulderLeftX", -0.8),
+                 ("ShoulderRightY", -0.7)),
+    "unaffected": (("HeadX", 1.0), ("NeckX", 0.6), ("ShoulderRightX", 0.8),
+                   ("ShoulderLeftY", -0.7)),
+}
+_FEATURES = JointLayout().feature_names()
 
 RAMP_FRAMES = 5
 
@@ -175,24 +187,14 @@ def generate_trial(
     length = int(rng.integers(lo, hi + 1))
     pos = np.tile(_BASE_POSE, (length, 1, 1))
     reach = _reach_profile(length)
-
-    # the affected side exercises the right arm, the unaffected the left;
-    # lateral motion mirrors accordingly
-    if side == "affected":
-        wrist, elbow = _WRIST_R, _ELBOW_R
-        shoulder_ipsi, shoulder_contra = _SHOULDER_R, _SHOULDER_L
-        lat = -1.0
-        p_comp = config.compensation_probability_affected
-    else:
-        wrist, elbow = _WRIST_L, _ELBOW_L
-        shoulder_ipsi, shoulder_contra = _SHOULDER_L, _SHOULDER_R
-        lat = 1.0
-        p_comp = config.compensation_probability_unaffected
     amp = config.motion_amplitude
-    pos[:, wrist] += amp * reach[:, None] * np.array([-0.35 * lat, -0.94])
-    pos[:, elbow] += 0.55 * amp * reach[:, None] * np.array([-0.25 * lat, -0.97])
+    for joint, scale, direction in _REACH[side]:
+        pos[:, DEFAULT_JOINTS.index(joint)] += (
+            scale * amp * reach[:, None] * np.array(direction))
 
     labels = np.full(length, LABEL_NORMAL, dtype=np.int64)
+    p_comp = (config.compensation_probability_affected,
+              config.compensation_probability_unaffected)[SIDES.index(side)]
     if rng.random() < p_comp:
         clo, chi = config.compensation_coverage_range
         coverage = rng.uniform(clo, chi)
@@ -201,12 +203,9 @@ def generate_trial(
         labels[start : start + seg_len] = LABEL_COMPENSATORY
         env = _segment_envelope(length, start, seg_len)
         comp = config.compensation_amplitude
-        # compensation phenotype: head and trunk lean sideways, the
-        # contralateral shoulder follows, the exercising shoulder hikes up
-        pos[:, _HEAD, 0] += comp * env * lat
-        pos[:, _NECK, 0] += 0.6 * comp * env * lat
-        pos[:, shoulder_contra, 0] += 0.8 * comp * env * lat
-        pos[:, shoulder_ipsi, 1] += -0.7 * comp * env
+        features = pos.reshape(length, -1)  # a view, columns as _FEATURES
+        for feature, coef in COMPENSATION_FEATURES[side]:
+            features[:, _FEATURES.index(feature)] += coef * comp * env
 
     pos += rng.normal(0.0, config.noise_std, pos.shape)
     return f"{patient_id}-{side}-{trial_index:02d}", patient_id, side, pos, labels

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from framescore import network
 from framescore.data import DatasetManifest, JointLayout, save_dataset
 from framescore.synth import SynthConfig, generate_dataset
 
@@ -26,6 +27,14 @@ def make_manifest(*trials, t_max=None, layout=None):
     """Manifest of hand-built rows; t_max defaults to the longest trial."""
     t_max = t_max or max(len(t[3]) for t in trials)
     return DatasetManifest.from_rows(trials, t_max, layout or JointLayout())
+
+
+def initial_model(architecture, rng, scaler):
+    """The model training starts from: its initial draw, with the live
+    first-layer rows filled in and +0.0 in the dead ones."""
+    model, W0, _ = network._init_layers(architecture, rng, scaler)
+    model.weights[0][scaler.live_mask] = W0
+    return model
 
 
 def edit_frames(record, edit, joints=8):

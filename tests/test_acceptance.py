@@ -28,7 +28,6 @@ from framescore.network import (
     _forward_batch,
     bce_loss,
     evaluate_accuracy,
-    init_model,
     input_gradient,
     predict_proba,
     train,
@@ -42,6 +41,7 @@ from framescore.saliency import (
     normalize_pool,
 )
 from framescore.synth import SynthConfig, generate_dataset
+from tests.conftest import initial_model
 
 SEED = 42
 
@@ -88,8 +88,9 @@ def _kink_free_triple(base_seed):
         rng = np.random.default_rng((base_seed, attempt))
         input_dim = int(rng.integers(6, 20))
         hidden = (int(rng.integers(4, 12)), int(rng.integers(3, 8)))
-        model = init_model(ModelArchitecture(input_dim, hidden), rng,
-                           InputScaler(np.zeros(input_dim), np.ones(input_dim)))
+        model = initial_model(
+            ModelArchitecture(input_dim, hidden), rng,
+            InputScaler(np.zeros(input_dim), np.ones(input_dim)))
         x = rng.normal(size=input_dim)
         y = int(rng.integers(0, 2))
         _, pre, _ = _forward_batch(model, x[None])

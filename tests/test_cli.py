@@ -176,6 +176,34 @@ RECORD_FAULTS = {
 }
 
 
+def _header(field, value):
+    """An edit of a dataset file's lines that sets one header field."""
+    def edit(lines):
+        header = json.loads(lines[0])
+        header[field] = value
+        return [json.dumps(header), *lines[1:]]
+    return edit
+
+
+# Each fault edits the lines of a 12-trial dataset file: (edit, the error's
+# text after the file name). t_max and seed must be JSON integers, not
+# floats, numeric strings or booleans.
+DATASET_FILE_FAULTS = {
+    "t_max-abc": (_header("t_max", "abc"), ":1: field 't_max'"),
+    "joints-5": (_header("joints", 5), ":1: field 'joints'"),
+    "joints-value2": (_header("joints", []), ":1: field 'joints'"),
+    "t_max-40.9": (_header("t_max", 40.9), ":1: field 't_max'"),
+    "t_max-40": (_header("t_max", "40"), ":1: field 't_max'"),
+    "seed-5.7": (_header("seed", 5.7), ":1: field 'seed'"),
+    "seed-True": (_header("seed", True), ":1: field 'seed'"),
+    "provenance-recorded": (
+        _header("provenance", "recorded"),
+        ":1: provenance must be 'synthetic', got 'recorded'"),
+    "header-only": (lambda lines: lines[:1], ": no trials"),
+    "empty": (lambda lines: [], ": empty dataset file"),
+}
+
+
 class TestTrainCommand:
     def test_writes_checkpoint_and_grid_report(self, tmp_path, capsys):
         data = make_dataset(tmp_path)
@@ -290,6 +318,9 @@ class TestTrainCommand:
             {"hidden_layers": [[4]], "learning_rates": [0.001], "epochs": 1000},
             "unknown grid fields: ['epochs']", id="grid3-epochs"),
         ({"hidden_layers": [[4.5]], "learning_rates": ["fast"]}, "hidden_layers"),
+        pytest.param({"hidden_layers": [[4]]},
+                     "grid file needs 'hidden_layers' and 'learning_rates'",
+                     id="grid5-no-learning-rates"),
     ])
     def test_malformed_grid_file_exits_2(self, tmp_path, capsys, monkeypatch,
                                          grid, field):
@@ -396,21 +427,20 @@ class TestTrainCommand:
         assert f"{train} train / {test} test" in capsys.readouterr().err
         assert not model.exists()
 
-    # t_max and seed must be JSON integers, not floats, numeric strings or
-    # booleans.
-    @pytest.mark.parametrize("field, value", [("t_max", "abc"), ("joints", 5),
-                                              ("joints", []), ("t_max", 40.9),
-                                              ("t_max", "40"), ("seed", 5.7),
-                                              ("seed", True)])
-    def test_malformed_header_names_line(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("fault", DATASET_FILE_FAULTS)
+    def test_malformed_header_names_line(self, tmp_path, capsys, fault):
+        # sweep reads --data first, so its score file need not exist.
         data = make_dataset(tmp_path)
-        lines = data.read_text().splitlines()
-        header = json.loads(lines[0])
-        header[field] = value
-        data.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-        assert run("train", "--data", data, "--out", tmp_path / "m.json") == 2
-        err = capsys.readouterr().err
-        assert f"data.jsonl:1: field '{field}'" in err
+        edit, message = DATASET_FILE_FAULTS[fault]
+        data.write_text("".join(
+            line + "\n" for line in edit(data.read_text().splitlines())))
+        out = tmp_path / "out"
+        for argv in (["train", "--out", out],
+                     ["sweep", "--scores", tmp_path / "none.csv", "--out", out]):
+            capsys.readouterr()
+            assert run(*argv, "--data", data) == 2
+            assert f"{data}{message}" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestExplainCommand:
@@ -530,10 +560,13 @@ class TestExplainCommand:
          "checkpoint field 'scaler': scaler mean and scale must be finite"),
         (lambda p: (p["scaler"]["scale"].__setitem__(0, -1.0), p)[1],
          "checkpoint field 'scaler': scaler mean and scale must be finite"),
+        (lambda p: (p.update(metadata=[]), p)[1],
+         "checkpoint field 'metadata' must be a JSON object"),
     ], ids=["no-scaler", "short-weights", "list", "string-widths",
             "missing-layer", "extra-layer", "string-bias", "boolean-scale",
             "boolean-last-weight", "bad-base64-character", "nan-weight",
-            "v1-format", "nan-mean", "inf-scale", "negative-scale"])
+            "v1-format", "nan-mean", "inf-scale", "negative-scale",
+            "list-metadata"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, corrupt,
                                           expected):
         data = make_dataset(tmp_path)
@@ -728,6 +761,15 @@ class TestSweepCommand:
         assert "skipping mode 'comp-no-pad'" in captured.err
         assert not (out / "report-comp-no-pad-w1.csv").exists()
         assert (out / "report-all-w1.csv").exists()
+        # With no other mode asked for, there is nothing to report.
+        out = tmp_path / "reports-none"
+        assert run("sweep", "--scores", scores, "--data", data, "--out", out,
+                   "--modes", "comp-no-pad") == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: skipping mode 'comp-no-pad': comp-no-pad selection is "
+            "empty: no compensatory trials",
+            "warning: no usable filter modes; nothing to report"]
+        assert not out.exists()
 
     def test_score_dataset_mismatch(self, prepared, tmp_path):
         data, scores = prepared
@@ -841,13 +883,15 @@ class TestInvalidUtf8:
         assert not out.exists()
 
 
-# Command lines that name one output path that cannot be written, relative
-# to a directory holding the files `taken`, `in.json` and `in.jsonl`, the
+# Command lines refused before any work, each for one output path that
+# cannot be written or one flag value that no run can take, relative to a
+# directory holding the files `taken`, `in.json` and `in.jsonl`, the
 # link `link.jsonl` to `in.jsonl`, the directory `heatmap-t0.csv` and the
 # directory `rr` with the files `summary.csv` and `hist-all.csv`: (argv,
-# the path the error must name). A command that checks its outputs first
+# what the error must name). A command that checks its outputs first
 # never reads its inputs, so they need not be valid.
 _EXPLAIN = ["explain", "--model", "in.json", "--data", "in.jsonl"]
+_SWEEP = ["sweep", "--scores", "in.csv", "--data", "in.jsonl", "--out", "r"]
 _BAD_OUTPUTS = {
     "synth-out": (["synth", "--out", "nodir/x.jsonl"], "nodir/x.jsonl"),
     "train-out": (["train", "--data", "in.jsonl", "--out", "nodir/m.json"],
@@ -894,6 +938,16 @@ _BAD_OUTPUTS = {
     "sweep-histogram-is-data": (
         ["sweep", "--scores", "in.csv", "--data", "rr/hist-all.csv", "--out",
          "rr"], "output rr/hist-all.csv is the same file as input rr/hist-all.csv"),
+    "sweep-windows-1.5": (
+        [*_SWEEP, "--windows", "1.5"],
+        "--windows must be a comma-separated list of integers, got '1.5'"),
+    "sweep-windows-5,x": (
+        [*_SWEEP, "--windows", "5,x"],
+        "--windows must be a comma-separated list of integers, got '5,x'"),
+    "sweep-windows-0": ([*_SWEEP, "--windows", "0"],
+                        "window sizes must be at least 1"),
+    "sweep-windows-comma": ([*_SWEEP, "--windows", ","],
+                            "need at least one mode and one window size"),
 }
 
 

